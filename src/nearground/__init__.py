@@ -25,7 +25,6 @@ from .errors import (
     ConfigError,
     ControllerFault,
     FitError,
-    InfeasibleReferenceError,
     InputError,
     ParameterError,
     ReferenceGenerationError,
@@ -88,7 +87,6 @@ from .harness import (
 )
 from .simulator import (
     Measurement,
-    RigidState,
     SimConfig,
     TrajectoryLog,
     hover_initial_state,

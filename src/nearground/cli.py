@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .config import KeyValueConfig
-from .errors import ConfigError, FitError, InfeasibleReferenceError, ParameterError
+from .errors import ConfigError, FitError, ParameterError
 from .estimation import (
     fit_drag_from_log,
     fit_thrust_factor,
@@ -264,9 +264,6 @@ def main(argv=None):
     except FitError as err:
         print(f"identification failed: {err}", file=sys.stderr)
         return EXIT_FIT
-    except InfeasibleReferenceError as err:
-        print(f"infeasible reference: {err}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except FileNotFoundError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

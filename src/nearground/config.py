@@ -44,21 +44,6 @@ class KeyValueConfig:
                 entries.append((key, value.strip(), lineno))
         return cls(entries, source=str(path))
 
-    @classmethod
-    def from_string(cls, text, source="<string>"):
-        import io
-
-        entries = []
-        for lineno, raw in enumerate(io.StringIO(text), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            entries.append((key.strip(), value.strip(), lineno))
-        return cls(entries, source=source)
-
     # -- raw access ---------------------------------------------------------
 
     def subset(self, prefix):

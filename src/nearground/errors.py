@@ -17,10 +17,6 @@ class ReferenceGenerationError(RuntimeError):
     """Flatness reference could not be produced (non-convergence, free fall)."""
 
 
-class InfeasibleReferenceError(RuntimeError):
-    """Reference rotor speeds fall outside actuator limits."""
-
-
 class ControllerFault(RuntimeError):
     """Controller internal consistency violation (stale torque feedback, ...)."""
 

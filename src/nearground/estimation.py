@@ -101,7 +101,6 @@ class WrenchObserverRunner:
         self.f_omega = LowPass(cutoff_hz, sample_rate_hz)
         self.d_omega = FilteredDerivative(cutoff_hz, sample_rate_hz)
         self.last = None
-        self._t_prev = None
 
     def update(self, t, q_hat, specific_force, thrust, omega, tau_b, t_torque=None):
         """Feed one synchronized sample; returns the current WrenchEstimate.
@@ -115,7 +114,6 @@ class WrenchObserverRunner:
                 stacklevel=2,
             )
             return self.last
-        self._t_prev = t
         f_f = self.f_accel.update(specific_force)
         T_f = float(self.f_thrust.update([thrust])[0])
         w_f = self.f_omega.update(omega)

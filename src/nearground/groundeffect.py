@@ -7,6 +7,11 @@ the leveling torque into the rotational model.
 
 Altitude h is always the distance from the ground plane to the center of
 the rotor plane.
+
+This module holds the only copy of each formula. The unchecked kernels
+(``leveling_axis``, ``world_drag``, ``added_inertia``) and the scalar
+curves are what the simulator's plant evaluates every step; the public
+vector functions are input checks in front of those same kernels.
 """
 
 from __future__ import annotations
@@ -20,8 +25,6 @@ from .config import KeyValueConfig
 from .errors import ConfigError, InputError, ParameterError
 from .quaternions import check_rotation
 from .vehicle import GRAVITY, VehicleParams
-
-Z_WORLD = np.array([0.0, 0.0, 1.0])
 
 # Default drag table: force-unit coefficients (kg/s), increasing with h.
 # The 0.10 m rows are exactly 0.5963 (x) and 0.6179 (y) times the 2.0 m rows.
@@ -61,7 +64,8 @@ class GroundEffectParams:
     def __post_init__(self):
         if self.drag_table is None:
             self.drag_table = _DEFAULT_DRAG_TABLE.copy()
-        self.drag_table = np.asarray(self.drag_table, dtype=float)
+        # column-major, so np.interp reads each column without copying it
+        self.drag_table = np.asfortranarray(self.drag_table, dtype=float)
         self.validate()
 
     def validate(self):
@@ -132,10 +136,18 @@ def _check_h(h):
     return float(h)
 
 
+def _factor(h, params: GroundEffectParams):
+    return params.g2 / (h * h + params.g1)
+
+
+def _lever(h, params: GroundEffectParams):
+    den = h * h + params.g3 * h + params.g4
+    return params.g5 * h / (den * den)
+
+
 def thrust_factor(h, params: GroundEffectParams):
     """Fractional extra thrust near ground: g2 / (h^2 + g1)."""
-    h = _check_h(h)
-    return params.g2 / (h * h + params.g1)
+    return _factor(_check_h(h), params)
 
 
 def thrust_factor_prime(h, params: GroundEffectParams):
@@ -147,44 +159,42 @@ def thrust_factor_prime(h, params: GroundEffectParams):
 
 def torque_lever(h, params: GroundEffectParams):
     """Leveling-torque lever arm (m): torque = lever * T * sin(tilt)."""
-    h = _check_h(h)
-    den = h * h + params.g3 * h + params.g4
-    return params.g5 * h / (den * den)
+    return _lever(_check_h(h), params)
 
 
 def torque_lever_peak(params: GroundEffectParams, h_max=2.0, n=4001):
     """(h*, lever(h*)) over a dense grid; the lever is unimodal on h >= 0."""
     grid = np.linspace(1e-4, h_max, n)
-    den = grid * grid + params.g3 * grid + params.g4
-    vals = params.g5 * grid / (den * den)
+    vals = _lever(grid, params)
     i = int(np.argmax(vals))
     return float(grid[i]), float(vals[i])
 
 
-def _tilt_axis_body(R):
-    """R^T (z_B x z_W); magnitude sin(tilt), zero body-z component."""
-    z_b = R[:, 2]
-    return R.T @ np.cross(z_b, Z_WORLD)
+def leveling_axis(R, params: GroundEffectParams):
+    """R^T (z_B x z_W), unchecked: magnitude sin(tilt), zero body-z component.
+
+    Past the saturation tilt the magnitude is held at sin(tilt_saturation_deg)
+    (the measured plateau), direction unchanged.
+    """
+    axis = R.T @ np.array([R[1, 2], -R[0, 2], 0.0])
+    if params.tilt_saturation_deg > 0.0:
+        s = math.sqrt(float(axis @ axis))
+        s_max = math.sin(math.radians(params.tilt_saturation_deg))
+        if s > s_max:
+            axis *= s_max / s
+    return axis
 
 
 def leveling_torque(R, thrust, h, params: GroundEffectParams):
     """Body-frame restoring torque for a tilted vehicle near ground.
 
-    torque = lever(h) * T * R^T(z_B x z_W); the cross product carries the
-    sin(tilt) factor. Past the saturation tilt the magnitude is held at its
-    saturation value (the measured plateau), direction unchanged.
+    torque = lever(h) * T * leveling_axis(R); the axis carries the sin(tilt)
+    factor and the saturation.
     """
     R = check_rotation(R)
     if thrust < 0.0:
         raise InputError("thrust must be non-negative")
-    h = _check_h(h)
-    axis = _tilt_axis_body(R)
-    s = math.sqrt(float(axis @ axis))
-    if params.tilt_saturation_deg > 0.0 and s > 1e-12:
-        s_max = math.sin(math.radians(params.tilt_saturation_deg))
-        if s > s_max:
-            axis = axis * (s_max / s)
-    return torque_lever(h, params) * thrust * axis
+    return torque_lever(h, params) * thrust * leveling_axis(R, params)
 
 
 def leveling_torque_quadrature(h, tilt, thrust, params: GroundEffectParams,
@@ -204,7 +214,7 @@ def leveling_torque_quadrature(h, tilt, thrust, params: GroundEffectParams,
         raise InputError("lowest rotor point at or below ground")
     theta = np.linspace(0.0, 2.0 * np.pi, intervals + 1)
     ring_h = h - radius * math.sin(tilt) * np.cos(theta)
-    density = params.g2 / (ring_h * ring_h + params.g1) * thrust / (2.0 * np.pi)
+    density = _factor(ring_h, params) * thrust / (2.0 * np.pi)
     integrand = density * radius * np.cos(theta)
     weights = np.ones(intervals + 1)
     weights[1:-1:2] = 4.0
@@ -236,13 +246,20 @@ def drag_matrix(h, params: GroundEffectParams):
     return np.diag([dx, dy, 0.0])
 
 
+def world_drag(R, v, h, params: GroundEffectParams):
+    """World-frame rotor drag -R D(h) R^T v (N), unchecked: R must be a rotation."""
+    dx, dy = drag_coefficients(h, params)
+    return -R @ (np.array([dx, dy, 0.0]) * (R.T @ v))
+
+
 def drag_force(R, v, h, params: GroundEffectParams):
     """World-frame rotor drag -R D(h) R^T v (N)."""
-    R = check_rotation(R)
-    v = np.asarray(v, dtype=float)
-    dx, dy = drag_coefficients(h, params)
-    v_body = R.T @ v
-    return -R @ (np.array([dx, dy, 0.0]) * v_body)
+    return world_drag(check_rotation(R), np.asarray(v, dtype=float), h, params)
+
+
+def added_inertia(lever_thrust, m, gravity=GRAVITY):
+    """Roll/pitch inertia (kg m^2) of the virtual payload: (lever*T)^2 / (m g^2)."""
+    return lever_thrust * lever_thrust / (m * gravity * gravity)
 
 
 def equivalent_inertia(h, params: GroundEffectParams, vehicle: VehicleParams,
@@ -255,8 +272,7 @@ def equivalent_inertia(h, params: GroundEffectParams, vehicle: VehicleParams,
     h = _check_h(h)
     if thrust is None:
         thrust = vehicle.m * gravity / (1.0 + thrust_factor(h, params))
-    lever_t = torque_lever(h, params) * thrust
-    added = lever_t * lever_t / (vehicle.m * gravity * gravity)
+    added = added_inertia(torque_lever(h, params) * thrust, vehicle.m, gravity)
     Jp = vehicle.inertia.copy()
     Jp[0, 0] += added
     Jp[1, 1] += added

@@ -146,10 +146,10 @@ class Scenario:
         lines.append(f"controller = {self.controller_kind}")
         g = self.gains
         lines += [
-            "ctrl.kp = " + ", ".join("%g" % v for v in g.kp),
-            "ctrl.kv = " + ", ".join("%g" % v for v in g.kv),
-            "ctrl.kxi = " + ", ".join("%g" % v for v in g.kxi),
-            "ctrl.komega = " + ", ".join("%g" % v for v in g.komega),
+            "ctrl.kp = " + _floats(g.kp),
+            "ctrl.kv = " + _floats(g.kv),
+            "ctrl.kxi = " + _floats(g.kxi),
+            "ctrl.komega = " + _floats(g.komega),
             f"ctrl.accel_comp = {g.accel_comp}",
             f"ctrl.torque_comp = {g.torque_comp}",
             f"ctrl.gyro_cutoff = {g.gyro_cutoff}",
@@ -168,8 +168,8 @@ class Scenario:
             f"sim.motor_tau = {s.motor_tau}",
             f"sim.noise_accel = {s.noise_accel}",
             f"sim.noise_gyro = {s.noise_gyro}",
-            "sim.ext_force = " + ", ".join("%g" % v for v in s.ext_force),
-            "sim.ext_torque = " + ", ".join("%g" % v for v in s.ext_torque),
+            "sim.ext_force = " + _floats(s.ext_force),
+            "sim.ext_torque = " + _floats(s.ext_torque),
             f"sim.ext_on = {s.ext_on}",
             f"sim.ext_off = {s.ext_off}",
             f"sim.ground_clearance = {s.ground_clearance}",
@@ -191,9 +191,18 @@ class Scenario:
             f"ge.g5 = {self.ge.g5}",
             f"ge.tilt_saturation_deg = {self.ge.tilt_saturation_deg}",
         ]
+        J = self.vehicle.inertia
+        lines += [f"vehicle.inertia_{axes} = {float(J[i, j])!r}"
+                  for axes, i, j in (("xx", 0, 0), ("yy", 1, 1), ("zz", 2, 2),
+                                     ("xy", 0, 1), ("xz", 0, 2), ("yz", 1, 2))]
         for row in self.ge.drag_table:
-            lines.append("ge.drag_sample = %g, %g, %g" % tuple(row))
+            lines.append("ge.drag_sample = " + _floats(row))
         return "\n".join(lines) + "\n"
+
+
+def _floats(values):
+    """Comma-separated shortest round-trip reprs."""
+    return ", ".join(repr(float(v)) for v in values)
 
 
 @dataclass

@@ -85,15 +85,6 @@ def from_axis_angle(axis, angle):
     return np.concatenate(([np.cos(half)], np.sin(half) * axis))
 
 
-def rotate(q, v):
-    return rot_matrix(q) @ np.asarray(v, dtype=float)
-
-
-def derivative(q, omega_body):
-    """dq/dt for body angular velocity omega (rad/s)."""
-    return 0.5 * multiply(q, np.concatenate(([0.0], omega_body)))
-
-
 def geodesic_angle(qa, qb):
     """Rotation angle (rad) taking attitude qa to qb, double-cover safe."""
     d = abs(float(np.dot(qa, qb)))

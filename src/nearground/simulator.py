@@ -6,6 +6,12 @@ and altitude drag can be toggled individually; the rotational dynamics can
 also run in the equivalent-inertia form where the leveling torque is
 absorbed into J'(h) instead of appearing explicitly.
 
+``_Plant`` is the only evaluator of the model: the RK4 derivative, the
+logged disturbance columns and the rotation-only ``simulate_attitude`` all
+go through its two methods, which call the ground-effect kernels in
+groundeffect.py (the only copy of each formula). ``_rk4`` is the only
+integrator.
+
 All randomness flows from one seeded generator per run; identical config
 and seed reproduce logs bit for bit.
 """
@@ -18,13 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quaternions as quat
-from .errors import ConfigError, SimulationFault
+from .errors import ConfigError, InputError, SimulationFault
 from .groundeffect import (
     GroundEffectParams,
-    added_thrust_force,
-    drag_force,
-    equivalent_inertia,
-    leveling_torque,
+    added_inertia,
+    leveling_axis,
+    thrust_factor,
+    torque_lever,
+    world_drag,
 )
 from .vehicle import GRAVITY, VehicleParams, build_mixing_matrix
 
@@ -37,24 +44,6 @@ _Q = slice(6, 10)
 _W = slice(10, 13)
 _N = slice(13, 17)
 STATE_SIZE = 17
-
-
-@dataclass
-class RigidState:
-    """Vehicle state snapshot; quaternion is world-from-body, speeds in rpm."""
-
-    p: np.ndarray
-    v: np.ndarray
-    q: np.ndarray
-    omega: np.ndarray
-    rotor_speeds: np.ndarray
-
-    def to_vector(self):
-        return np.concatenate([self.p, self.v, self.q, self.omega, self.rotor_speeds])
-
-    @classmethod
-    def from_vector(cls, x):
-        return cls(x[_P].copy(), x[_V].copy(), x[_Q].copy(), x[_W].copy(), x[_N].copy())
 
 
 @dataclass
@@ -80,11 +69,19 @@ class SimConfig:
     def __post_init__(self):
         self.ext_force = np.zeros(3) if self.ext_force is None else np.asarray(self.ext_force, float)
         self.ext_torque = np.zeros(3) if self.ext_torque is None else np.asarray(self.ext_torque, float)
-        if self.dt <= 0.0:
-            raise ConfigError("physics step must be positive")
+        # "not x > 0" style comparisons also reject NaN
+        if not self.dt > 0.0:
+            raise ConfigError(f"physics step must be positive, got {self.dt}")
         if self.torque_formulation not in ("explicit", "equivalent"):
             raise ConfigError(f"unknown torque formulation {self.torque_formulation!r}")
+        for name in ("motor_tau", "noise_accel", "noise_gyro"):
+            if not getattr(self, name) >= 0.0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if not (isinstance(self.log_decimation, (int, np.integer)) and self.log_decimation >= 1):
+            raise ConfigError(f"log decimation must be an integer >= 1, got {self.log_decimation!r}")
         for rate in (self.attitude_rate, self.position_rate):
+            if not rate > 0.0:
+                raise ConfigError(f"control rate must be positive, got {rate} Hz")
             period = 1.0 / rate
             steps = period / self.dt
             if abs(steps - round(steps)) > 1e-6 or round(steps) < 1:
@@ -114,12 +111,30 @@ class Measurement:
     rotor_speeds: np.ndarray
 
 
+def _quat_rate(q, w, out):
+    """Write dq/dt of the unit quaternion q under body rate w (rad/s) into out."""
+    qw, qx, qy, qz = q
+    w1, w2, w3 = w
+    out[0] = 0.5 * (-qx * w1 - qy * w2 - qz * w3)
+    out[1] = 0.5 * (qw * w1 + qy * w3 - qz * w2)
+    out[2] = 0.5 * (qw * w2 - qx * w3 + qz * w1)
+    out[3] = 0.5 * (qw * w3 + qx * w2 - qy * w1)
+
+
+def _rk4(f, x, t, dt):
+    """One classic Runge-Kutta step of dx/dt = f(x, t)."""
+    k1 = f(x, t)
+    k2 = f(x + (0.5 * dt) * k1, t + 0.5 * dt)
+    k3 = f(x + (0.5 * dt) * k2, t + 0.5 * dt)
+    k4 = f(x + dt * k3, t + dt)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 class _Plant:
-    """Precomputed constants for fast derivative evaluation."""
+    """One vehicle under one SimConfig, with the constants of its derivative."""
 
     __slots__ = (
-        "M", "J", "Jinv", "J_diagonal", "Jdiag", "m", "g", "offset", "b",
-        "g1", "g2", "g3", "g4", "g5", "sin_sat", "t_h", "t_dx", "t_dy",
+        "M", "J", "Jinv", "J_diagonal", "Jdiag", "m", "g", "offset", "ge",
         "ge_force", "ge_torque", "ge_drag", "equivalent", "motor_tau",
         "ext_force", "ext_torque", "ext_on", "ext_off", "weight",
     )
@@ -133,17 +148,7 @@ class _Plant:
         self.m = vehicle.m
         self.g = cfg.gravity
         self.offset = vehicle.rotor_plane_offset
-        self.b = vehicle.b
-        self.g1, self.g2 = ge.g1, ge.g2
-        self.g3, self.g4, self.g5 = ge.g3, ge.g4, ge.g5
-        self.sin_sat = (
-            math.sin(math.radians(ge.tilt_saturation_deg))
-            if ge.tilt_saturation_deg > 0.0
-            else math.inf
-        )
-        self.t_h = ge.drag_table[:, 0].copy()
-        self.t_dx = ge.drag_table[:, 1].copy()
-        self.t_dy = ge.drag_table[:, 2].copy()
+        self.ge = ge
         self.ge_force = cfg.ge_force
         self.ge_torque = cfg.ge_torque
         self.ge_drag = cfg.ge_drag
@@ -155,6 +160,36 @@ class _Plant:
         self.ext_off = cfg.ext_off
         self.weight = np.array([0.0, 0.0, -vehicle.m * cfg.gravity])
 
+    def ground(self, R, v, h, thrust):
+        """(f_ge, f_drag, lever*T) at altitude h; a term toggled off, or h <= 0, is zero."""
+        if not h > 0.0:
+            return np.zeros(3), np.zeros(3), 0.0
+        f_ge = thrust_factor(h, self.ge) * thrust * R[:, 2] if self.ge_force else np.zeros(3)
+        f_drag = world_drag(R, v, h, self.ge) if self.ge_drag else np.zeros(3)
+        lever_t = torque_lever(h, self.ge) * thrust if self.ge_torque else 0.0
+        return f_ge, f_drag, lever_t
+
+    def angular_accel(self, R, omega, tau, lever_t):
+        """Body angular acceleration under the rotor torque tau.
+
+        The leveling torque lever_t * leveling_axis(R) is applied to J in the
+        explicit form, and absorbed into J'(h) in the equivalent form.
+        """
+        if not self.equivalent:
+            if lever_t > 0.0:
+                tau = tau + lever_t * leveling_axis(R, self.ge)
+            return self.Jinv @ (tau - np.cross(omega, self.J @ omega))
+        added = added_inertia(lever_t, self.m, self.g)
+        Jw = self.Jdiag * omega if self.J_diagonal else self.J @ omega
+        Jpw = Jw + np.array([added * omega[0], added * omega[1], 0.0])
+        torque_net = tau - np.cross(omega, Jpw)
+        if self.J_diagonal:
+            return torque_net / (self.Jdiag + np.array([added, added, 0.0]))
+        Jp = self.J.copy()
+        Jp[0, 0] += added
+        Jp[1, 1] += added
+        return np.linalg.solve(Jp, torque_net)
+
     def derivative(self, x, n_cmd, t):
         q = x[_Q]
         qn = q / math.sqrt(float(q @ q))
@@ -164,99 +199,51 @@ class _Plant:
 
         wrench = self.M @ (n * n)
         thrust = wrench[0]
-        h = x[2] + self.offset
-        z_b = R[:, 2]
-
-        force = self.weight + thrust * z_b
+        force = self.weight + thrust * R[:, 2]
         tau = wrench[1:4]
         if self.ext_on <= t < self.ext_off:
             force = force + self.ext_force
             tau = tau + self.ext_torque
-
-        lever_t = 0.0
-        if h > 0.0:
-            if self.ge_force:
-                force = force + (self.g2 / (h * h + self.g1)) * thrust * z_b
-            if self.ge_drag:
-                dx = np.interp(h, self.t_h, self.t_dx)
-                dy = np.interp(h, self.t_h, self.t_dy)
-                v_b = R.T @ x[_V]
-                force = force - R @ np.array([dx * v_b[0], dy * v_b[1], 0.0])
-            if self.ge_torque:
-                den = h * h + self.g3 * h + self.g4
-                lever_t = self.g5 * h / (den * den) * thrust
-
-        if self.equivalent:
-            added = lever_t * lever_t / (self.m * self.g * self.g)
-            torque_net = tau - np.cross(omega, self._jp_mul(omega, added))
-            if self.J_diagonal:
-                wdot = torque_net / (self.Jdiag + np.array([added, added, 0.0]))
-            else:
-                Jp = self.J.copy()
-                Jp[0, 0] += added
-                Jp[1, 1] += added
-                wdot = np.linalg.solve(Jp, torque_net)
-        else:
-            if lever_t > 0.0:
-                axis = R.T @ np.array([z_b[1], -z_b[0], 0.0])
-                s = math.sqrt(float(axis @ axis))
-                if s > self.sin_sat:
-                    axis *= self.sin_sat / s
-                tau = tau + lever_t * axis
-            wdot = self.Jinv @ (tau - np.cross(omega, self.J @ omega))
+        f_ge, f_drag, lever_t = self.ground(R, x[_V], x[2] + self.offset, thrust)
 
         xdot = np.empty(STATE_SIZE)
         xdot[_P] = x[_V]
-        xdot[_V] = force / self.m
-        xdot[_W] = wdot
-        w1, w2, w3 = omega
-        qw, qx, qy, qz = qn
-        xdot[6] = 0.5 * (-qx * w1 - qy * w2 - qz * w3)
-        xdot[7] = 0.5 * (qw * w1 + qy * w3 - qz * w2)
-        xdot[8] = 0.5 * (qw * w2 - qx * w3 + qz * w1)
-        xdot[9] = 0.5 * (qw * w3 + qx * w2 - qy * w1)
+        xdot[_V] = (force + f_ge + f_drag) / self.m
+        _quat_rate(qn, omega, xdot[_Q])
+        xdot[_W] = self.angular_accel(R, omega, tau, lever_t)
         if self.motor_tau > 0.0:
             xdot[_N] = (n_cmd - n) / self.motor_tau
         else:
             xdot[_N] = 0.0
         return xdot
 
-    def _jp_mul(self, w, added):
-        out = self.J @ w if not self.J_diagonal else self.Jdiag * w
-        return out + np.array([added * w[0], added * w[1], 0.0])
-
     def rk4(self, x, n_cmd, dt, t):
         if self.motor_tau <= 0.0:
             x = x.copy()
             x[_N] = n_cmd
-        k1 = self.derivative(x, n_cmd, t)
-        k2 = self.derivative(x + (0.5 * dt) * k1, n_cmd, t + 0.5 * dt)
-        k3 = self.derivative(x + (0.5 * dt) * k2, n_cmd, t + 0.5 * dt)
-        k4 = self.derivative(x + dt * k3, n_cmd, t + dt)
-        out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out = _rk4(lambda y, s: self.derivative(y, n_cmd, s), x, t, dt)
         out[_Q] /= math.sqrt(float(out[_Q] @ out[_Q]))
         if not np.all(np.isfinite(out)):
             raise SimulationFault(f"non-finite state at t={t:.6f}: {out}")
         return out
 
 
-def disturbance_forces(x, vehicle: VehicleParams, ge: GroundEffectParams, cfg: SimConfig):
-    """(f_ge, f_drag, tau_level) acting on the state, honoring the toggles."""
+def disturbance_forces(x, vehicle: VehicleParams, ge: GroundEffectParams, cfg: SimConfig,
+                       _plant=None):
+    """(f_ge, f_drag, tau_level) acting on the state, honoring the toggles.
+
+    The thrust is k_t * sum(n^2). tau_level is zero in the equivalent
+    formulation, where the plant carries the torque in J'(h).
+    """
+    plant = _plant if _plant is not None else _Plant(vehicle, ge, cfg)
     q = x[_Q]
     R = quat.rot_matrix(q / math.sqrt(float(q @ q)))
     n = x[_N]
-    thrust = vehicle.k_t * float(n @ n)
     h = x[2] + vehicle.rotor_plane_offset
-    f_ge = np.zeros(3)
-    f_drag = np.zeros(3)
+    f_ge, f_drag, lever_t = plant.ground(R, x[_V], h, vehicle.k_t * float(n @ n))
     tau_level = np.zeros(3)
-    if h > 0.0:
-        if cfg.ge_force:
-            f_ge = added_thrust_force(R, thrust, h, ge)
-        if cfg.ge_drag:
-            f_drag = drag_force(R, x[_V], h, ge)
-        if cfg.ge_torque and cfg.torque_formulation == "explicit":
-            tau_level = leveling_torque(R, thrust, h, ge)
+    if h > 0.0 and plant.ge_torque and not plant.equivalent:
+        tau_level = lever_t * leveling_axis(R, ge)
     return f_ge, f_drag, tau_level
 
 
@@ -267,10 +254,9 @@ def state_derivative(x, n_cmd, vehicle: VehicleParams, ge: GroundEffectParams,
 
 
 def step(x, n_cmd, dt, vehicle: VehicleParams, ge: GroundEffectParams, cfg: SimConfig,
-         t=0.0, _plant=None):
+         t=0.0):
     """One RK4 step; renormalizes the quaternion, checks for non-finite states."""
-    plant = _plant if _plant is not None else _Plant(vehicle, ge, cfg)
-    return plant.rk4(np.asarray(x, float), n_cmd, dt, t)
+    return _Plant(vehicle, ge, cfg).rk4(np.asarray(x, float), n_cmd, dt, t)
 
 
 def imu_sample(x, xdot, cfg: SimConfig, rng):
@@ -403,7 +389,7 @@ def run_closed_loop(controller, vehicle: VehicleParams, ge: GroundEffectParams,
     plant = _Plant(vehicle, ge, cfg)
     steps = int(round(duration / cfg.dt))
     per_tick = cfg.steps_per_attitude_tick()
-    decim = max(1, int(cfg.log_decimation))
+    decim = cfg.log_decimation
     rows = np.zeros((steps // decim + 1, len(LOG_COLUMNS)))
     n_rows = 0
     crashed = False
@@ -422,7 +408,7 @@ def run_closed_loop(controller, vehicle: VehicleParams, ge: GroundEffectParams,
             if controller.last_reference is not None and not controller.last_reference.feasible:
                 infeasible = True
         if k % decim == 0:
-            rows[n_rows] = _log_row(t, x, command, controller, vehicle, ge, cfg)
+            rows[n_rows] = _log_row(t, x, command, controller, plant, vehicle, ge, cfg)
             n_rows += 1
         if k == steps:
             break
@@ -437,7 +423,7 @@ def run_closed_loop(controller, vehicle: VehicleParams, ge: GroundEffectParams,
     return TrajectoryLog(rows[:n_rows], crashed=crashed, infeasible=infeasible, seed=seed)
 
 
-def _log_row(t, x, command, controller, vehicle, ge, cfg):
+def _log_row(t, x, command, controller, plant, vehicle, ge, cfg):
     row = np.zeros(len(LOG_COLUMNS))
     row[0] = t
     row[1:18] = x
@@ -463,7 +449,7 @@ def _log_row(t, x, command, controller, vehicle, ge, cfg):
     if est is not None:
         row[49:52] = est.accel
         row[52:55] = est.torque
-    f_ge, f_drag, tau_level = disturbance_forces(x, vehicle, ge, cfg)
+    f_ge, f_drag, tau_level = disturbance_forces(x, vehicle, ge, cfg, _plant=plant)
     row[55:58] = f_ge
     row[58:61] = f_drag
     row[61:64] = tau_level
@@ -475,39 +461,30 @@ def simulate_attitude(q0, omega0, torque_fn, vehicle: VehicleParams,
                       formulation="explicit", gravity=GRAVITY):
     """Rotation-only integration at fixed altitude and thrust.
 
-    torque_fn(t, q, omega) supplies the rotor torque. The explicit form
-    applies the leveling torque to the plain inertia; the equivalent form
-    uses J'(h) with no explicit torque. Returns (times, quats, omegas).
+    The plant's rotational dynamics with h and T frozen. torque_fn(t, q,
+    omega) supplies the rotor torque. The explicit form applies the
+    leveling torque to the plain inertia; the equivalent form uses J'(h)
+    with no explicit torque. Returns (times, quats, omegas).
     """
+    if thrust < 0.0:
+        raise InputError("thrust must be non-negative")
+    plant = _Plant(vehicle, ge, SimConfig(gravity=gravity, torque_formulation=formulation))
+    lever_t = torque_lever(h, ge) * thrust
+
+    def deriv(y, t):
+        q = y[:4] / math.sqrt(float(y[:4] @ y[:4]))
+        w = y[4:]
+        ydot = np.empty(7)
+        _quat_rate(q, w, ydot[:4])
+        ydot[4:] = plant.angular_accel(quat.rot_matrix(q), w, torque_fn(t, q, w), lever_t)
+        return ydot
+
     steps = int(round(duration / dt))
-    if formulation == "explicit":
-        J = vehicle.inertia
-    else:
-        J = equivalent_inertia(h, ge, vehicle, thrust=thrust, gravity=gravity)
-    Jinv = np.linalg.inv(J)
-
-    def deriv(t, q, w):
-        tau = torque_fn(t, q, w)
-        if formulation == "explicit":
-            tau = tau + leveling_torque(quat.rot_matrix(q), thrust, h, ge)
-        qd = quat.derivative(q, w)
-        wd = Jinv @ (tau - np.cross(w, J @ w))
-        return qd, wd
-
-    times = np.empty(steps + 1)
-    quats = np.empty((steps + 1, 4))
-    omegas = np.empty((steps + 1, 3))
-    q, w = np.asarray(q0, float).copy(), np.asarray(omega0, float).copy()
-    for k in range(steps + 1):
-        t = k * dt
-        times[k], quats[k], omegas[k] = t, q, w
-        if k == steps:
-            break
-        k1q, k1w = deriv(t, q, w)
-        k2q, k2w = deriv(t + dt / 2, q + dt / 2 * k1q, w + dt / 2 * k1w)
-        k3q, k3w = deriv(t + dt / 2, q + dt / 2 * k2q, w + dt / 2 * k2w)
-        k4q, k4w = deriv(t + dt, q + dt * k3q, w + dt * k3w)
-        q = q + dt / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
-        w = w + dt / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
-        q = q / math.sqrt(float(q @ q))
-    return times, quats, omegas
+    states = np.empty((steps + 1, 7))
+    states[0, :4] = q0
+    states[0, 4:] = omega0
+    for k in range(steps):
+        y = _rk4(deriv, states[k], k * dt, dt)
+        y[:4] /= math.sqrt(float(y[:4] @ y[:4]))
+        states[k + 1] = y
+    return np.arange(steps + 1) * dt, states[:, :4], states[:, 4:]

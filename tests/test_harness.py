@@ -175,6 +175,27 @@ def test_scenario_config_round_trip(tmp_path):
     assert "ge.g1 = 0.07" in resolved
 
 
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "configs", "scenarios")
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(SCENARIO_DIR)) + ["override"])
+def test_resolved_text_is_a_fixed_point(tmp_path, name):
+    if name == "override":
+        src = tmp_path / "override.cfg"
+        src.write_text("seed = 3\nduration = 1.0\nvehicle.inertia_xx = 0.007\n"
+                       "ctrl.kp = 6.123456789, 6, 8\n")
+    else:
+        src = os.path.join(SCENARIO_DIR, name)
+    first = Scenario.from_file(str(src)).resolved_text()
+    path = tmp_path / "scenario.resolved"
+    path.write_text(first)
+    again = Scenario.from_file(str(path))
+    assert again.resolved_text() == first
+    if name == "override":
+        assert again.vehicle.inertia[0, 0] == 0.007
+        assert again.gains.kp[0] == 6.123456789
+
+
 def test_scenario_requires_seed(tmp_path):
     path = tmp_path / "scn.cfg"
     path.write_text("duration = 1.0\ntrajectory = hover\n")

@@ -7,11 +7,20 @@ from nearground import quaternions as quat
 from nearground.controller import CascadeController, ControlGains, FeedforwardController
 from nearground.errors import ConfigError, SimulationFault
 from nearground.flatness import make_trajectory
-from nearground.groundeffect import GroundEffectParams, thrust_factor, torque_lever_peak
+from nearground.groundeffect import (
+    GroundEffectParams,
+    added_thrust_force,
+    drag_force,
+    leveling_torque,
+    thrust_factor,
+    torque_lever,
+    torque_lever_peak,
+)
 from nearground.simulator import (
     LOG_COLUMNS,
     SimConfig,
     TrajectoryLog,
+    disturbance_forces,
     hover_initial_state,
     imu_sample,
     run_closed_loop,
@@ -191,6 +200,42 @@ def test_small_tilt_oscillates_about_level_near_torque_peak():
     assert np.mean(tilt) < 0.8 * np.mean(tilt0)
 
 
+@pytest.mark.parametrize("tilt_deg, h, overrides", [
+    (4.0, 0.15, {}),
+    (25.0, 0.15, {}),                       # past tilt_saturation_deg
+    (4.0, 0.15, {"torque_formulation": "equivalent"}),
+    (25.0, 0.15, {"ge_force": False}),
+    (25.0, 0.15, {"ge_drag": False}),
+    (25.0, 0.15, {"ge_torque": False}),
+    (4.0, 0.0, {}),
+    (4.0, -0.05, {}),
+])
+def test_disturbance_forces_match_public_functions(tilt_deg, h, overrides):
+    cfg = SimConfig(**overrides)
+    q = quat.multiply(quat.from_axis_angle([0.0, 0.0, 1.0], 0.7),
+                      quat.from_axis_angle([1.0, 2.0, 0.0], math.radians(tilt_deg)))
+    x = _hover_state(0.3)
+    x[2] = h
+    x[3:6] = [0.8, -0.5, 0.3]
+    x[6:10] = q
+    x[13:17] *= [1.0, 1.1, 0.9, 1.05]
+    R = quat.rot_matrix(q)
+    T = VEH.k_t * float(x[13:17] @ x[13:17])
+    f_ge, f_drag, tau = disturbance_forces(x, VEH, GE, cfg)
+    zero = np.zeros(3)
+    on = h > 0.0
+    want_ge = added_thrust_force(R, T, h, GE) if on and cfg.ge_force else zero
+    want_drag = drag_force(R, x[3:6], h, GE) if on and cfg.ge_drag else zero
+    explicit = cfg.torque_formulation == "explicit"
+    want_tau = leveling_torque(R, T, h, GE) if on and cfg.ge_torque and explicit else zero
+    for got, want in ((f_ge, want_ge), (f_drag, want_drag), (tau, want_tau)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    if on and cfg.ge_torque and explicit:
+        sin_tilt = min(math.sin(math.radians(tilt_deg)),
+                       math.sin(math.radians(GE.tilt_saturation_deg)))
+        assert np.linalg.norm(tau) == pytest.approx(torque_lever(h, GE) * T * sin_tilt)
+
+
 def test_sim_config_validation():
     with pytest.raises(ConfigError):
         SimConfig(dt=1e-3, attitude_rate=300.0)  # period not a multiple of dt
@@ -198,6 +243,17 @@ def test_sim_config_validation():
         SimConfig(attitude_rate=500.0, position_rate=300.0)
     with pytest.raises(ConfigError):
         SimConfig(torque_formulation="magic")
+    bad = [
+        {"attitude_rate": 0.0}, {"attitude_rate": -500.0},
+        {"position_rate": 0.0}, {"position_rate": -100.0},
+        {"dt": math.nan}, {"dt": 0.0},
+        {"motor_tau": -0.01}, {"noise_accel": -0.1}, {"noise_gyro": -0.1},
+        {"motor_tau": math.nan},
+        {"log_decimation": 0}, {"log_decimation": -2}, {"log_decimation": 2.5},
+    ]
+    for kwargs in bad:
+        with pytest.raises(ConfigError):
+            SimConfig(**kwargs)
 
 
 def _hover_controller(noise=False):
