@@ -142,7 +142,7 @@ def torque_command_model(omega_des, omega_dot_des, h, thrust_ref,
     else:
         J = vehicle.inertia
     omega_des = np.asarray(omega_des, float)
-    return J @ np.asarray(omega_dot_des, float) + np.cross(omega_des, J @ omega_des)
+    return J @ np.asarray(omega_dot_des, float) + quat.cross(omega_des, J @ omega_des)
 
 
 def torque_command_indi(tau_applied, omega_dot_des, omega_dot_f, h, thrust_ref,

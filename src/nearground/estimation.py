@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, FitError, InputError
-from .quaternions import rot_matrix
+from .quaternions import cross, rot_matrix
 from .vehicle import VehicleParams
 
 Z_W = np.array([0.0, 0.0, 1.0])
@@ -86,12 +85,15 @@ def wrench_observer(q_hat, specific_force_f, thrust_f, omega_f, omega_dot_f,
     a_ext = R @ np.asarray(specific_force_f, float) - R[:, 2] * (thrust_f / vehicle.m)
     J = vehicle.inertia
     omega_f = np.asarray(omega_f, float)
-    tau_ext = J @ np.asarray(omega_dot_f, float) + np.cross(omega_f, J @ omega_f) - tau_b
+    tau_ext = J @ np.asarray(omega_dot_f, float) + cross(omega_f, J @ omega_f) - tau_b
     return WrenchEstimate(a_ext, tau_ext)
 
 
 class WrenchObserverRunner:
-    """Stateful observer: owns the input filters, guards time alignment."""
+    """Stateful observer: owns the input filters, guards time alignment.
+
+    ``dropped`` counts the samples rejected as misaligned.
+    """
 
     def __init__(self, vehicle: VehicleParams, sample_rate_hz, cutoff_hz=20.0):
         self.vehicle = vehicle
@@ -101,18 +103,16 @@ class WrenchObserverRunner:
         self.f_omega = LowPass(cutoff_hz, sample_rate_hz)
         self.d_omega = FilteredDerivative(cutoff_hz, sample_rate_hz)
         self.last = None
+        self.dropped = 0
 
     def update(self, t, q_hat, specific_force, thrust, omega, tau_b, t_torque=None):
         """Feed one synchronized sample; returns the current WrenchEstimate.
 
         A torque sample older than one period is a misalignment: the sample
-        is dropped with a warning and the previous estimate stands.
+        is dropped, counted in ``dropped``, and the previous estimate stands.
         """
         if t_torque is not None and abs(t - t_torque) > self.period * (1.0 + 1e-9):
-            warnings.warn(
-                f"observer inputs misaligned ({abs(t - t_torque):.4f}s apart); sample dropped",
-                stacklevel=2,
-            )
+            self.dropped += 1
             return self.last
         f_f = self.f_accel.update(specific_force)
         T_f = float(self.f_thrust.update([thrust])[0])

@@ -239,9 +239,9 @@ def reference_rates(flat: FlatOutput, vehicle: VehicleParams, ge: GroundEffectPa
     omega = np.array([w1, w2, w3])
 
     # derivative solve: same matrix, differentiated data on the right side
-    vdot_b = a_b - np.cross(omega, v_b)
-    adot_b = j_b - np.cross(omega, a_b)
-    jdot_b = s_b - np.cross(omega, j_b)
+    vdot_b = a_b - quat.cross(omega, v_b)
+    adot_b = j_b - quat.cross(omega, a_b)
+    jdot_b = s_b - quat.cross(omega, j_b)
     cdot = w2 * float(x_b @ gz) - w1 * float(y_b @ gz) + float(z_b @ flat.j)
 
     da11 = cdot + d1 * vdot_b[2]
@@ -273,7 +273,7 @@ def reference_torque(omega, omega_dot, h, thrust, vehicle: VehicleParams,
     """Body torque J'(h) w_dot + w x J'(h) w with the leveling-equivalent inertia."""
     Jp = equivalent_inertia(h, ge, vehicle, thrust=thrust, gravity=gravity)
     omega = np.asarray(omega, dtype=float)
-    return Jp @ np.asarray(omega_dot, dtype=float) + np.cross(omega, Jp @ omega)
+    return Jp @ np.asarray(omega_dot, dtype=float) + quat.cross(omega, Jp @ omega)
 
 
 def flat_reference(flat: FlatOutput, vehicle: VehicleParams, ge: GroundEffectParams,

@@ -178,11 +178,11 @@ class _Plant:
         if not self.equivalent:
             if lever_t > 0.0:
                 tau = tau + lever_t * leveling_axis(R, self.ge)
-            return self.Jinv @ (tau - np.cross(omega, self.J @ omega))
+            return self.Jinv @ (tau - quat.cross(omega, self.J @ omega))
         added = added_inertia(lever_t, self.m, self.g)
         Jw = self.Jdiag * omega if self.J_diagonal else self.J @ omega
         Jpw = Jw + np.array([added * omega[0], added * omega[1], 0.0])
-        torque_net = tau - np.cross(omega, Jpw)
+        torque_net = tau - quat.cross(omega, Jpw)
         if self.J_diagonal:
             return torque_net / (self.Jdiag + np.array([added, added, 0.0]))
         Jp = self.J.copy()

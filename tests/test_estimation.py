@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,12 +112,21 @@ def test_observer_misaligned_sample_dropped():
     runner = WrenchObserverRunner(VEH, 500.0)
     q = np.array([1.0, 0.0, 0.0, 0.0])
     f = np.array([0.0, 0.0, GRAVITY])
-    first = runner.update(0.0, q, f, VEH.m * GRAVITY, np.zeros(3), np.zeros(3))
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first = runner.update(0.0, q, f, VEH.m * GRAVITY, np.zeros(3), np.zeros(3))
+        # a torque sample two periods late is dropped, counted, and not warned about
         second = runner.update(
-            0.002, q, f, VEH.m * GRAVITY, np.zeros(3), np.zeros(3), t_torque=0.5
+            0.004, q, f, VEH.m * GRAVITY, np.zeros(3), np.zeros(3), t_torque=0.0
         )
-    assert second is first
+        assert second is first
+        assert runner.dropped == 1
+        # one period late is still aligned
+        third = runner.update(
+            0.006, q, f, VEH.m * GRAVITY, np.zeros(3), np.zeros(3), t_torque=0.004
+        )
+    assert third is not first and third.t == 0.006
+    assert runner.dropped == 1
 
 
 def test_observer_recovers_ground_force_in_flight():

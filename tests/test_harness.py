@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from nearground.cli import EXIT_CONFIG, EXIT_CRASH, EXIT_FIT, EXIT_OK, main
+from nearground.config import KeyValueConfig
 from nearground.errors import InputError
 from nearground.groundeffect import GroundEffectParams, thrust_factor, torque_lever
 from nearground.harness import (
@@ -194,6 +196,30 @@ def test_resolved_text_is_a_fixed_point(tmp_path, name):
     if name == "override":
         assert again.vehicle.inertia[0, 0] == 0.007
         assert again.gains.kp[0] == 6.123456789
+
+
+# sha256 of log.csv for the first 0.5 s of each shipped scenario, recorded on
+# x86-64 with numpy 2.4. A hot-path edit meant to be bit-exact (an unrolled
+# product, a cached term) must leave these unchanged; one that changes the
+# arithmetic changes them and has to say so.
+PINNED_LOG_SHA256 = {
+    # hybrid torque compensation, IMU noise, explicit leveling torque
+    "lemniscate_low": "0398e8540e1e3a3d7dcb098f7c14aa3ee0a00b0767b5b92ffc00f80a9da3aa42",
+    # pure feedforward on the equivalent-inertia plant
+    "lemniscate_feedforward": "1490652b47e9da29500a5e445f6e39bd0d0529374fc265bd4d99704ded4df365",
+    "hover_low": "411170814b8a36fdf9a4c7316ad044d76b6d8e970cd50e54531bbd3e1ae50872",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LOG_SHA256))
+def test_log_digest_pinned(tmp_path, name):
+    scenario = Scenario.from_file(
+        os.path.join(SCENARIO_DIR, name + ".cfg"),
+        overrides=KeyValueConfig([("duration", "0.5", 0)], source="<test>"),
+    )
+    run(scenario, out_dir=str(tmp_path))
+    digest = hashlib.sha256((tmp_path / "log.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_LOG_SHA256[name]
 
 
 def test_scenario_requires_seed(tmp_path):
