@@ -1,7 +1,9 @@
 """Command-line entry points for the experiment harness.
 
-Exit codes: 0 success, 2 vehicle crashed, 3 infeasible reference,
-4 configuration error, 5 identification failure, 1 failed oracle check.
+Exit codes: 0 success, 1 failed oracle check, 2 vehicle crashed,
+3 infeasible reference, 4 configuration error, 5 identification failure,
+6 simulation fault (non-finite state), 7 reference generation failed,
+8 controller fault.
 """
 
 from __future__ import annotations
@@ -15,7 +17,14 @@ import sys
 import numpy as np
 
 from .config import KeyValueConfig
-from .errors import ConfigError, FitError, ParameterError
+from .errors import (
+    ConfigError,
+    ControllerFault,
+    FitError,
+    ParameterError,
+    ReferenceGenerationError,
+    SimulationFault,
+)
 from .estimation import (
     fit_drag_from_log,
     fit_thrust_factor,
@@ -38,6 +47,9 @@ EXIT_CRASH = 2
 EXIT_INFEASIBLE = 3
 EXIT_CONFIG = 4
 EXIT_FIT = 5
+EXIT_SIM_FAULT = 6
+EXIT_REFERENCE = 7
+EXIT_CONTROLLER = 8
 
 
 def _cmd_run(args):
@@ -253,6 +265,10 @@ def build_parser():
     return parser
 
 
+def _one_line(err):
+    return " ".join(str(err).split())
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -267,6 +283,15 @@ def main(argv=None):
     except FileNotFoundError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except SimulationFault as err:
+        print(f"simulation fault: {_one_line(err)}", file=sys.stderr)
+        return EXIT_SIM_FAULT
+    except ReferenceGenerationError as err:
+        print(f"reference generation failed: {_one_line(err)}", file=sys.stderr)
+        return EXIT_REFERENCE
+    except ControllerFault as err:
+        print(f"controller fault: {_one_line(err)}", file=sys.stderr)
+        return EXIT_CONTROLLER
 
 
 if __name__ == "__main__":

@@ -14,16 +14,24 @@ _TRUE = {"true", "on", "yes", "1"}
 _FALSE = {"false", "off", "no", "0"}
 
 
+def _location(source, line):
+    return f"{source}:{line}" if line else str(source)
+
+
 class KeyValueConfig:
     """Parsed key-value file with typed, error-reporting accessors."""
 
-    def __init__(self, entries, source="<memory>"):
-        # entries: list of (key, raw_value, line_number)
+    def __init__(self, entries, source="<memory>", sources=None):
+        # entries: list of (key, raw_value, line_number); sources: the file of
+        # each entry (default: source for all), kept through subsets and merges
         self.entries = list(entries)
         self.source = source
+        self._sources = [source] * len(self.entries) if sources is None else list(sources)
         self._by_key = {}
-        for key, value, line in self.entries:
+        self._where = {}
+        for (key, value, line), src in zip(self.entries, self._sources):
             self._by_key.setdefault(key, []).append((value, line))
+            self._where[key] = _location(src, line)
 
     @classmethod
     def from_path(cls, path):
@@ -49,16 +57,33 @@ class KeyValueConfig:
     def subset(self, prefix):
         """New config holding keys under 'prefix.' with the prefix stripped."""
         dot = prefix + "."
-        entries = [
-            (key[len(dot):], value, line)
-            for key, value, line in self.entries
+        picked = [
+            ((key[len(dot):], value, line), f"{src}[{prefix}]")
+            for (key, value, line), src in zip(self.entries, self._sources)
             if key.startswith(dot)
         ]
-        return KeyValueConfig(entries, source=f"{self.source}[{prefix}]")
+        return KeyValueConfig([e for e, _ in picked], source=f"{self.source}[{prefix}]",
+                              sources=[src for _, src in picked])
 
     def merged_with(self, other):
         """Config with other's entries appended (later entries win lookups)."""
-        return KeyValueConfig(self.entries + other.entries, source=other.source)
+        return KeyValueConfig(self.entries + other.entries, source=other.source,
+                              sources=self._sources + other._sources)
+
+    def where(self, key):
+        """'source:line' of the entry that sets key (its last occurrence)."""
+        return self._where[key]
+
+    def reject_unknown(self, known, allow_prefixes=()):
+        """ConfigError for the first key that is not in known and has none of the prefixes."""
+        for key, _, _ in self.entries:
+            if key in known or key.startswith(tuple(allow_prefixes)):
+                continue
+            import difflib   # only on this error path: it adds to every start-up
+
+            close = difflib.get_close_matches(key, sorted(known), n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise ConfigError(f"{self._where[key]}: unknown key {key!r}{hint}")
 
     def __contains__(self, key):
         return key in self._by_key
@@ -67,7 +92,7 @@ class KeyValueConfig:
         return list(self._by_key.keys())
 
     def _last(self, key):
-        return self._by_key[key][-1]
+        return self._by_key[key][-1][0]
 
     def get_all(self, key):
         """All (value, line) pairs for a repeated key, in file order."""
@@ -80,19 +105,19 @@ class KeyValueConfig:
             if default is not None:
                 return default
             raise ConfigError(f"{self.source}: missing required key {key!r}")
-        return self._last(key)[0]
+        return self._last(key)
 
     def get_float(self, key, default=None):
         if key not in self._by_key:
             if default is not None:
                 return float(default)
             raise ConfigError(f"{self.source}: missing required key {key!r}")
-        value, line = self._last(key)
+        value = self._last(key)
         try:
             return float(value)
         except ValueError:
             raise ConfigError(
-                f"{self.source}:{line}: key {key!r}: cannot parse {value!r} as float"
+                f"{self.where(key)}: key {key!r}: cannot parse {value!r} as float"
             ) from None
 
     def get_int(self, key, default=None):
@@ -100,12 +125,12 @@ class KeyValueConfig:
             if default is not None:
                 return int(default)
             raise ConfigError(f"{self.source}: missing required key {key!r}")
-        value, line = self._last(key)
+        value = self._last(key)
         try:
             return int(value)
         except ValueError:
             raise ConfigError(
-                f"{self.source}:{line}: key {key!r}: cannot parse {value!r} as int"
+                f"{self.where(key)}: key {key!r}: cannot parse {value!r} as int"
             ) from None
 
     def get_bool(self, key, default=None):
@@ -113,15 +138,13 @@ class KeyValueConfig:
             if default is not None:
                 return bool(default)
             raise ConfigError(f"{self.source}: missing required key {key!r}")
-        value, line = self._last(key)
+        value = self._last(key)
         lowered = value.lower()
         if lowered in _TRUE:
             return True
         if lowered in _FALSE:
             return False
-        raise ConfigError(
-            f"{self.source}:{line}: key {key!r}: cannot parse {value!r} as bool"
-        )
+        raise ConfigError(f"{self.where(key)}: key {key!r}: cannot parse {value!r} as bool")
 
     def get_floats(self, key, default=None, n=None):
         """Comma-separated float list; length checked when n is given."""
@@ -129,15 +152,15 @@ class KeyValueConfig:
             if default is not None:
                 return list(default)
             raise ConfigError(f"{self.source}: missing required key {key!r}")
-        value, line = self._last(key)
+        value = self._last(key)
         try:
             parts = [float(p) for p in value.split(",")]
         except ValueError:
             raise ConfigError(
-                f"{self.source}:{line}: key {key!r}: cannot parse {value!r} as float list"
+                f"{self.where(key)}: key {key!r}: cannot parse {value!r} as float list"
             ) from None
         if n is not None and len(parts) != n:
             raise ConfigError(
-                f"{self.source}:{line}: key {key!r}: expected {n} values, got {len(parts)}"
+                f"{self.where(key)}: key {key!r}: expected {n} values, got {len(parts)}"
             )
         return parts

@@ -106,13 +106,13 @@ def attitude_error_vector(q_hat, q_des):
     for q in (q_hat, q_des):
         if abs(float(np.dot(q, q)) - 1.0) > 1e-6:
             raise InputError("attitude quaternions must be unit norm")
-    e = quat.multiply(quat.conjugate(np.asarray(q_hat, float)), np.asarray(q_des, float))
+    hw, hx, hy, hz = np.asarray(q_hat, float).tolist()
+    e = quat._multiply([hw, -hx, -hy, -hz], np.asarray(q_des, float).tolist())
     if e[0] < 0.0:
-        e = -e
+        e = [-v for v in e]
     w = min(e[0], 1.0)
-    if 1.0 - w < 1e-8:
-        return 2.0 * e[1:]
-    return (2.0 * math.acos(w) / math.sqrt(1.0 - w * w)) * e[1:]
+    k = 2.0 if 1.0 - w < 1e-8 else 2.0 * math.acos(w) / math.sqrt(1.0 - w * w)
+    return np.array([k * e[1], k * e[2], k * e[3]])
 
 
 def bodyrate_command(xi_err, omega_ref, omega_f, omega_dot_ref, gains: ControlGains):
@@ -190,9 +190,12 @@ def allocate(thrust_des, torque_des, vehicle: VehicleParams):
     thrust_des = max(0.0, float(thrust_des))
     Minv = mixing_matrix_inverse(vehicle)
     hi = vehicle.n_max**2
-    n_sq = Minv @ np.concatenate(([thrust_des], torque_des))
-    if np.all(n_sq >= -1e-9) and np.all(n_sq <= hi * (1.0 + 1e-12)):
-        n = np.sqrt(np.clip(n_sq, 0.0, hi))
+    n_sq = Minv @ np.array([thrust_des] + torque_des.tolist())
+    top = hi * (1.0 + 1e-12)
+    values = n_sq.tolist()
+    if all(-1e-9 <= v <= top for v in values):
+        # np.sqrt(np.clip(n_sq, 0.0, hi)) on floats; like np.clip it keeps a -0.0
+        n = np.array([math.sqrt(hi if v > hi else 0.0 if v < 0.0 else v) for v in values])
         tau = build_mixing_matrix(vehicle) @ (n * n)
         return ControlCommand(thrust_des, tau[1:4], n)
 

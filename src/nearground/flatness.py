@@ -128,8 +128,22 @@ def hover_point(t, position):
     return FlatOutput(position, np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
 
 
+# the keyword parameters make_trajectory accepts for each kind
+TRAJECTORY_KEYS = {
+    "lemniscate": ("half_width", "height", "speed"),
+    "hover_descent": ("h_start", "h_end", "duration", "hold"),
+    "hover": ("x", "y", "height"),
+}
+
+
 def make_trajectory(kind, **kw):
     """Trajectory factory returning a callable t -> FlatOutput."""
+    if kind not in TRAJECTORY_KEYS:
+        raise ParameterError(f"unknown trajectory kind {kind!r}")
+    unknown = sorted(set(kw) - set(TRAJECTORY_KEYS[kind]))
+    if unknown:
+        raise ParameterError(f"{kind} trajectory takes no parameter {unknown[0]!r}; "
+                             f"known: {', '.join(TRAJECTORY_KEYS[kind])}")
     if kind == "lemniscate":
         return lambda t: lemniscate(
             t,
@@ -145,10 +159,8 @@ def make_trajectory(kind, **kw):
             kw.get("duration", 20.0),
             hold=kw.get("hold", 0.0),
         )
-    if kind == "hover":
-        pos = np.array([kw.get("x", 0.0), kw.get("y", 0.0), kw.get("height", 1.0)])
-        return lambda t: hover_point(t, pos)
-    raise ParameterError(f"unknown trajectory kind {kind!r}")
+    pos = np.array([kw.get("x", 0.0), kw.get("y", 0.0), kw.get("height", 1.0)])
+    return lambda t: hover_point(t, pos)
 
 
 # -- thrust and attitude -----------------------------------------------------

@@ -10,13 +10,21 @@ the rotor plane.
 
 This module holds the only copy of each formula. The unchecked kernels
 (``leveling_axis``, ``world_drag``, ``added_inertia``) and the scalar
-curves are what the simulator's plant evaluates every step; the public
-vector functions are input checks in front of those same kernels.
+curves ``_factor`` and ``_lever`` are what the simulator's plant evaluates
+every step; the public vector functions are input checks in front of those
+same kernels. The drag table lookup is a bisect over Python floats that
+reproduces np.interp bit for bit.
+
+As in the simulator, elementwise arithmetic may run on Python floats, but
+each reduction (R.T @ v, -R @ (d * v_b), R.T @ l, l @ l) stays a single
+numpy call: BLAS computes it with fused multiply-adds that float
+arithmetic does not reproduce.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,9 +71,11 @@ class GroundEffectParams:
 
     def __post_init__(self):
         if self.drag_table is None:
-            self.drag_table = _DEFAULT_DRAG_TABLE.copy()
-        # column-major, so np.interp reads each column without copying it
-        self.drag_table = np.asfortranarray(self.drag_table, dtype=float)
+            self.drag_table = _DEFAULT_DRAG_TABLE
+        # a read-only copy, so the column lists cached from it cannot go stale
+        self.drag_table = np.array(self.drag_table, dtype=float)
+        self.drag_table.setflags(write=False)
+        self._drag_columns = None
         self.validate()
 
     def validate(self):
@@ -85,8 +95,11 @@ class GroundEffectParams:
         if np.any(t[:, 1:] < 0.0):
             raise ConfigError("drag coefficients must be non-negative")
 
+    CONFIG_KEYS = ("g1", "g2", "g3", "g4", "g5", "tilt_saturation_deg", "drag_sample")
+
     @classmethod
     def from_config(cls, cfg: KeyValueConfig):
+        cfg.reject_unknown(cls.CONFIG_KEYS)
         rows = []
         for value, line in cfg.get_all("drag_sample"):
             parts = value.split(",")
@@ -234,10 +247,41 @@ def added_thrust_force(R, thrust, h, params: GroundEffectParams):
 def drag_coefficients(h, params: GroundEffectParams):
     """(d_x, d_y) in kg/s at altitude h, linear interpolation, end-clamped."""
     h = _check_h(h)
-    t = params.drag_table
-    dx = float(np.interp(h, t[:, 0], t[:, 1]))
-    dy = float(np.interp(h, t[:, 0], t[:, 2]))
+    cached = params._drag_columns
+    if cached is None or cached[0] is not params.drag_table:
+        t = params.drag_table
+        cached = params._drag_columns = (t, t[:, 0].tolist(), t[:, 1:].T.tolist())
+    dx, dy = _interp(h, cached[1], cached[2])
     return dx, dy
+
+
+def _interp(x, xp, columns):
+    """[np.interp(x, xp, fp) for fp in columns] for one float x; xp strictly increasing.
+
+    Bit for bit numpy's double-precision kernel: the same knot search
+    (xp[j] <= x < xp[j+1]), the same slope and expression, the exact knot
+    and end-clamp cases, its retry from the right knot when the first
+    evaluation is NaN, and NaN in, NaN out. One search serves every column.
+    """
+    if x != x:
+        return [x for _ in columns]
+    j = bisect_right(xp, x) - 1
+    if j < 0:
+        return [fp[0] for fp in columns]
+    if j >= len(xp) - 1 or xp[j] == x:
+        return [fp[j] for fp in columns]
+    x0, x1 = xp[j], xp[j + 1]
+    out = []
+    for fp in columns:
+        y0, y1 = fp[j], fp[j + 1]
+        slope = (y1 - y0) / (x1 - x0)
+        y = slope * (x - x0) + y0
+        if y != y:
+            y = slope * (x - x1) + y1
+            if y != y and y0 == y1:
+                y = y0
+        out.append(y)
+    return out
 
 
 def drag_matrix(h, params: GroundEffectParams):
@@ -249,7 +293,8 @@ def drag_matrix(h, params: GroundEffectParams):
 def world_drag(R, v, h, params: GroundEffectParams):
     """World-frame rotor drag -R D(h) R^T v (N), unchecked: R must be a rotation."""
     dx, dy = drag_coefficients(h, params)
-    return -R @ (np.array([dx, dy, 0.0]) * (R.T @ v))
+    vx, vy, vz = (R.T @ v).tolist()
+    return -R @ np.array([dx * vx, dy * vy, 0.0 * vz])
 
 
 def drag_force(R, v, h, params: GroundEffectParams):

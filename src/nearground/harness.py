@@ -12,14 +12,14 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .config import KeyValueConfig
 from .controller import CascadeController, ControlGains, FeedforwardController
 from .errors import ConfigError, InputError
-from .flatness import make_trajectory
+from .flatness import TRAJECTORY_KEYS, make_trajectory
 from .groundeffect import GroundEffectParams
 from .simulator import SimConfig, TrajectoryLog, run_closed_loop
 from .vehicle import VehicleParams
@@ -74,18 +74,39 @@ class Scenario:
             cfg = cfg.merged_with(overrides)
         return cls.from_config(cfg, default_name=os.path.splitext(os.path.basename(path))[0])
 
+    CONFIG_KEYS = ("name", "seed", "duration", "trajectory", "controller", "mismatch",
+                   "metrics_warmup", "vehicle_file", "ge_file")
+
+    @classmethod
+    def _known_keys(cls, trajectory_kind):
+        """Every key from_config reads outside vehicle.* and ge.*, which their readers check."""
+        if trajectory_kind not in TRAJECTORY_KEYS:
+            raise ConfigError(f"unknown trajectory kind {trajectory_kind!r}; "
+                              f"choose from {', '.join(TRAJECTORY_KEYS)}")
+        return set(cls.CONFIG_KEYS).union(
+            ("sim." + f.name for f in fields(SimConfig)),
+            ("ctrl." + f.name for f in fields(ControlGains)),
+            ("traj." + key for key in TRAJECTORY_KEYS[trajectory_kind]),
+        )
+
     @classmethod
     def from_config(cls, cfg: KeyValueConfig, default_name="scenario"):
+        """Scenario from a config; a key no reader consumes is a ConfigError."""
+        traj_kind = cfg.get_str("trajectory", "hover")
+        try:
+            known = cls._known_keys(traj_kind)
+        except ConfigError as err:
+            raise ConfigError(f"{cfg.where('trajectory')}: {err}") from None
+        cfg.reject_unknown(known, allow_prefixes=("vehicle.", "ge."))
         vehicle_cfg = KeyValueConfig([], source="defaults")
         if "vehicle_file" in cfg:
             vehicle_cfg = KeyValueConfig.from_path(cfg.get_str("vehicle_file"))
-        vehicle_cfg = vehicle_cfg.merged_with(cfg.subset("vehicle"))
+        vehicle = VehicleParams.from_config(vehicle_cfg.merged_with(cfg.subset("vehicle")))
         ge_cfg = KeyValueConfig([], source="defaults")
         if "ge_file" in cfg:
             ge_cfg = KeyValueConfig.from_path(cfg.get_str("ge_file"))
-        ge_cfg = ge_cfg.merged_with(cfg.subset("ge"))
+        ge = GroundEffectParams.from_config(ge_cfg.merged_with(cfg.subset("ge")))
 
-        traj_kind = cfg.get_str("trajectory", "hover")
         traj_params = {}
         for key, _, _ in cfg.subset("traj").entries:
             traj_params[key] = cfg.subset("traj").get_float(key)
@@ -128,8 +149,8 @@ class Scenario:
             controller_kind=cfg.get_str("controller", "cascade"),
             gains=gains,
             sim=sim,
-            vehicle=VehicleParams.from_config(vehicle_cfg),
-            ge=GroundEffectParams.from_config(ge_cfg),
+            vehicle=vehicle,
+            ge=ge,
             mismatch=cfg.get_float("mismatch", 1.0),
             metrics_warmup=cfg.get_float("metrics_warmup", 1.0),
         )
@@ -344,7 +365,14 @@ def _sweep_worker(args):
 
 
 def sweep(scenario_path, param, values, out_root=None, jobs=1, seed=None):
-    """Run one scenario once per parameter value; independent runs may use workers."""
+    """Run one scenario once per parameter value; independent runs may use workers.
+
+    The scenario is parsed with every value before anything runs, so an
+    unknown param or a bad value fails at once with a ConfigError.
+    """
+    for value in values:
+        Scenario.from_file(scenario_path,
+                           overrides=KeyValueConfig([(param, str(value), 0)], source="--param"))
     tasks = []
     for value in values:
         entries = [(param, str(value), 0)]

@@ -2,9 +2,16 @@
 
 A unit quaternion q = (w, x, y, z) here maps body-frame vectors into the
 world frame through rot_matrix(q).
+
+The per-step helpers work on Python floats (the underscore functions and
+``rot_rows`` take and return plain sequences); the dot products stay numpy
+calls, as in the rest of the per-step path, because BLAS evaluates them
+with fused multiply-adds that float arithmetic would not reproduce.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -19,18 +26,24 @@ def normalize(q):
     return q / n
 
 
+def _floats(v):
+    return np.asarray(v, dtype=float).tolist()
+
+
 def multiply(a, b):
     """Hamilton product a ∘ b."""
+    return np.array(_multiply(_floats(a), _floats(b)))
+
+
+def _multiply(a, b):
     aw, ax, ay, az = a
     bw, bx, by, bz = b
-    return np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ]
-    )
+    return [
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    ]
 
 
 def cross(a, b):
@@ -40,9 +53,14 @@ def cross(a, b):
     result is bit-identical, without numpy.cross's generic axis handling,
     which on 3-vectors costs an order of magnitude more than the arithmetic.
     """
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    return np.array(_cross(a.tolist(), b.tolist()))
+
+
+def _cross(a, b):
+    """cross of two sequences of three Python floats, as a list."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
 
 
 def conjugate(q):
@@ -51,42 +69,42 @@ def conjugate(q):
 
 def rot_matrix(q):
     """3x3 rotation matrix; columns are the body axes in world coordinates."""
+    return np.array(rot_rows(_floats(q)))
+
+
+def rot_rows(q):
+    """rot_matrix of a sequence of four Python floats, as three row lists."""
     w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    return [
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ]
 
 
 def from_matrix(R):
     """Quaternion from a rotation matrix (Shepperd's method)."""
-    R = np.asarray(R, dtype=float)
-    tr = R[0, 0] + R[1, 1] + R[2, 2]
+    return _from_rows(_floats(R))
+
+
+def _from_rows(R):
+    """from_matrix of three row lists of Python floats."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
+    tr = r00 + r11 + r22
     if tr > 0.0:
-        s = np.sqrt(tr + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]
-        )
-    elif R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
-        s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        q = np.array(
-            [(R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s]
-        )
-    elif R[1, 1] >= R[2, 2]:
-        s = np.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-        q = np.array(
-            [(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s, (R[1, 2] + R[2, 1]) / s]
-        )
+        s = math.sqrt(tr + 1.0) * 2.0
+        q = [0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s]
+    elif r00 >= r11 and r00 >= r22:
+        s = math.sqrt(1.0 + r00 - r11 - r22) * 2.0
+        q = [(r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s]
+    elif r11 >= r22:
+        s = math.sqrt(1.0 + r11 - r00 - r22) * 2.0
+        q = [(r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s]
     else:
-        s = np.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-        q = np.array(
-            [(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s, (R[1, 2] + R[2, 1]) / s, 0.25 * s]
-        )
+        s = math.sqrt(1.0 + r22 - r00 - r11) * 2.0
+        q = [(r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s]
     if q[0] < 0.0:
-        q = -q
+        q = [-v for v in q]
     return normalize(q)
 
 
@@ -118,12 +136,15 @@ def from_z_axis_yaw(z_b, yaw):
     heading of x_B equals the yaw angle exactly (the Z-Y-X definition).
     """
     z_b = np.asarray(z_b, dtype=float)
-    z_b = z_b / np.sqrt(z_b @ z_b)
-    y_c = np.array([-np.sin(yaw), np.cos(yaw), 0.0])
-    x_b = cross(y_c, z_b)
-    n = np.sqrt(x_b @ x_b)
+    n = math.sqrt(float(z_b @ z_b))
+    if not n > 0.0:
+        raise InputError("body z axis must be non-zero")
+    z = [v / n for v in z_b.tolist()]
+    y_c = [float(-np.sin(yaw)), float(np.cos(yaw)), 0.0]
+    x_b = np.array(_cross(y_c, z))
+    n = math.sqrt(float(x_b @ x_b))
     if n < 1e-9:
         raise InputError("degenerate attitude: thrust axis parallel to yaw heading")
-    x_b /= n
-    y_b = cross(z_b, x_b)
-    return from_matrix(np.column_stack([x_b, y_b, z_b]))
+    x = [v / n for v in x_b.tolist()]
+    y = _cross(z, x)
+    return _from_rows([[x[0], y[0], z[0]], [x[1], y[1], z[1]], [x[2], y[2], z[2]]])

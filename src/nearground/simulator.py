@@ -8,9 +8,18 @@ absorbed into J'(h) instead of appearing explicitly.
 
 ``_Plant`` is the only evaluator of the model: the RK4 derivative, the
 logged disturbance columns and the rotation-only ``simulate_attitude`` all
-go through its two methods, which call the ground-effect kernels in
+go through its methods, which call the ground-effect kernels in
 groundeffect.py (the only copy of each formula). ``_rk4`` is the only
 integrator.
+
+Arithmetic rule of the per-step path: elementwise work (sums, products and
+quotients of single components) runs on Python floats, which round exactly
+like numpy's elementwise ufuncs, so moving it changes no bit of a log.
+Every reduction (q @ q, M @ n^2, R.T @ v, -R @ (d * v_b), R.T @ l, l @ l,
+J @ w, Jinv @ tau) stays the same single numpy call on an array of the same
+layout: BLAS evaluates these 3- and 4-element dot and matrix-vector
+products as fused multiply-add chains in kernel-specific orders, which a
+Python sum would not reproduce.
 
 All randomness flows from one seeded generator per run; identical config
 and seed reproduce logs bit for bit.
@@ -27,15 +36,14 @@ from . import quaternions as quat
 from .errors import ConfigError, InputError, SimulationFault
 from .groundeffect import (
     GroundEffectParams,
+    _factor,
+    _lever,
     added_inertia,
     leveling_axis,
-    thrust_factor,
     torque_lever,
     world_drag,
 )
 from .vehicle import GRAVITY, VehicleParams, build_mixing_matrix
-
-Z_W = np.array([0.0, 0.0, 1.0])
 
 # state vector layout
 _P = slice(0, 3)
@@ -111,23 +119,37 @@ class Measurement:
     rotor_speeds: np.ndarray
 
 
-def _quat_rate(q, w, out):
-    """Write dq/dt of the unit quaternion q under body rate w (rad/s) into out."""
+def _quat_rate(q, w):
+    """dq/dt of the unit quaternion q under body rate w (rad/s), all Python floats."""
     qw, qx, qy, qz = q
     w1, w2, w3 = w
-    out[0] = 0.5 * (-qx * w1 - qy * w2 - qz * w3)
-    out[1] = 0.5 * (qw * w1 + qy * w3 - qz * w2)
-    out[2] = 0.5 * (qw * w2 - qx * w3 + qz * w1)
-    out[3] = 0.5 * (qw * w3 + qx * w2 - qy * w1)
+    return [
+        0.5 * (-qx * w1 - qy * w2 - qz * w3),
+        0.5 * (qw * w1 + qy * w3 - qz * w2),
+        0.5 * (qw * w2 - qx * w3 + qz * w1),
+        0.5 * (qw * w3 + qx * w2 - qy * w1),
+    ]
 
 
-def _rk4(f, x, t, dt):
-    """One classic Runge-Kutta step of dx/dt = f(x, t)."""
-    k1 = f(x, t)
+def _rk4(f, x, t, dt, k1=None):
+    """One classic Runge-Kutta step of dx/dt = f(x, t); k1 = f(x, t) when known."""
+    if k1 is None:
+        k1 = f(x, t)
     k2 = f(x + (0.5 * dt) * k1, t + 0.5 * dt)
     k3 = f(x + (0.5 * dt) * k2, t + 0.5 * dt)
     k4 = f(x + dt * k3, t + dt)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _unit_rows(q):
+    """(q / |q| as floats, rotation rows, rotation matrix) of a quaternion array."""
+    s = math.sqrt(float(q @ q))
+    qn = [v / s for v in q.tolist()]
+    rows = quat.rot_rows(qn)
+    return qn, rows, np.array(rows)
+
+
+_ZERO3 = (0.0, 0.0, 0.0)
 
 
 class _Plant:
@@ -136,15 +158,16 @@ class _Plant:
     __slots__ = (
         "M", "J", "Jinv", "J_diagonal", "Jdiag", "m", "g", "offset", "ge",
         "ge_force", "ge_torque", "ge_drag", "equivalent", "motor_tau",
-        "ext_force", "ext_torque", "ext_on", "ext_off", "weight",
+        "ext_force", "ext_torque", "ext_on", "ext_off", "weight_z",
     )
 
     def __init__(self, vehicle: VehicleParams, ge: GroundEffectParams, cfg: SimConfig):
         self.M = build_mixing_matrix(vehicle)
         self.J = vehicle.inertia
         self.Jinv = np.linalg.inv(self.J)
-        self.Jdiag = np.diag(self.J).copy()
-        self.J_diagonal = bool(np.count_nonzero(self.J - np.diag(self.Jdiag)) == 0)
+        Jdiag = np.diag(self.J).copy()
+        self.J_diagonal = bool(np.count_nonzero(self.J - np.diag(Jdiag)) == 0)
+        self.Jdiag = Jdiag.tolist()
         self.m = vehicle.m
         self.g = cfg.gravity
         self.offset = vehicle.rotor_plane_offset
@@ -154,76 +177,105 @@ class _Plant:
         self.ge_drag = cfg.ge_drag
         self.equivalent = cfg.torque_formulation == "equivalent"
         self.motor_tau = cfg.motor_tau
-        self.ext_force = cfg.ext_force
-        self.ext_torque = cfg.ext_torque
+        self.ext_force = cfg.ext_force.tolist()
+        self.ext_torque = cfg.ext_torque.tolist()
         self.ext_on = cfg.ext_on
         self.ext_off = cfg.ext_off
-        self.weight = np.array([0.0, 0.0, -vehicle.m * cfg.gravity])
+        self.weight_z = -vehicle.m * cfg.gravity
 
     def ground(self, R, v, h, thrust):
-        """(f_ge, f_drag, lever*T) at altitude h; a term toggled off, or h <= 0, is zero."""
+        """(f_ge, f_drag, lever*T) at altitude h, the forces as float triples.
+
+        A term toggled off, or every term at h <= 0, is zero.
+        """
         if not h > 0.0:
-            return np.zeros(3), np.zeros(3), 0.0
-        f_ge = thrust_factor(h, self.ge) * thrust * R[:, 2] if self.ge_force else np.zeros(3)
-        f_drag = world_drag(R, v, h, self.ge) if self.ge_drag else np.zeros(3)
-        lever_t = torque_lever(h, self.ge) * thrust if self.ge_torque else 0.0
+            return _ZERO3, _ZERO3, 0.0
+        f_ge = _ZERO3
+        if self.ge_force:
+            k = _factor(h, self.ge) * thrust
+            f_ge = [k * z for z in R[:, 2].tolist()]
+        f_drag = world_drag(R, v, h, self.ge).tolist() if self.ge_drag else _ZERO3
+        lever_t = _lever(h, self.ge) * thrust if self.ge_torque else 0.0
         return f_ge, f_drag, lever_t
 
     def angular_accel(self, R, omega, tau, lever_t):
-        """Body angular acceleration under the rotor torque tau.
+        """Body angular acceleration (a float list) under the rotor torque tau (floats).
 
         The leveling torque lever_t * leveling_axis(R) is applied to J in the
         explicit form, and absorbed into J'(h) in the equivalent form.
         """
+        w = omega.tolist()
+        t0, t1, t2 = tau
         if not self.equivalent:
             if lever_t > 0.0:
-                tau = tau + lever_t * leveling_axis(R, self.ge)
-            return self.Jinv @ (tau - quat.cross(omega, self.J @ omega))
+                a0, a1, a2 = leveling_axis(R, self.ge).tolist()
+                t0, t1, t2 = t0 + lever_t * a0, t1 + lever_t * a1, t2 + lever_t * a2
+            c0, c1, c2 = quat._cross(w, (self.J @ omega).tolist())
+            return (self.Jinv @ np.array([t0 - c0, t1 - c1, t2 - c2])).tolist()
         added = added_inertia(lever_t, self.m, self.g)
-        Jw = self.Jdiag * omega if self.J_diagonal else self.J @ omega
-        Jpw = Jw + np.array([added * omega[0], added * omega[1], 0.0])
-        torque_net = tau - quat.cross(omega, Jpw)
         if self.J_diagonal:
-            return torque_net / (self.Jdiag + np.array([added, added, 0.0]))
+            j0, j1, j2 = self.Jdiag
+            Jw = (j0 * w[0], j1 * w[1], j2 * w[2])
+        else:
+            Jw = (self.J @ omega).tolist()
+        Jpw = (Jw[0] + added * w[0], Jw[1] + added * w[1], Jw[2] + 0.0)
+        c0, c1, c2 = quat._cross(w, Jpw)
+        net = [t0 - c0, t1 - c1, t2 - c2]
+        if self.J_diagonal:
+            return [net[0] / (j0 + added), net[1] / (j1 + added), net[2] / (j2 + 0.0)]
         Jp = self.J.copy()
         Jp[0, 0] += added
         Jp[1, 1] += added
-        return np.linalg.solve(Jp, torque_net)
+        return np.linalg.solve(Jp, np.array(net)).tolist()
+
+    def motor_rate(self, n_cmd, n):
+        """dn/dt of the first-order motor lag toward n_cmd, as a float list.
+
+        n is a list of floats; n_cmd an array, or a list of floats.
+        """
+        if not self.motor_tau > 0.0:
+            return [0.0, 0.0, 0.0, 0.0]
+        tau = self.motor_tau
+        if type(n_cmd) is not list:
+            n_cmd = np.asarray(n_cmd, dtype=float).tolist()
+        c0, c1, c2, c3 = n_cmd
+        n0, n1, n2, n3 = n
+        return [(c0 - n0) / tau, (c1 - n1) / tau, (c2 - n2) / tau, (c3 - n3) / tau]
 
     def derivative(self, x, n_cmd, t):
-        q = x[_Q]
-        qn = q / math.sqrt(float(q @ q))
-        R = quat.rot_matrix(qn)
-        omega = x[_W]
+        xs = x.tolist()
+        vx, vy, vz = xs[3:6]
+        qn, rows, R = _unit_rows(x[_Q])
         n = x[_N]
-
-        wrench = self.M @ (n * n)
-        thrust = wrench[0]
-        force = self.weight + thrust * R[:, 2]
-        tau = wrench[1:4]
+        thrust, t0, t1, t2 = (self.M @ (n * n)).tolist()
+        fx = 0.0 + thrust * rows[0][2]
+        fy = 0.0 + thrust * rows[1][2]
+        fz = self.weight_z + thrust * rows[2][2]
         if self.ext_on <= t < self.ext_off:
-            force = force + self.ext_force
-            tau = tau + self.ext_torque
-        f_ge, f_drag, lever_t = self.ground(R, x[_V], x[2] + self.offset, thrust)
+            ex, ey, ez = self.ext_force
+            fx, fy, fz = fx + ex, fy + ey, fz + ez
+            ex, ey, ez = self.ext_torque
+            t0, t1, t2 = t0 + ex, t1 + ey, t2 + ez
+        (gx, gy, gz), (dx, dy, dz), lever_t = self.ground(R, x[_V], xs[2] + self.offset,
+                                                           thrust)
+        m = self.m
+        return np.array(
+            [vx, vy, vz, (fx + gx + dx) / m, (fy + gy + dy) / m, (fz + gz + dz) / m]
+            + _quat_rate(qn, xs[10:13])
+            + self.angular_accel(R, x[_W], (t0, t1, t2), lever_t)
+            + self.motor_rate(n_cmd, xs[13:17])
+        )
 
-        xdot = np.empty(STATE_SIZE)
-        xdot[_P] = x[_V]
-        xdot[_V] = (force + f_ge + f_drag) / self.m
-        _quat_rate(qn, omega, xdot[_Q])
-        xdot[_W] = self.angular_accel(R, omega, tau, lever_t)
-        if self.motor_tau > 0.0:
-            xdot[_N] = (n_cmd - n) / self.motor_tau
-        else:
-            xdot[_N] = 0.0
-        return xdot
-
-    def rk4(self, x, n_cmd, dt, t):
+    def rk4(self, x, n_cmd, dt, t, k1=None):
+        """One RK4 step; k1 may be derivative(x, n_cmd, t) if already at hand."""
         if self.motor_tau <= 0.0:
             x = x.copy()
             x[_N] = n_cmd
-        out = _rk4(lambda y, s: self.derivative(y, n_cmd, s), x, t, dt)
+        cmd = np.asarray(n_cmd, dtype=float).tolist()
+        out = _rk4(lambda y, s: self.derivative(y, cmd, s), x, t, dt, k1)
         out[_Q] /= math.sqrt(float(out[_Q] @ out[_Q]))
-        if not np.all(np.isfinite(out)):
+        # a finite sum means finite entries; only an overflowing sum needs the full test
+        if not math.isfinite(sum(out.tolist())) and not np.isfinite(out).all():
             raise SimulationFault(f"non-finite state at t={t:.6f}: {out}")
         return out
 
@@ -236,15 +288,14 @@ def disturbance_forces(x, vehicle: VehicleParams, ge: GroundEffectParams, cfg: S
     formulation, where the plant carries the torque in J'(h).
     """
     plant = _plant if _plant is not None else _Plant(vehicle, ge, cfg)
-    q = x[_Q]
-    R = quat.rot_matrix(q / math.sqrt(float(q @ q)))
+    _, _, R = _unit_rows(x[_Q])
     n = x[_N]
-    h = x[2] + vehicle.rotor_plane_offset
+    h = float(x[2]) + vehicle.rotor_plane_offset
     f_ge, f_drag, lever_t = plant.ground(R, x[_V], h, vehicle.k_t * float(n @ n))
     tau_level = np.zeros(3)
     if h > 0.0 and plant.ge_torque and not plant.equivalent:
         tau_level = lever_t * leveling_axis(R, ge)
-    return f_ge, f_drag, tau_level
+    return np.array(f_ge), np.array(f_drag), tau_level
 
 
 def state_derivative(x, n_cmd, vehicle: VehicleParams, ge: GroundEffectParams,
@@ -266,9 +317,10 @@ def imu_sample(x, xdot, cfg: SimConfig, rng):
     body z, and rotating it into the world frame makes the disturbance
     observer identity exact at zero noise.
     """
-    q = x[_Q]
-    R = quat.rot_matrix(q / math.sqrt(float(q @ q)))
-    f_body = R.T @ (xdot[_V] + cfg.gravity * Z_W)
+    _, _, R = _unit_rows(x[_Q])
+    a0, a1, a2 = xdot[_V].tolist()
+    g = cfg.gravity
+    f_body = R.T @ np.array([a0 + g * 0.0, a1 + g * 0.0, a2 + g])   # a + g z_W
     gyro = x[_W].copy()
     if cfg.noise_accel > 0.0:
         f_body = f_body + cfg.noise_accel * rng.standard_normal(3)
@@ -398,6 +450,7 @@ def run_closed_loop(controller, vehicle: VehicleParams, ge: GroundEffectParams,
 
     for k in range(steps + 1):
         t = k * cfg.dt
+        k1 = None
         if k % per_tick == 0:
             n_cmd = command.rotor_speeds if command is not None else x[_N]
             xdot = plant.derivative(x, n_cmd, t)
@@ -407,14 +460,19 @@ def run_closed_loop(controller, vehicle: VehicleParams, ge: GroundEffectParams,
             command = controller.tick(t, meas)
             if controller.last_reference is not None and not controller.last_reference.feasible:
                 infeasible = True
+            if plant.motor_tau > 0.0:
+                # only dn/dt depends on the command, so this is the RK4 step's k1
+                xdot[_N] = plant.motor_rate(command.rotor_speeds, x[_N].tolist())
+                k1 = xdot
         if k % decim == 0:
-            rows[n_rows] = _log_row(t, x, command, controller, plant, vehicle, ge, cfg)
+            _log_row(rows[n_rows], t, x, command, controller, plant, vehicle, ge, cfg)
             n_rows += 1
         if k == steps:
             break
-        x = plant.rk4(x, command.rotor_speeds, cfg.dt, t)
-        h = x[2] + vehicle.rotor_plane_offset
-        z_bz = 1.0 - 2.0 * (x[7] ** 2 + x[8] ** 2)  # z_B . z_W from quaternion
+        x = plant.rk4(x, command.rotor_speeds, cfg.dt, t, k1)
+        pz, qx, qy = x[2].item(), x[7].item(), x[8].item()
+        h = pz + vehicle.rotor_plane_offset
+        z_bz = 1.0 - 2.0 * (qx ** 2 + qy ** 2)  # z_B . z_W from quaternion
         tip = h - 0.5 * vehicle.b * math.sqrt(max(0.0, 1.0 - min(1.0, z_bz) ** 2))
         if tip <= cfg.ground_clearance:
             crashed = True
@@ -423,8 +481,8 @@ def run_closed_loop(controller, vehicle: VehicleParams, ge: GroundEffectParams,
     return TrajectoryLog(rows[:n_rows], crashed=crashed, infeasible=infeasible, seed=seed)
 
 
-def _log_row(t, x, command, controller, plant, vehicle, ge, cfg):
-    row = np.zeros(len(LOG_COLUMNS))
+def _log_row(row, t, x, command, controller, plant, vehicle, ge, cfg):
+    """Fill one zero-initialised log row."""
     row[0] = t
     row[1:18] = x
     row[18] = x[2] + vehicle.rotor_plane_offset
@@ -453,7 +511,6 @@ def _log_row(t, x, command, controller, plant, vehicle, ge, cfg):
     row[55:58] = f_ge
     row[58:61] = f_drag
     row[61:64] = tau_level
-    return row
 
 
 def simulate_attitude(q0, omega0, torque_fn, vehicle: VehicleParams,
@@ -474,10 +531,10 @@ def simulate_attitude(q0, omega0, torque_fn, vehicle: VehicleParams,
     def deriv(y, t):
         q = y[:4] / math.sqrt(float(y[:4] @ y[:4]))
         w = y[4:]
-        ydot = np.empty(7)
-        _quat_rate(q, w, ydot[:4])
-        ydot[4:] = plant.angular_accel(quat.rot_matrix(q), w, torque_fn(t, q, w), lever_t)
-        return ydot
+        qs = q.tolist()
+        tau = np.asarray(torque_fn(t, q, w), dtype=float).tolist()
+        R = np.array(quat.rot_rows(qs))
+        return np.array(_quat_rate(qs, w.tolist()) + plant.angular_accel(R, w, tau, lever_t))
 
     steps = int(round(duration / dt))
     states = np.empty((steps + 1, 7))

@@ -9,6 +9,7 @@ consistent assignment to physical arms is acceptable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,8 +76,13 @@ class VehicleParams:
         """Per-rotor speed (rpm) balancing weight out of ground effect."""
         return float(np.sqrt(self.m * GRAVITY / (4.0 * self.k_t)))
 
+    CONFIG_KEYS = ("mass", "wheelbase", "k_t", "k_tx", "k_ty", "k_i", "n_max",
+                   "rotor_plane_offset", "inertia_xx", "inertia_yy", "inertia_zz",
+                   "inertia_xy", "inertia_xz", "inertia_yz")
+
     @classmethod
     def from_config(cls, cfg: KeyValueConfig):
+        cfg.reject_unknown(cls.CONFIG_KEYS)
         J = np.diag(
             [
                 cfg.get_float("inertia_xx", 5.0e-3),
@@ -129,18 +135,33 @@ def _speeds_squared(speeds):
     return n * n
 
 
+def _mixing_key(params: VehicleParams):
+    return (params.b, params.k_t, params.k_tx, params.k_ty, params.k_i)
+
+
+@lru_cache(maxsize=32)
+def _mixing_pair(b, k_t, k_tx, k_ty, k_i):
+    arm = np.sqrt(2.0) * b / 4.0
+    gains = np.array([k_t, arm * k_tx, arm * k_ty, k_i])
+    M = gains[:, None] * SIGN_MATRIX
+    # SIGN_MATRIX has orthogonal rows of squared norm 4: S^-1 = S^T / 4.
+    Minv = (SIGN_MATRIX.T / 4.0) / gains[None, :]
+    M.setflags(write=False)
+    Minv.setflags(write=False)
+    return M, Minv
+
+
 def build_mixing_matrix(params: VehicleParams):
-    """4x4 map from squared rotor speeds to (T, tau_x, tau_y, tau_z)."""
-    arm = np.sqrt(2.0) * params.b / 4.0
-    gains = np.array([params.k_t, arm * params.k_tx, arm * params.k_ty, params.k_i])
-    return gains[:, None] * SIGN_MATRIX
+    """4x4 map from squared rotor speeds to (T, tau_x, tau_y, tau_z).
+
+    Cached on (b, k_t, k_tx, k_ty, k_i) and read-only; copy it to modify it.
+    """
+    return _mixing_pair(*_mixing_key(params))[0]
 
 
 def mixing_matrix_inverse(params: VehicleParams):
-    # SIGN_MATRIX has orthogonal rows of squared norm 4: S^-1 = S^T / 4.
-    arm = np.sqrt(2.0) * params.b / 4.0
-    gains = np.array([params.k_t, arm * params.k_tx, arm * params.k_ty, params.k_i])
-    return (SIGN_MATRIX.T / 4.0) / gains[None, :]
+    """Inverse of build_mixing_matrix, cached and read-only the same way."""
+    return _mixing_pair(*_mixing_key(params))[1]
 
 
 def wrench_from_speeds(speeds, params: VehicleParams):

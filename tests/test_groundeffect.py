@@ -9,6 +9,7 @@ from nearground import quaternions as quat
 from nearground.errors import ConfigError, InputError, ParameterError
 from nearground.groundeffect import (
     GroundEffectParams,
+    _interp,
     added_thrust_force,
     drag_coefficients,
     drag_force,
@@ -311,3 +312,76 @@ def test_ge_config_parse(tmp_path):
     bad.write_text("drag_sample = 0.1, 0.15\n")
     with pytest.raises(ConfigError):
         GroundEffectParams.from_file(bad)
+
+
+# -- drag lookup against np.interp ---------------------------------------------
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _interp_ref(x, xp, fp):
+    with np.errstate(all="ignore"):
+        return np.interp(x, np.array(xp), np.array(fp))
+
+
+_KNOTS = P.drag_table[:, 0].tolist()
+_default_h = st.one_of(
+    st.sampled_from(_KNOTS),                                  # each knot exactly
+    st.floats(min_value=0.0, max_value=_KNOTS[0]),            # below the first row
+    st.floats(min_value=_KNOTS[-1], allow_nan=False),         # above the last, to +inf
+    st.floats(min_value=0.0, max_value=2.5),
+    st.just(math.nan),
+)
+
+
+@given(_default_h)
+def test_drag_coefficients_bit_identical_to_np_interp(h):
+    t = P.drag_table
+    got = drag_coefficients(h, P)
+    assert _bits(got[0]) == _bits(np.interp(h, t[:, 0], t[:, 1]))
+    assert _bits(got[1]) == _bits(np.interp(h, t[:, 0], t[:, 2]))
+
+
+# strictly increasing knots: arbitrary finite floats, or runs of subnormal gaps
+_xp_any = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2,
+                   max_size=8, unique=True).map(sorted)
+_xp_subnormal = st.lists(st.integers(1, 40), min_size=1, max_size=7).map(
+    lambda gaps: [float(k) * 5e-324 for k in np.cumsum([-3] + gaps)])
+
+
+@st.composite
+def _table_and_x(draw):
+    xp = draw(st.one_of(_xp_any, _xp_subnormal))
+    # infinite values reach numpy's retry from the right knot
+    fp = draw(st.lists(st.floats(allow_nan=False), min_size=len(xp), max_size=len(xp)))
+    lo, hi = xp[0], xp[-1]
+    span = hi - lo if math.isfinite(hi - lo) else 1e308
+    x = draw(st.one_of(
+        st.sampled_from(xp),
+        st.floats(min_value=lo, max_value=hi),
+        st.floats(max_value=lo, allow_nan=False),
+        st.floats(min_value=hi, allow_nan=False),
+        st.floats(min_value=max(lo - span, -1e308), max_value=min(hi + span, 1e308)),
+        st.just(math.nan),
+    ))
+    return xp, fp, x
+
+
+@settings(max_examples=500)
+@given(_table_and_x())
+def test_interp_kernel_bit_identical_to_np_interp(case):
+    xp, fp, x = case
+    (got,) = _interp(x, xp, [fp])
+    assert _bits(got) == _bits(_interp_ref(x, xp, fp))
+
+
+def test_drag_table_is_read_only_and_copied():
+    table = np.array([[0.1, 0.2, 0.1], [1.0, 0.3, 0.25]])
+    p = GroundEffectParams(drag_table=table)
+    table[0, 1] = 9.0       # the caller's array is not the one the lookup reads
+    assert drag_coefficients(0.1, p) == (0.2, 0.1)
+    with pytest.raises(ValueError):
+        p.drag_table[0, 1] = 9.0
+    p.drag_table = np.array([[0.1, 0.5, 0.4], [1.0, 0.6, 0.5]])
+    assert drag_coefficients(0.1, p) == (0.5, 0.4)

@@ -6,9 +6,26 @@ import os
 import numpy as np
 import pytest
 
-from nearground.cli import EXIT_CONFIG, EXIT_CRASH, EXIT_FIT, EXIT_OK, main
+import nearground.cli as cli
+from nearground.cli import (
+    EXIT_CONFIG,
+    EXIT_CONTROLLER,
+    EXIT_CRASH,
+    EXIT_FIT,
+    EXIT_OK,
+    EXIT_REFERENCE,
+    EXIT_SIM_FAULT,
+    main,
+)
 from nearground.config import KeyValueConfig
-from nearground.errors import InputError
+from nearground.errors import (
+    ConfigError,
+    ControllerFault,
+    InputError,
+    ParameterError,
+    SimulationFault,
+)
+from nearground.flatness import make_trajectory
 from nearground.groundeffect import GroundEffectParams, thrust_factor, torque_lever
 from nearground.harness import (
     MetricsReport,
@@ -208,14 +225,48 @@ PINNED_LOG_SHA256 = {
     # pure feedforward on the equivalent-inertia plant
     "lemniscate_feedforward": "1490652b47e9da29500a5e445f6e39bd0d0529374fc265bd4d99704ded4df365",
     "hover_low": "411170814b8a36fdf9a4c7316ad044d76b6d8e970cd50e54531bbd3e1ae50872",
+    # the branches of the plant derivative the shipped scenarios do not reach
+    "equivalent_offdiag_inertia":
+        "1fe9fa81c85940399e49acabdc1b91ea26d9bdb97e918d2f6f7dbcfbdc2b6515",
+    "explicit_offdiag_inertia":
+        "7037368c6e2d99ec23275ac711bb6fb2be9dd175a330014098d9665da7d23111",
+    "motor_tau_zero": "e34eae59ef176a8853d13e92be60b0b951fa4e2f627cc31a1fb51a1003ad3d68",
+    "ext_wrench_window": "74408729b6420542692beb752531b657adf24cdcab5ff6d6b14bc97640c05c04",
+    "tilt_saturated": "433f625620bf17a83cf33593a19297fecca906b7fe4d01a38964c2a8196792f2",
+    "tilt_saturation_off": "dba5fdf6dbd3d687ab9e9c7816ee5ca8d1fa3c7cce934ca506b9e06851ca9baf",
+    "ge_force_off": "1e6da2c9d52b29a678ceb2824eabeca060356d42dfbeb7a8dc22b902392d7d56",
+    "ge_torque_off": "d262622fa2c68d2323b7b50bc65d2bf64667d672a7492e76f347be1d32cf5655",
+    "ge_drag_off": "4fc24e1c94d3722c6f28db39e9991683318fa28b20d29e00cfcd4f5b28dccb8d",
+}
+
+_OFFDIAG_INERTIA = [("vehicle.inertia_xy", "2e-4"), ("vehicle.inertia_xz", "-1e-4"),
+                    ("vehicle.inertia_yz", "1.5e-4")]
+# (scenario, overrides) of the cases that are not a shipped scenario as it is.
+# The 1.8 m/s lap tilts to about 25 degrees, past the 10 degree saturation.
+_PINNED_LOG_CASES = {
+    "equivalent_offdiag_inertia": (
+        "lemniscate_low", [("sim.torque_formulation", "equivalent")] + _OFFDIAG_INERTIA),
+    "explicit_offdiag_inertia": ("lemniscate_low", _OFFDIAG_INERTIA),
+    "motor_tau_zero": ("lemniscate_low", [("sim.motor_tau", "0.0")]),
+    "ext_wrench_window": ("hover_low", [
+        ("sim.ext_force", "0.3, -0.2, 0.1"), ("sim.ext_torque", "0.002, 0.0, -0.001"),
+        ("sim.ext_on", "0.1"), ("sim.ext_off", "0.3")]),
+    "tilt_saturated": ("lemniscate_low", [("traj.speed", "1.8")]),
+    "tilt_saturation_off": (
+        "lemniscate_low", [("traj.speed", "1.8"), ("ge.tilt_saturation_deg", "0.0")]),
+    "ge_force_off": ("lemniscate_low", [("sim.ge_force", "false"), ("ctrl.accel_comp", "indi")]),
+    "ge_torque_off": ("lemniscate_low", [("sim.ge_torque", "false")]),
+    "ge_drag_off": ("lemniscate_low", [("sim.ge_drag", "false")]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_LOG_SHA256))
 def test_log_digest_pinned(tmp_path, name):
+    base, overrides = _PINNED_LOG_CASES.get(name, (name, []))
     scenario = Scenario.from_file(
-        os.path.join(SCENARIO_DIR, name + ".cfg"),
-        overrides=KeyValueConfig([("duration", "0.5", 0)], source="<test>"),
+        os.path.join(SCENARIO_DIR, base + ".cfg"),
+        overrides=KeyValueConfig([("duration", "0.5", 0)] + [(k, v, 0) for k, v in overrides],
+                                 source="<test>"),
     )
     run(scenario, out_dir=str(tmp_path))
     digest = hashlib.sha256((tmp_path / "log.csv").read_bytes()).hexdigest()
@@ -284,6 +335,82 @@ def test_cli_run_config_error(tmp_path):
     path.write_text("seed = not_an_int\nduration = 1.0\n")
     assert main(["run", str(path)]) == EXIT_CONFIG
     assert main(["run", str(tmp_path / "missing.cfg")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("key, value", [
+    ("ctrl.torque_cmp", "none"),      # a typo of ctrl.torque_comp
+    ("sim.motor_tua", "0.01"),
+    ("traj.half_width", "0.5"),       # a lemniscate parameter on a hover
+    ("vehicle.masss", "1.2"),
+])
+def test_unknown_key_rejected_with_source_and_line(tmp_path, key, value):
+    path = tmp_path / "scn.cfg"
+    path.write_text(f"seed = 1\nduration = 1.0\n{key} = {value}\n")
+    with pytest.raises(ConfigError) as err:
+        Scenario.from_file(str(path))
+    message = str(err.value)
+    assert "scn.cfg" in message and ":3:" in message
+    assert repr(key.removeprefix("vehicle.")) in message
+    assert main(["run", str(path)]) == EXIT_CONFIG
+
+
+def test_unknown_override_key_rejected():
+    overrides = KeyValueConfig([("ctrl.torque_cmp", "none", 0)], source="<cli>")
+    with pytest.raises(ConfigError, match="ctrl.torque_comp"):
+        Scenario.from_file(os.path.join(SCENARIO_DIR, "lemniscate_low.cfg"), overrides=overrides)
+
+
+def test_make_trajectory_rejects_unknown_parameter():
+    with pytest.raises(ParameterError):
+        make_trajectory("lemniscate", height=0.5, hieght=0.4)
+    with pytest.raises(ParameterError):
+        make_trajectory("circle")
+
+
+def test_shipped_vehicle_and_ge_files_pass_the_key_check():
+    # the shipped scenarios are loaded by test_resolved_text_is_a_fixed_point
+    config_dir = os.path.dirname(SCENARIO_DIR)
+    VehicleParams.from_file(os.path.join(config_dir, "vehicle_desk.cfg"))
+    GroundEffectParams.from_file(os.path.join(config_dir, "groundeffect_desk.cfg"))
+
+
+@pytest.mark.parametrize("param, values, expect", [
+    ("ctrl.torque_cmp", "none,model", "ctrl.torque_comp"),   # a mistyped --param
+    ("sim.dt", "1e-3,abc", "'abc'"),                         # a bad later value
+])
+def test_cli_sweep_checks_param_before_running(tmp_path, capsys, param, values, expect):
+    out = tmp_path / "sw"
+    code = main(["sweep", _write_scenario(tmp_path), "--param", param,
+                 "--values", values, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert expect in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_reference_generation_exit_code(tmp_path, capsys):
+    # the later traj.height wins: a hover reference below the ground
+    assert main(["run", _write_scenario(tmp_path, extra="traj.height = -0.5\n")]) == EXIT_REFERENCE
+    err = capsys.readouterr().err
+    assert err.startswith("reference generation failed:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fault, code", [
+    (SimulationFault, EXIT_SIM_FAULT),
+    (ControllerFault, EXIT_CONTROLLER),
+])
+def test_cli_fault_exit_codes(tmp_path, capsys, monkeypatch, fault, code):
+    def failing_run(scenario, out_dir=None):
+        raise fault("state\n[nan nan]")
+
+    monkeypatch.setattr(cli, "run", failing_run)
+    assert main(["run", _write_scenario(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "nan nan" in err
+
+
+def test_cli_exit_codes_are_distinct():
+    codes = [getattr(cli, name) for name in dir(cli) if name.startswith("EXIT_")]
+    assert len(codes) == len(set(codes)) == 9
 
 
 def test_cli_identify_fg_samples(tmp_path, capsys):

@@ -2,12 +2,14 @@ import ast
 import os
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import nearground
 from nearground import quaternions as quat
+from nearground.errors import InputError
 
 # Defaults include +-0.0, subnormals and magnitudes whose products overflow.
 finite_vec3 = arrays(np.float64, 3, elements=st.floats(allow_nan=False, allow_infinity=False))
@@ -52,3 +54,10 @@ def test_package_does_not_use_numpy_cross():
                 tree = ast.parse(fh.read(), filename=name)
             found += [f"{name}:{line}" for line in _numpy_cross_uses(tree)]
     assert found == []
+
+
+def test_from_z_axis_yaw_rejects_zero_axis():
+    with pytest.raises(InputError):
+        quat.from_z_axis_yaw(np.zeros(3), 0.0)
+    with pytest.raises(InputError):
+        quat.from_z_axis_yaw(np.array([np.nan, 0.0, 1.0]), 0.0)

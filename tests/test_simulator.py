@@ -165,6 +165,16 @@ def test_nan_state_raises_simulation_fault():
         step(x, x[13:17], cfg.dt, VEH, GE, cfg)
 
 
+def test_finite_state_with_overflowing_sum_is_not_a_fault():
+    # the fault check sums the state first; a finite state whose sum
+    # overflows must still pass
+    cfg = SimConfig()
+    x = _hover_state(0.5)
+    x[0] = x[1] = 1.5e308
+    out = step(x, x[13:17], cfg.dt, VEH, GE, cfg)
+    assert out[0] == out[1] == 1.5e308 and np.all(np.isfinite(out))
+
+
 def test_imu_hover_convention_and_determinism():
     cfg = SimConfig(noise_accel=0.02, noise_gyro=0.002)
     x = _hover_state(0.4)

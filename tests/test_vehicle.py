@@ -159,3 +159,20 @@ def test_config_error_reports_key_and_line(tmp_path):
     with pytest.raises(ConfigError) as err:
         cfg.get_float("wheelbase")
     assert "wheelbase" in str(err.value) and ":2" in str(err.value)
+
+
+def test_mixing_matrices_cached_read_only_and_exact():
+    from nearground.vehicle import _mixing_pair
+
+    p = VehicleParams(b=0.25, k_tx=1.5e-8)
+    M, Minv = build_mixing_matrix(p), mixing_matrix_inverse(p)
+    assert build_mixing_matrix(VehicleParams(b=0.25, k_tx=1.5e-8)) is M
+    fresh_M, fresh_Minv = _mixing_pair.__wrapped__(p.b, p.k_t, p.k_tx, p.k_ty, p.k_i)
+    for cached, fresh in ((M, fresh_M), (Minv, fresh_Minv)):
+        assert not cached.flags.writeable
+        assert cached.tobytes(order="A") == fresh.tobytes(order="A")
+        assert cached.strides == fresh.strides
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1.0
+    other = build_mixing_matrix(VehicleParams(b=0.30, k_tx=1.5e-8))
+    assert other is not M and not np.array_equal(other, M)
