@@ -104,11 +104,21 @@ def _is_trajectory_log(path):
     return first.startswith("# crashed=")
 
 
+def _flown_vehicle(log_path):
+    """The vehicle of the scenario.resolved beside a run's log.csv, else the default."""
+    resolved = os.path.join(os.path.dirname(os.path.abspath(log_path)), "scenario.resolved")
+    if not os.path.exists(resolved):
+        print(f"identify: no scenario.resolved beside {log_path}; "
+              "fitting with the default vehicle", file=sys.stderr)
+        return VehicleParams()
+    return VehicleParams.from_config(KeyValueConfig.from_path(resolved).subset("vehicle"))
+
+
 def _cmd_identify(args):
     if args.op == "fg":
         if _is_trajectory_log(args.input):
             log = TrajectoryLog.from_csv(args.input)
-            vehicle = VehicleParams()
+            vehicle = _flown_vehicle(args.input)
             speeds = log.cols(["n1", "n2", "n3", "n4"])
             thrust = vehicle.k_t * np.sum(speeds**2, axis=1)
             a_ext_z = log.col("obs_aext_z")
@@ -126,7 +136,7 @@ def _cmd_identify(args):
         report = fit_torque_lever(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
     elif args.op == "drag":
         log = TrajectoryLog.from_csv(args.input)
-        fit = fit_drag_from_log(log, VehicleParams())
+        fit = fit_drag_from_log(log, _flown_vehicle(args.input))
         payload = {
             "d_x": fit.d_x, "d_y": fit.d_y,
             "stderr_x": fit.stderr_x, "stderr_y": fit.stderr_y,

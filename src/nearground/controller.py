@@ -89,7 +89,7 @@ def acceleration_command(flat, ref, p_hat, v_hat, gains: ControlGains,
     if gains.accel_comp == "model":
         R = quat.rot_matrix(ref.attitude)
         h = flat.p[2] + vehicle.rotor_plane_offset
-        a_drag = -(R @ drag_matrix(h, ge) @ (R.T @ flat.v)) / vehicle.m
+        a_drag = -(R.dot(drag_matrix(h, ge)).dot(R.T.dot(flat.v))) / vehicle.m
         a_ground = (ref.thrust / vehicle.m) * thrust_factor(h, ge) * R[:, 2]
         a_des = a_des - a_drag - a_ground
     elif gains.accel_comp == "indi" and a_ext_est is not None:
@@ -127,10 +127,10 @@ def bodyrate_command(xi_err, omega_ref, omega_f, omega_dot_ref, gains: ControlGa
 def thrust_command(a_des_total, z_b_hat, mass):
     """Thrust projecting the total desired specific force on the body axis."""
     z = np.asarray(z_b_hat, float)
-    norm = math.sqrt(float(z @ z))
+    norm = math.sqrt(float(z.dot(z)))
     if norm <= 0.0:
         raise InputError("body z axis must be non-zero")
-    return max(0.0, mass * float(np.asarray(a_des_total, float) @ z) / norm)
+    return max(0.0, mass * float(np.asarray(a_des_total, float).dot(z)) / norm)
 
 
 def torque_command_model(omega_des, omega_dot_des, h, thrust_ref,
@@ -142,7 +142,7 @@ def torque_command_model(omega_des, omega_dot_des, h, thrust_ref,
     else:
         J = vehicle.inertia
     omega_des = np.asarray(omega_des, float)
-    return J @ np.asarray(omega_dot_des, float) + quat.cross(omega_des, J @ omega_des)
+    return J.dot(np.asarray(omega_dot_des, float)) + quat.cross(omega_des, J.dot(omega_des))
 
 
 def torque_command_indi(tau_applied, omega_dot_des, omega_dot_f, h, thrust_ref,
@@ -157,7 +157,7 @@ def torque_command_indi(tau_applied, omega_dot_des, omega_dot_f, h, thrust_ref,
         J = equivalent_inertia(h, ge, vehicle, thrust=thrust_ref)
     else:
         J = vehicle.inertia
-    return np.asarray(tau_applied, float) + J @ (
+    return np.asarray(tau_applied, float) + J.dot(
         np.asarray(omega_dot_des, float) - np.asarray(omega_dot_f, float)
     )
 
@@ -190,18 +190,18 @@ def allocate(thrust_des, torque_des, vehicle: VehicleParams):
     thrust_des = max(0.0, float(thrust_des))
     Minv = mixing_matrix_inverse(vehicle)
     hi = vehicle.n_max**2
-    n_sq = Minv @ np.array([thrust_des] + torque_des.tolist())
+    n_sq = Minv.dot(np.array([thrust_des] + torque_des.tolist()))
     top = hi * (1.0 + 1e-12)
     values = n_sq.tolist()
     if all(-1e-9 <= v <= top for v in values):
         # np.sqrt(np.clip(n_sq, 0.0, hi)) on floats; like np.clip it keeps a -0.0
         n = np.array([math.sqrt(hi if v > hi else 0.0 if v < 0.0 else v) for v in values])
-        tau = build_mixing_matrix(vehicle) @ (n * n)
+        tau = build_mixing_matrix(vehicle).dot(n * n)
         return ControlCommand(thrust_des, tau[1:4], n)
 
     yaw_shed = rp_shed = thrust_clipped = False
-    base = Minv @ np.array([thrust_des, torque_des[0], torque_des[1], 0.0])
-    ycol = Minv @ np.array([0.0, 0.0, 0.0, torque_des[2]])
+    base = Minv.dot(np.array([thrust_des, torque_des[0], torque_des[1], 0.0]))
+    ycol = Minv.dot(np.array([0.0, 0.0, 0.0, torque_des[2]]))
     frac = _max_feasible_fraction(base, ycol, hi)
     if frac is not None:
         n_sq = base + frac * ycol
@@ -209,8 +209,8 @@ def allocate(thrust_des, torque_des, vehicle: VehicleParams):
     else:
         yaw_shed = True
         rp_shed = True
-        tcol = Minv @ np.array([thrust_des, 0.0, 0.0, 0.0])
-        rpcol = Minv @ np.array([0.0, torque_des[0], torque_des[1], 0.0])
+        tcol = Minv.dot(np.array([thrust_des, 0.0, 0.0, 0.0]))
+        rpcol = Minv.dot(np.array([0.0, torque_des[0], torque_des[1], 0.0]))
         frac = _max_feasible_fraction(tcol, rpcol, hi)
         if frac is not None:
             n_sq = tcol + frac * rpcol
@@ -218,7 +218,7 @@ def allocate(thrust_des, torque_des, vehicle: VehicleParams):
             n_sq = np.clip(tcol, 0.0, hi)
             thrust_clipped = True
     n = np.sqrt(np.clip(n_sq, 0.0, hi))
-    wrench = build_mixing_matrix(vehicle) @ (n * n)
+    wrench = build_mixing_matrix(vehicle).dot(n * n)
     return ControlCommand(
         wrench[0], wrench[1:4], n,
         saturated=True, yaw_shed=yaw_shed, rp_shed=rp_shed, thrust_clipped=thrust_clipped,
@@ -228,7 +228,7 @@ def allocate(thrust_des, torque_des, vehicle: VehicleParams):
 def applied_torque(rotor_speeds, vehicle: VehicleParams):
     """Body torque currently produced by the given rotor speeds."""
     n = np.asarray(rotor_speeds, float)
-    return (build_mixing_matrix(vehicle) @ (n * n))[1:4]
+    return build_mixing_matrix(vehicle).dot(n * n)[1:4]
 
 
 # -- closed-loop controllers ----------------------------------------------------
@@ -266,7 +266,7 @@ class CascadeController:
         omega_f = self._gyro_lp.update(meas.gyro)
         omega_dot_f = self._gyro_deriv.update(meas.gyro)
         tau_hat = applied_torque(meas.rotor_speeds, self.vehicle)
-        thrust_hat = self.vehicle.k_t * float(meas.rotor_speeds @ meas.rotor_speeds)
+        thrust_hat = self.vehicle.k_t * float(meas.rotor_speeds.dot(meas.rotor_speeds))
         self.last_wrench = self.observer.update(
             t, meas.q, meas.specific_force, thrust_hat, meas.gyro, tau_hat
         )

@@ -82,10 +82,10 @@ def wrench_observer(q_hat, specific_force_f, thrust_f, omega_f, omega_dot_f,
     by the rotors. torque: J w_dot + w x J w - tau_B.
     """
     R = rot_matrix(q_hat)
-    a_ext = R @ np.asarray(specific_force_f, float) - R[:, 2] * (thrust_f / vehicle.m)
+    a_ext = R.dot(np.asarray(specific_force_f, float)) - R[:, 2] * (thrust_f / vehicle.m)
     J = vehicle.inertia
     omega_f = np.asarray(omega_f, float)
-    tau_ext = J @ np.asarray(omega_dot_f, float) + cross(omega_f, J @ omega_f) - tau_b
+    tau_ext = J.dot(np.asarray(omega_dot_f, float)) + cross(omega_f, J.dot(omega_f)) - tau_b
     return WrenchEstimate(a_ext, tau_ext)
 
 

@@ -11,6 +11,15 @@ the drag coefficients frozen at the current altitude (their time
 derivative is neglected; they are still re-evaluated every call). The
 thrust-axis scalar c = z_B . (a + g z_W) carries all altitude coupling of
 the amplified thrust, so its derivative needs no model approximation.
+
+Reference generation runs once per control tick and follows the
+simulator's arithmetic rule: elementwise work on Python floats, each dot
+and matrix-vector product one ``ndarray.dot`` call on a float64 array of
+the same layout (BLAS rounds those as fused multiply-add chains that float
+sums would not reproduce; ``.dot`` reaches the same kernel as ``@`` at
+half the call cost). The public functions are array wrappers over the
+float bodies (``_thrust_attitude``, ``_rates``, ``_torque``), which
+``flat_reference`` calls directly.
 """
 
 from __future__ import annotations
@@ -29,9 +38,6 @@ from .groundeffect import (
     thrust_factor,
 )
 from .vehicle import GRAVITY, VehicleParams, mixing_matrix_inverse
-
-Z_W = np.array([0.0, 0.0, 1.0])
-
 
 @dataclass
 class FlatOutput:
@@ -165,6 +171,26 @@ def make_trajectory(kind, **kw):
 
 # -- thrust and attitude -----------------------------------------------------
 
+def _div(a, b):
+    """a / b on Python floats; b == 0 gives inf or nan as numpy does, not an exception."""
+    return a / b if b else float(np.float64(a) / b)
+
+
+def _specific_force(flat: FlatOutput, gravity):
+    """a + g z_W as a float64 array."""
+    a0, a1, a2 = flat.a.tolist()
+    return np.array([a0 + gravity * 0.0, a1 + gravity * 0.0, a2 + gravity])
+
+
+def _altitude_drag(flat: FlatOutput, vehicle: VehicleParams, ge: GroundEffectParams):
+    """(h, d_x/m, d_y/m) at the reference; below ground is a ReferenceGenerationError."""
+    h = float(flat.p[2]) + vehicle.rotor_plane_offset
+    if h < 0.0:
+        raise ReferenceGenerationError(f"reference altitude below ground: h={h:.4f}")
+    dx, dy = drag_coefficients(h, ge)
+    return h, dx / vehicle.m, dy / vehicle.m
+
+
 def reference_thrust_attitude(flat: FlatOutput, vehicle: VehicleParams,
                               ge: GroundEffectParams, gravity=GRAVITY,
                               tol=1e-10, max_iter=20):
@@ -174,34 +200,48 @@ def reference_thrust_attitude(flat: FlatOutput, vehicle: VehicleParams,
     completes the attitude from yaw, and evaluates the thrust with the
     ground amplification removed from the required specific force.
     """
-    h = flat.p[2] + vehicle.rotor_plane_offset
-    if h < 0.0:
-        raise ReferenceGenerationError(f"reference altitude below ground: h={h:.4f}")
-    dx, dy = drag_coefficients(h, ge)
-    dax, day = dx / vehicle.m, dy / vehicle.m
-    f0 = flat.a + gravity * Z_W
-    n0 = np.linalg.norm(f0)
+    h, d1, d2 = _altitude_drag(flat, vehicle, ge)
+    thrust, q, iterations = _thrust_attitude(flat, h, d1, d2, vehicle, ge, gravity,
+                                             tol, max_iter)
+    return thrust, np.array(q), iterations
+
+
+def _thrust_attitude(flat, h, d1, d2, vehicle, ge, gravity, tol=1e-10, max_iter=20):
+    """reference_thrust_attitude at altitude h with the drag over mass d1, d2.
+
+    Returns (thrust, attitude as a list of floats, iterations).
+    """
+    f0 = _specific_force(flat, gravity)
+    f0s = f0.tolist()
+    # each norm is np.linalg.norm's sqrt(x.dot(x)) on an array
+    n0 = math.sqrt(float(f0.dot(f0)))
     if n0 < 1e-9:
         raise ReferenceGenerationError("free-fall reference: thrust axis undefined")
-    z_b = f0 / n0
+    z = [c / n0 for c in f0s]
+    z_b = np.array(z)
+    y_c = quat.yaw_heading(flat.yaw)
+    v = flat.v
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        q = quat.from_z_axis_yaw(z_b, flat.yaw)
-        R = quat.rot_matrix(q)
-        x_b, y_b = R[:, 0], R[:, 1]
-        f = f0 + dax * (x_b @ flat.v) * x_b + day * (y_b @ flat.v) * y_b
-        z_new = f / np.linalg.norm(f)
-        delta = np.linalg.norm(z_new - z_b)
-        z_b = z_new
+        rows = quat.rot_rows(quat._from_z_axis_yaw(z_b, y_c))
+        R = np.array(rows)
+        kx = d1 * float(R[:, 0].dot(v))
+        ky = d2 * float(R[:, 1].dot(v))
+        f = [c + kx * r[0] + ky * r[1] for c, r in zip(f0s, rows)]
+        fa = np.array(f)
+        nf = math.sqrt(float(fa.dot(fa)))
+        z_new = [c / nf for c in f]
+        step = np.array([a - b for a, b in zip(z_new, z)])
+        delta = math.sqrt(float(step.dot(step)))
+        z, z_b = z_new, np.array(z_new)
         if delta < tol:
             break
     else:
         raise ReferenceGenerationError(
             f"thrust-axis fixed point did not converge in {max_iter} iterations"
         )
-    q = quat.from_z_axis_yaw(z_b, flat.yaw)
-    fg = thrust_factor(h, ge)
-    thrust = vehicle.m * float(z_b @ f0) / (1.0 + fg)
+    q = quat._from_z_axis_yaw(z_b, y_c)
+    thrust = vehicle.m * float(z_b.dot(f0)) / (1.0 + thrust_factor(h, ge))
     if thrust <= 0.0:
         raise ReferenceGenerationError("reference thrust non-positive")
     return thrust, q, iterations
@@ -218,74 +258,82 @@ def reference_rates(flat: FlatOutput, vehicle: VehicleParams, ge: GroundEffectPa
     if attitude is None:
         _, attitude, _ = reference_thrust_attitude(flat, vehicle, ge, gravity)
     R = quat.rot_matrix(attitude)
-    x_b, y_b, z_b = R[:, 0], R[:, 1], R[:, 2]
-    h = flat.p[2] + vehicle.rotor_plane_offset
-    dx, dy = drag_coefficients(h, ge)
-    d1, d2 = dx / vehicle.m, dy / vehicle.m
+    dx, dy = drag_coefficients(float(flat.p[2]) + vehicle.rotor_plane_offset, ge)
+    omega, omega_dot = _rates(flat, R, dx / vehicle.m, dy / vehicle.m, gravity)
+    return np.array(omega), np.array(omega_dot)
 
-    gz = flat.a + gravity * Z_W
-    c = float(z_b @ gz)
-    v_b = R.T @ flat.v
-    a_b = R.T @ flat.a
-    j_b = R.T @ flat.j
-    s_b = R.T @ flat.s
+
+def _rates(flat, R, d1, d2, gravity):
+    """reference_rates for the attitude matrix R and the drag over mass d1, d2, as lists."""
+    x_b, y_b, z_b = R[:, 0], R[:, 1], R[:, 2]
+    gz = _specific_force(flat, gravity)
+    c = float(z_b.dot(gz))
+    Rt = R.T
+    v_b = Rt.dot(flat.v).tolist()
+    a_b = Rt.dot(flat.a).tolist()
+    j_b = Rt.dot(flat.j).tolist()
+    s_b = Rt.dot(flat.s).tolist()
 
     yaw, dyaw, ddyaw = flat.yaw, flat.yaw_rate, flat.yaw_accel
     x_c = np.array([math.cos(yaw), math.sin(yaw), 0.0])
     y_c = np.array([-math.sin(yaw), math.cos(yaw), 0.0])
+    xc_xb, xc_yb, xc_zb = float(x_c.dot(x_b)), float(x_c.dot(y_b)), float(x_c.dot(z_b))
+    yc_xb, yc_yb, yc_zb = float(y_c.dot(x_b)), float(y_c.dot(y_b)), float(y_c.dot(z_b))
 
     # rate solve: rows are the body-x jerk balance and the yaw kinematics
     a11 = c + d1 * v_b[2]
     a12 = -(d1 - d2) * v_b[1]
-    a21 = -float(y_c @ z_b)
-    a22 = float(y_c @ y_b)
+    a21 = -yc_zb
+    a22 = yc_yb
     r1 = j_b[0] + d1 * a_b[0]
-    r2 = dyaw * float(x_c @ x_b)
+    r2 = dyaw * xc_xb
     det = a11 * a22 - a12 * a21
     if abs(det) < 1e-12:
         raise ReferenceGenerationError("rate solve singular (thrust axis degenerate)")
     w2 = (r1 * a22 - a12 * r2) / det
     w3 = (a11 * r2 - r1 * a21) / det
     den1 = c + d2 * v_b[2]
-    w1 = -(j_b[1] + d2 * a_b[1] + (d1 - d2) * v_b[0] * w3) / den1
-    omega = np.array([w1, w2, w3])
+    w1 = _div(-(j_b[1] + d2 * a_b[1] + (d1 - d2) * v_b[0] * w3), den1)
+    omega = [w1, w2, w3]
 
     # derivative solve: same matrix, differentiated data on the right side
-    vdot_b = a_b - quat.cross(omega, v_b)
-    adot_b = j_b - quat.cross(omega, a_b)
-    jdot_b = s_b - quat.cross(omega, j_b)
-    cdot = w2 * float(x_b @ gz) - w1 * float(y_b @ gz) + float(z_b @ flat.j)
+    vdot_b = [a - b for a, b in zip(a_b, quat._cross(omega, v_b))]
+    adot_b = [a - b for a, b in zip(j_b, quat._cross(omega, a_b))]
+    jdot_b = [a - b for a, b in zip(s_b, quat._cross(omega, j_b))]
+    cdot = w2 * float(x_b.dot(gz)) - w1 * float(y_b.dot(gz)) + float(z_b.dot(flat.j))
 
     da11 = cdot + d1 * vdot_b[2]
     da12 = -(d1 - d2) * vdot_b[1]
-    da21 = dyaw * float(x_c @ z_b) - w2 * float(y_c @ x_b) + w1 * float(y_c @ y_b)
-    da22 = -dyaw * float(x_c @ y_b) - w3 * float(y_c @ x_b) + w1 * float(y_c @ z_b)
+    da21 = dyaw * xc_zb - w2 * yc_xb + w1 * yc_yb
+    da22 = -dyaw * xc_yb - w3 * yc_xb + w1 * yc_zb
     dr1 = jdot_b[0] + d1 * adot_b[0]
-    dr2 = (
-        ddyaw * float(x_c @ x_b)
-        + dyaw * dyaw * float(y_c @ x_b)
-        + dyaw * w3 * float(x_c @ y_b)
-        - dyaw * w2 * float(x_c @ z_b)
-    )
+    dr2 = ddyaw * xc_xb + dyaw * dyaw * yc_xb + dyaw * w3 * xc_yb - dyaw * w2 * xc_zb
     b1 = dr1 - da11 * w2 - da12 * w3
     b2 = dr2 - da21 * w2 - da22 * w3
     wd2 = (b1 * a22 - a12 * b2) / det
     wd3 = (a11 * b2 - b1 * a21) / det
-    wd1 = -(
+    wd1 = _div(-(
         jdot_b[1]
         + d2 * adot_b[1]
         + w1 * (cdot + d2 * vdot_b[2])
         + (d1 - d2) * (vdot_b[0] * w3 + v_b[0] * wd3)
-    ) / den1
-    return omega, np.array([wd1, wd2, wd3])
+    ), den1)
+    return omega, [wd1, wd2, wd3]
 
 
 def reference_torque(omega, omega_dot, h, thrust, vehicle: VehicleParams,
                      ge: GroundEffectParams, gravity=GRAVITY):
     """Body torque J'(h) w_dot + w x J'(h) w with the leveling-equivalent inertia."""
     Jp = equivalent_inertia(h, ge, vehicle, thrust=thrust, gravity=gravity)
-    omega = np.asarray(omega, dtype=float)
-    return Jp @ np.asarray(omega_dot, dtype=float) + quat.cross(omega, Jp @ omega)
+    return np.array(_torque(Jp, np.asarray(omega, dtype=float),
+                            np.asarray(omega_dot, dtype=float)))
+
+
+def _torque(Jp, omega, omega_dot):
+    """reference_torque for the inertia Jp and float64 (3,) rates, as a list."""
+    t0, t1, t2 = Jp.dot(omega_dot).tolist()
+    c0, c1, c2 = quat._cross(omega.tolist(), Jp.dot(omega).tolist())
+    return [t0 + c0, t1 + c1, t2 + c2]
 
 
 def flat_reference(flat: FlatOutput, vehicle: VehicleParams, ge: GroundEffectParams,
@@ -296,12 +344,17 @@ def flat_reference(flat: FlatOutput, vehicle: VehicleParams, ge: GroundEffectPar
     being clamped, so callers can distinguish planning failures from
     tracking error.
     """
-    thrust, attitude, iterations = reference_thrust_attitude(flat, vehicle, ge, gravity)
-    omega, omega_dot = reference_rates(flat, vehicle, ge, gravity, attitude=attitude)
-    h = flat.p[2] + vehicle.rotor_plane_offset
-    torque = reference_torque(omega, omega_dot, h, thrust, vehicle, ge, gravity)
-    n_sq = mixing_matrix_inverse(vehicle) @ np.concatenate(([thrust], torque))
-    feasible = bool(np.all(n_sq >= -1e-9) and np.all(n_sq <= vehicle.n_max**2 + 1e-9))
-    n_ref = np.sqrt(np.clip(n_sq, 0.0, None))
-    return FlatReference(thrust, attitude, omega, omega_dot, torque, n_ref,
+    h, d1, d2 = _altitude_drag(flat, vehicle, ge)
+    thrust, q, iterations = _thrust_attitude(flat, h, d1, d2, vehicle, ge, gravity)
+    omega, omega_dot = _rates(flat, np.array(quat.rot_rows(q)), d1, d2, gravity)
+    omega, omega_dot = np.array(omega), np.array(omega_dot)
+    Jp = equivalent_inertia(h, ge, vehicle, thrust=thrust, gravity=gravity)
+    torque = _torque(Jp, omega, omega_dot)
+    n_sq = mixing_matrix_inverse(vehicle).dot(np.array([thrust] + torque)).tolist()
+    top = vehicle.n_max**2 + 1e-9
+    feasible = all(-1e-9 <= v <= top for v in n_sq)
+    # np.sqrt(np.clip(n_sq, 0.0, None)) on floats: with no upper bound np.clip
+    # is np.maximum, which turns a -0.0 into +0.0 (and keeps NaN)
+    n_ref = np.array([math.sqrt(0.0 if v <= 0.0 else v) for v in n_sq])
+    return FlatReference(thrust, np.array(q), omega, omega_dot, np.array(torque), n_ref,
                          feasible, iterations)

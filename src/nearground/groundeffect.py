@@ -16,9 +16,10 @@ same kernels. The drag table lookup is a bisect over Python floats that
 reproduces np.interp bit for bit.
 
 As in the simulator, elementwise arithmetic may run on Python floats, but
-each reduction (R.T @ v, -R @ (d * v_b), R.T @ l, l @ l) stays a single
-numpy call: BLAS computes it with fused multiply-adds that float
-arithmetic does not reproduce.
+each reduction (R^T v, -R (d * v_b), R^T l, l.l) stays a single BLAS call:
+BLAS computes it with fused multiply-adds that float arithmetic does not
+reproduce. The call is ``ndarray.dot``, not ``@``: the same kernel and the
+same bytes, at about half the cost per call on 3-vectors.
 """
 
 from __future__ import annotations
@@ -189,9 +190,9 @@ def leveling_axis(R, params: GroundEffectParams):
     Past the saturation tilt the magnitude is held at sin(tilt_saturation_deg)
     (the measured plateau), direction unchanged.
     """
-    axis = R.T @ np.array([R[1, 2], -R[0, 2], 0.0])
+    axis = R.T.dot(np.array([R[1, 2], -R[0, 2], 0.0]))
     if params.tilt_saturation_deg > 0.0:
-        s = math.sqrt(float(axis @ axis))
+        s = math.sqrt(float(axis.dot(axis)))
         s_max = math.sin(math.radians(params.tilt_saturation_deg))
         if s > s_max:
             axis *= s_max / s
@@ -233,7 +234,7 @@ def leveling_torque_quadrature(h, tilt, thrust, params: GroundEffectParams,
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     step = 2.0 * np.pi / intervals
-    return float(step / 3.0 * (weights @ integrand))
+    return float(step / 3.0 * weights.dot(integrand))
 
 
 def added_thrust_force(R, thrust, h, params: GroundEffectParams):
@@ -293,8 +294,8 @@ def drag_matrix(h, params: GroundEffectParams):
 def world_drag(R, v, h, params: GroundEffectParams):
     """World-frame rotor drag -R D(h) R^T v (N), unchecked: R must be a rotation."""
     dx, dy = drag_coefficients(h, params)
-    vx, vy, vz = (R.T @ v).tolist()
-    return -R @ np.array([dx * vx, dy * vy, 0.0 * vz])
+    vx, vy, vz = R.T.dot(v).tolist()
+    return (-R).dot(np.array([dx * vx, dy * vy, 0.0 * vz]))
 
 
 def drag_force(R, v, h, params: GroundEffectParams):

@@ -3,10 +3,14 @@
 A unit quaternion q = (w, x, y, z) here maps body-frame vectors into the
 world frame through rot_matrix(q).
 
-The per-step helpers work on Python floats (the underscore functions and
-``rot_rows`` take and return plain sequences); the dot products stay numpy
-calls, as in the rest of the per-step path, because BLAS evaluates them
-with fused multiply-adds that float arithmetic would not reproduce.
+The per-step helpers work on Python floats (the underscore functions,
+``rot_rows`` and ``yaw_heading`` take and return plain sequences). Each dot
+product stays one BLAS call on a float64 array, as in the rest of the
+per-step path: BLAS evaluates it with fused multiply-adds that float
+arithmetic would not reproduce. The call is ``ndarray.dot``, not the ``@``
+operator: on these 3- and 4-element operands both reach the same BLAS
+kernel and give the same bytes, and ``.dot`` skips the ufunc dispatch,
+which costs about as much again as the product itself.
 """
 
 from __future__ import annotations
@@ -19,11 +23,16 @@ from .errors import InputError
 
 
 def normalize(q):
-    q = np.asarray(q, dtype=float)
-    n = np.sqrt(q @ q)
+    return np.array(_normalized(np.asarray(q, dtype=float).tolist()))
+
+
+def _normalized(q):
+    """normalize of a sequence of Python floats, as a list."""
+    a = np.array(q)
+    n = math.sqrt(float(a.dot(a)))
     if n == 0.0:
         raise InputError("zero quaternion cannot be normalized")
-    return q / n
+    return [v / n for v in q]
 
 
 def _floats(v):
@@ -82,13 +91,8 @@ def rot_rows(q):
     ]
 
 
-def from_matrix(R):
-    """Quaternion from a rotation matrix (Shepperd's method)."""
-    return _from_rows(_floats(R))
-
-
 def _from_rows(R):
-    """from_matrix of three row lists of Python floats."""
+    """Quaternion (a list) from three rotation-matrix row lists (Shepperd's method)."""
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
     tr = r00 + r11 + r22
     if tr > 0.0:
@@ -105,12 +109,12 @@ def _from_rows(R):
         q = [(r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s]
     if q[0] < 0.0:
         q = [-v for v in q]
-    return normalize(q)
+    return _normalized(q)
 
 
 def from_axis_angle(axis, angle):
     axis = np.asarray(axis, dtype=float)
-    axis = axis / np.sqrt(axis @ axis)
+    axis = axis / np.sqrt(axis.dot(axis))
     half = 0.5 * angle
     return np.concatenate(([np.cos(half)], np.sin(half) * axis))
 
@@ -123,7 +127,7 @@ def geodesic_angle(qa, qb):
 
 def check_rotation(R, tol=1e-6):
     R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3) or np.max(np.abs(R.T @ R - np.eye(3))) > tol:
+    if R.shape != (3, 3) or np.max(np.abs(R.T.dot(R) - np.eye(3))) > tol:
         raise InputError("matrix is not orthonormal within tolerance")
     return R
 
@@ -135,14 +139,22 @@ def from_z_axis_yaw(z_b, yaw):
     y_B = z_B × x_B. This keeps x_B orthogonal to y_C, so the horizontal
     heading of x_B equals the yaw angle exactly (the Z-Y-X definition).
     """
-    z_b = np.asarray(z_b, dtype=float)
-    n = math.sqrt(float(z_b @ z_b))
+    return np.array(_from_z_axis_yaw(np.asarray(z_b, dtype=float), yaw_heading(yaw)))
+
+
+def yaw_heading(yaw):
+    """y_C = (-sin yaw, cos yaw, 0) as Python floats."""
+    return [float(-np.sin(yaw)), float(np.cos(yaw)), 0.0]
+
+
+def _from_z_axis_yaw(z_b, y_c):
+    """from_z_axis_yaw of a float64 (3,) array and yaw_heading(yaw), as a list."""
+    n = math.sqrt(float(z_b.dot(z_b)))
     if not n > 0.0:
         raise InputError("body z axis must be non-zero")
     z = [v / n for v in z_b.tolist()]
-    y_c = [float(-np.sin(yaw)), float(np.cos(yaw)), 0.0]
     x_b = np.array(_cross(y_c, z))
-    n = math.sqrt(float(x_b @ x_b))
+    n = math.sqrt(float(x_b.dot(x_b)))
     if n < 1e-9:
         raise InputError("degenerate attitude: thrust axis parallel to yaw heading")
     x = [v / n for v in x_b.tolist()]

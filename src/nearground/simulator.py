@@ -12,14 +12,18 @@ go through its methods, which call the ground-effect kernels in
 groundeffect.py (the only copy of each formula). ``_rk4`` is the only
 integrator.
 
-Arithmetic rule of the per-step path: elementwise work (sums, products and
-quotients of single components) runs on Python floats, which round exactly
-like numpy's elementwise ufuncs, so moving it changes no bit of a log.
-Every reduction (q @ q, M @ n^2, R.T @ v, -R @ (d * v_b), R.T @ l, l @ l,
-J @ w, Jinv @ tau) stays the same single numpy call on an array of the same
-layout: BLAS evaluates these 3- and 4-element dot and matrix-vector
-products as fused multiply-add chains in kernel-specific orders, which a
-Python sum would not reproduce.
+Arithmetic rule of the per-step path (this module, groundeffect,
+quaternions, flatness, controller and the wrench observer): elementwise
+work (sums, products and quotients of single components) runs on Python
+floats, which round exactly like numpy's elementwise ufuncs, so moving it
+changes no bit of a log. Every reduction (q.q, M n^2, R^T v,
+-R (d * v_b), R^T l, l.l, J w, Jinv tau) stays one BLAS call on arrays of
+the same layout: BLAS evaluates these 3- and 4-element dot and
+matrix-vector products as fused multiply-add chains in kernel-specific
+orders, which a Python sum would not reproduce. The call is
+``ndarray.dot``, never the ``@`` operator: on these operands both reach
+the same ddot/dgemv kernel and give the same bytes, and ``.dot`` costs
+about half as much per call because it skips the ufunc dispatch.
 
 All randomness flows from one seeded generator per run; identical config
 and seed reproduce logs bit for bit.
@@ -143,7 +147,7 @@ def _rk4(f, x, t, dt, k1=None):
 
 def _unit_rows(q):
     """(q / |q| as floats, rotation rows, rotation matrix) of a quaternion array."""
-    s = math.sqrt(float(q @ q))
+    s = math.sqrt(float(q.dot(q)))
     qn = [v / s for v in q.tolist()]
     rows = quat.rot_rows(qn)
     return qn, rows, np.array(rows)
@@ -210,14 +214,14 @@ class _Plant:
             if lever_t > 0.0:
                 a0, a1, a2 = leveling_axis(R, self.ge).tolist()
                 t0, t1, t2 = t0 + lever_t * a0, t1 + lever_t * a1, t2 + lever_t * a2
-            c0, c1, c2 = quat._cross(w, (self.J @ omega).tolist())
-            return (self.Jinv @ np.array([t0 - c0, t1 - c1, t2 - c2])).tolist()
+            c0, c1, c2 = quat._cross(w, self.J.dot(omega).tolist())
+            return self.Jinv.dot(np.array([t0 - c0, t1 - c1, t2 - c2])).tolist()
         added = added_inertia(lever_t, self.m, self.g)
         if self.J_diagonal:
             j0, j1, j2 = self.Jdiag
             Jw = (j0 * w[0], j1 * w[1], j2 * w[2])
         else:
-            Jw = (self.J @ omega).tolist()
+            Jw = self.J.dot(omega).tolist()
         Jpw = (Jw[0] + added * w[0], Jw[1] + added * w[1], Jw[2] + 0.0)
         c0, c1, c2 = quat._cross(w, Jpw)
         net = [t0 - c0, t1 - c1, t2 - c2]
@@ -247,7 +251,7 @@ class _Plant:
         vx, vy, vz = xs[3:6]
         qn, rows, R = _unit_rows(x[_Q])
         n = x[_N]
-        thrust, t0, t1, t2 = (self.M @ (n * n)).tolist()
+        thrust, t0, t1, t2 = self.M.dot(n * n).tolist()
         fx = 0.0 + thrust * rows[0][2]
         fy = 0.0 + thrust * rows[1][2]
         fz = self.weight_z + thrust * rows[2][2]
@@ -273,7 +277,7 @@ class _Plant:
             x[_N] = n_cmd
         cmd = np.asarray(n_cmd, dtype=float).tolist()
         out = _rk4(lambda y, s: self.derivative(y, cmd, s), x, t, dt, k1)
-        out[_Q] /= math.sqrt(float(out[_Q] @ out[_Q]))
+        out[_Q] /= math.sqrt(float(out[_Q].dot(out[_Q])))
         # a finite sum means finite entries; only an overflowing sum needs the full test
         if not math.isfinite(sum(out.tolist())) and not np.isfinite(out).all():
             raise SimulationFault(f"non-finite state at t={t:.6f}: {out}")
@@ -291,7 +295,7 @@ def disturbance_forces(x, vehicle: VehicleParams, ge: GroundEffectParams, cfg: S
     _, _, R = _unit_rows(x[_Q])
     n = x[_N]
     h = float(x[2]) + vehicle.rotor_plane_offset
-    f_ge, f_drag, lever_t = plant.ground(R, x[_V], h, vehicle.k_t * float(n @ n))
+    f_ge, f_drag, lever_t = plant.ground(R, x[_V], h, vehicle.k_t * float(n.dot(n)))
     tau_level = np.zeros(3)
     if h > 0.0 and plant.ge_torque and not plant.equivalent:
         tau_level = lever_t * leveling_axis(R, ge)
@@ -320,7 +324,7 @@ def imu_sample(x, xdot, cfg: SimConfig, rng):
     _, _, R = _unit_rows(x[_Q])
     a0, a1, a2 = xdot[_V].tolist()
     g = cfg.gravity
-    f_body = R.T @ np.array([a0 + g * 0.0, a1 + g * 0.0, a2 + g])   # a + g z_W
+    f_body = R.T.dot(np.array([a0 + g * 0.0, a1 + g * 0.0, a2 + g]))   # a + g z_W
     gyro = x[_W].copy()
     if cfg.noise_accel > 0.0:
         f_body = f_body + cfg.noise_accel * rng.standard_normal(3)
@@ -529,7 +533,7 @@ def simulate_attitude(q0, omega0, torque_fn, vehicle: VehicleParams,
     lever_t = torque_lever(h, ge) * thrust
 
     def deriv(y, t):
-        q = y[:4] / math.sqrt(float(y[:4] @ y[:4]))
+        q = y[:4] / math.sqrt(float(y[:4].dot(y[:4])))
         w = y[4:]
         qs = q.tolist()
         tau = np.asarray(torque_fn(t, q, w), dtype=float).tolist()
@@ -542,6 +546,6 @@ def simulate_attitude(q0, omega0, torque_fn, vehicle: VehicleParams,
     states[0, 4:] = omega0
     for k in range(steps):
         y = _rk4(deriv, states[k], k * dt, dt)
-        y[:4] /= math.sqrt(float(y[:4] @ y[:4]))
+        y[:4] /= math.sqrt(float(y[:4].dot(y[:4])))
         states[k + 1] = y
     return np.arange(steps + 1) * dt, states[:, :4], states[:, 4:]

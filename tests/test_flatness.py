@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearground import quaternions as quat
-from nearground.errors import ParameterError, ReferenceGenerationError
+from nearground.errors import InputError, ParameterError, ReferenceGenerationError
 from nearground.flatness import (
     FlatOutput,
+    FlatReference,
     flat_reference,
     hover_descent,
     hover_point,
@@ -17,8 +20,13 @@ from nearground.flatness import (
     reference_thrust_attitude,
     reference_torque,
 )
-from nearground.groundeffect import GroundEffectParams, drag_coefficients, thrust_factor
-from nearground.vehicle import GRAVITY, VehicleParams
+from nearground.groundeffect import (
+    GroundEffectParams,
+    drag_coefficients,
+    equivalent_inertia,
+    thrust_factor,
+)
+from nearground.vehicle import GRAVITY, VehicleParams, mixing_matrix_inverse
 
 VEH = VehicleParams()
 GE = GroundEffectParams()
@@ -278,3 +286,268 @@ def test_flat_reference_flags_infeasible():
     monster = FlatOutput([0, 0, 1.0], np.zeros(3), [0, 0, 60.0], np.zeros(3), np.zeros(3))
     ref = flat_reference(monster, VEH, GE)
     assert not ref.feasible
+
+
+# -- the float bodies against the array-based code they replaced --------------
+#
+# Below is the reference generation as it was when it ran on numpy arrays
+# (FlatReference.attitude and friends built from small-array arithmetic and
+# the @ operator). The float bodies must reproduce every field bit for bit.
+
+_Z_W = np.array([0.0, 0.0, 1.0])
+
+
+def _ref_from_z_axis_yaw(z_b, yaw):
+    z_b = np.asarray(z_b, dtype=float)
+    n = math.sqrt(float(z_b @ z_b))
+    if not n > 0.0:
+        raise InputError("body z axis must be non-zero")
+    z = z_b / n
+    x_b = quat.cross(np.array([-np.sin(yaw), np.cos(yaw), 0.0]), z)
+    n = math.sqrt(float(x_b @ x_b))
+    if n < 1e-9:
+        raise InputError("degenerate attitude: thrust axis parallel to yaw heading")
+    x = x_b / n
+    y = quat.cross(z, x)
+    r00, r01, r02 = x[0], y[0], z[0]
+    r10, r11, r12 = x[1], y[1], z[1]
+    r20, r21, r22 = x[2], y[2], z[2]
+    tr = r00 + r11 + r22
+    if tr > 0.0:
+        s = math.sqrt(tr + 1.0) * 2.0
+        q = [0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s]
+    elif r00 >= r11 and r00 >= r22:
+        s = math.sqrt(1.0 + r00 - r11 - r22) * 2.0
+        q = [(r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s]
+    elif r11 >= r22:
+        s = math.sqrt(1.0 + r11 - r00 - r22) * 2.0
+        q = [(r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s]
+    else:
+        s = math.sqrt(1.0 + r22 - r00 - r11) * 2.0
+        q = [(r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s]
+    q = np.array(q, dtype=float)
+    if q[0] < 0.0:
+        q = -q
+    return q / np.sqrt(q @ q)
+
+
+def _ref_thrust_attitude(flat, vehicle, ge, gravity=GRAVITY, tol=1e-10, max_iter=20):
+    h = flat.p[2] + vehicle.rotor_plane_offset
+    if h < 0.0:
+        raise ReferenceGenerationError(f"reference altitude below ground: h={h:.4f}")
+    dx, dy = drag_coefficients(h, ge)
+    dax, day = dx / vehicle.m, dy / vehicle.m
+    f0 = flat.a + gravity * _Z_W
+    n0 = np.linalg.norm(f0)
+    if n0 < 1e-9:
+        raise ReferenceGenerationError("free-fall reference: thrust axis undefined")
+    z_b = f0 / n0
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        q = _ref_from_z_axis_yaw(z_b, flat.yaw)
+        R = quat.rot_matrix(q)
+        x_b, y_b = R[:, 0], R[:, 1]
+        f = f0 + dax * (x_b @ flat.v) * x_b + day * (y_b @ flat.v) * y_b
+        z_new = f / np.linalg.norm(f)
+        delta = np.linalg.norm(z_new - z_b)
+        z_b = z_new
+        if delta < tol:
+            break
+    else:
+        raise ReferenceGenerationError(
+            f"thrust-axis fixed point did not converge in {max_iter} iterations"
+        )
+    q = _ref_from_z_axis_yaw(z_b, flat.yaw)
+    fg = thrust_factor(h, ge)
+    thrust = vehicle.m * float(z_b @ f0) / (1.0 + fg)
+    if thrust <= 0.0:
+        raise ReferenceGenerationError("reference thrust non-positive")
+    return thrust, q, iterations
+
+
+def _ref_rates(flat, vehicle, ge, gravity=GRAVITY, attitude=None):
+    if attitude is None:
+        _, attitude, _ = _ref_thrust_attitude(flat, vehicle, ge, gravity)
+    R = quat.rot_matrix(attitude)
+    x_b, y_b, z_b = R[:, 0], R[:, 1], R[:, 2]
+    h = flat.p[2] + vehicle.rotor_plane_offset
+    dx, dy = drag_coefficients(h, ge)
+    d1, d2 = dx / vehicle.m, dy / vehicle.m
+
+    gz = flat.a + gravity * _Z_W
+    c = float(z_b @ gz)
+    v_b = R.T @ flat.v
+    a_b = R.T @ flat.a
+    j_b = R.T @ flat.j
+    s_b = R.T @ flat.s
+
+    yaw, dyaw, ddyaw = flat.yaw, flat.yaw_rate, flat.yaw_accel
+    x_c = np.array([math.cos(yaw), math.sin(yaw), 0.0])
+    y_c = np.array([-math.sin(yaw), math.cos(yaw), 0.0])
+
+    a11 = c + d1 * v_b[2]
+    a12 = -(d1 - d2) * v_b[1]
+    a21 = -float(y_c @ z_b)
+    a22 = float(y_c @ y_b)
+    r1 = j_b[0] + d1 * a_b[0]
+    r2 = dyaw * float(x_c @ x_b)
+    det = a11 * a22 - a12 * a21
+    if abs(det) < 1e-12:
+        raise ReferenceGenerationError("rate solve singular (thrust axis degenerate)")
+    w2 = (r1 * a22 - a12 * r2) / det
+    w3 = (a11 * r2 - r1 * a21) / det
+    den1 = c + d2 * v_b[2]
+    w1 = -(j_b[1] + d2 * a_b[1] + (d1 - d2) * v_b[0] * w3) / den1
+    omega = np.array([w1, w2, w3])
+
+    vdot_b = a_b - quat.cross(omega, v_b)
+    adot_b = j_b - quat.cross(omega, a_b)
+    jdot_b = s_b - quat.cross(omega, j_b)
+    cdot = w2 * float(x_b @ gz) - w1 * float(y_b @ gz) + float(z_b @ flat.j)
+
+    da11 = cdot + d1 * vdot_b[2]
+    da12 = -(d1 - d2) * vdot_b[1]
+    da21 = dyaw * float(x_c @ z_b) - w2 * float(y_c @ x_b) + w1 * float(y_c @ y_b)
+    da22 = -dyaw * float(x_c @ y_b) - w3 * float(y_c @ x_b) + w1 * float(y_c @ z_b)
+    dr1 = jdot_b[0] + d1 * adot_b[0]
+    dr2 = (
+        ddyaw * float(x_c @ x_b)
+        + dyaw * dyaw * float(y_c @ x_b)
+        + dyaw * w3 * float(x_c @ y_b)
+        - dyaw * w2 * float(x_c @ z_b)
+    )
+    b1 = dr1 - da11 * w2 - da12 * w3
+    b2 = dr2 - da21 * w2 - da22 * w3
+    wd2 = (b1 * a22 - a12 * b2) / det
+    wd3 = (a11 * b2 - b1 * a21) / det
+    wd1 = -(
+        jdot_b[1]
+        + d2 * adot_b[1]
+        + w1 * (cdot + d2 * vdot_b[2])
+        + (d1 - d2) * (vdot_b[0] * w3 + v_b[0] * wd3)
+    ) / den1
+    return omega, np.array([wd1, wd2, wd3])
+
+
+def _ref_torque(omega, omega_dot, h, thrust, vehicle, ge, gravity=GRAVITY):
+    Jp = equivalent_inertia(h, ge, vehicle, thrust=thrust, gravity=gravity)
+    omega = np.asarray(omega, dtype=float)
+    return Jp @ np.asarray(omega_dot, dtype=float) + quat.cross(omega, Jp @ omega)
+
+
+def _ref_flat_reference(flat, vehicle, ge, gravity=GRAVITY):
+    thrust, attitude, iterations = _ref_thrust_attitude(flat, vehicle, ge, gravity)
+    omega, omega_dot = _ref_rates(flat, vehicle, ge, gravity, attitude=attitude)
+    h = flat.p[2] + vehicle.rotor_plane_offset
+    torque = _ref_torque(omega, omega_dot, h, thrust, vehicle, ge, gravity)
+    n_sq = mixing_matrix_inverse(vehicle) @ np.concatenate(([thrust], torque))
+    feasible = bool(np.all(n_sq >= -1e-9) and np.all(n_sq <= vehicle.n_max**2 + 1e-9))
+    n_ref = np.sqrt(np.clip(n_sq, 0.0, None))
+    return FlatReference(thrust, attitude, omega, omega_dot, torque, n_ref,
+                         feasible, iterations)
+
+
+_REFERENCE_FIELDS = ("thrust", "attitude", "omega", "omega_dot", "torque", "rotor_speeds",
+                     "feasible", "iterations")
+
+
+def _exact(value):
+    """A value reduced to its type and bytes, or the type of the exception raised."""
+    if isinstance(value, FlatReference):
+        return tuple(_exact(getattr(value, name)) for name in _REFERENCE_FIELDS)
+    if isinstance(value, tuple):
+        return tuple(_exact(v) for v in value)
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return type(value), np.float64(value).tobytes()
+
+
+def _outcome(fn, *args, **kwargs):
+    with np.errstate(all="ignore"):
+        try:
+            return _exact(fn(*args, **kwargs))
+        except Exception as err:
+            return type(err)
+
+
+_VEHICLES = (VEH, VehicleParams(m=1.3, rotor_plane_offset=0.04))
+_MODELS = (GE, GE.scaled(1.05))
+
+
+def _component(bound):
+    return st.floats(-bound, bound)
+
+
+@st.composite
+def _flat_outputs(draw):
+    def vec(bound):
+        return [draw(_component(bound)) for _ in range(3)]
+
+    p = [draw(_component(2.0)), draw(_component(2.0)), draw(st.floats(-0.05, 2.0))]
+    return FlatOutput(p, vec(5.0), vec(15.0), vec(60.0), vec(300.0),
+                      yaw=draw(_component(4.0)), yaw_rate=draw(_component(3.0)),
+                      yaw_accel=draw(_component(20.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_flat_outputs(), st.sampled_from(_VEHICLES), st.sampled_from(_MODELS),
+       st.integers(1, 20))
+def test_float_reference_bit_identical_to_array_code(flat, vehicle, ge, max_iter):
+    assert _outcome(flat_reference, flat, vehicle, ge) == \
+        _outcome(_ref_flat_reference, flat, vehicle, ge)
+    assert _outcome(reference_thrust_attitude, flat, vehicle, ge, max_iter=max_iter) == \
+        _outcome(_ref_thrust_attitude, flat, vehicle, ge, max_iter=max_iter)
+    assert _outcome(reference_rates, flat, vehicle, ge) == \
+        _outcome(_ref_rates, flat, vehicle, ge)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_flat_outputs(), st.lists(st.floats(), min_size=6, max_size=6),
+       st.sampled_from(_MODELS))
+def test_float_reference_non_finite_like_array_code(flat, jerk_snap, ge):
+    # any jerk and snap, NaN and infinities too: they pass the thrust solve
+    # and reach the rates, the torque and the rotor-speed clip
+    flat.j, flat.s = np.array(jerk_snap[:3]), np.array(jerk_snap[3:])
+    assert _outcome(flat_reference, flat, VEH, ge) == \
+        _outcome(_ref_flat_reference, flat, VEH, ge)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_component(20.0), min_size=6, max_size=6), st.floats(0.0, 2.0),
+       st.floats(0.0, 30.0), st.sampled_from(_VEHICLES), st.sampled_from(_MODELS))
+def test_float_torque_bit_identical_to_array_code(rates, h, thrust, vehicle, ge):
+    args = (np.array(rates[:3]), np.array(rates[3:]), h, thrust, vehicle, ge)
+    assert _outcome(reference_torque, *args) == _outcome(_ref_torque, *args)
+
+
+def test_float_rates_divide_by_zero_like_array_code():
+    # this attitude makes the thrust-axis scalar c and v_b[2] exactly zero, so
+    # the roll-rate row divides by zero while the 2x2 rate solve stays regular
+    attitude = np.array([0.5, 0.5, 0.5, 0.5])
+    flat = FlatOutput([0.0, 0.0, 1.0], [0.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.3, 0.2, 0.1],
+                      np.zeros(3), yaw=0.5, yaw_rate=0.2)
+    got = _outcome(reference_rates, flat, VEH, GE, attitude=attitude)
+    assert got == _outcome(_ref_rates, flat, VEH, GE, attitude=attitude)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        omega, _ = reference_rates(flat, VEH, GE, attitude=attitude)
+    assert not np.isfinite(omega[0])
+
+
+def test_float_reference_raises_like_array_code():
+    hover = [0.0, 0.0, 1.0]
+    moving = FlatOutput(hover, [1.5, -0.5, 0.2], [2.0, 1.0, 0.5], np.zeros(3), np.zeros(3),
+                        yaw=0.7, yaw_rate=0.4, yaw_accel=-1.0)
+    cases = [
+        (FlatOutput(hover, np.zeros(3), [0.0, 0.0, -GRAVITY], np.zeros(3), np.zeros(3)), {}),
+        (FlatOutput([0.0, 0.0, -0.5], np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3)), {}),
+        (moving, {"max_iter": 1}),
+    ]
+    for flat, kwargs in cases:
+        for vehicle in _VEHICLES:
+            for ge in _MODELS:
+                got = _outcome(reference_thrust_attitude, flat, vehicle, ge, **kwargs)
+                assert got is ReferenceGenerationError
+                assert got == _outcome(_ref_thrust_attitude, flat, vehicle, ge, **kwargs)
+                if not kwargs:
+                    assert _outcome(flat_reference, flat, vehicle, ge) == \
+                        _outcome(_ref_flat_reference, flat, vehicle, ge) == got

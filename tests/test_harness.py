@@ -21,6 +21,7 @@ from nearground.config import KeyValueConfig
 from nearground.errors import (
     ConfigError,
     ControllerFault,
+    FitError,
     InputError,
     ParameterError,
     SimulationFault,
@@ -237,6 +238,10 @@ PINNED_LOG_SHA256 = {
     "ge_force_off": "1e6da2c9d52b29a678ceb2824eabeca060356d42dfbeb7a8dc22b902392d7d56",
     "ge_torque_off": "d262622fa2c68d2323b7b50bc65d2bf64667d672a7492e76f347be1d32cf5655",
     "ge_drag_off": "4fc24e1c94d3722c6f28db39e9991683318fa28b20d29e00cfcd4f5b28dccb8d",
+    # a reference that descends 0.9 -> 0.08 m through the drag table (and
+    # leaves the rotor-speed range, so the log is flagged infeasible)
+    "descent_through_drag_table":
+        "d62cb4367948a4961b2ed99dbf8386fde509d7f7dee5666f0d4525dafab91930",
 }
 
 _OFFDIAG_INERTIA = [("vehicle.inertia_xy", "2e-4"), ("vehicle.inertia_xz", "-1e-4"),
@@ -257,6 +262,8 @@ _PINNED_LOG_CASES = {
     "ge_force_off": ("lemniscate_low", [("sim.ge_force", "false"), ("ctrl.accel_comp", "indi")]),
     "ge_torque_off": ("lemniscate_low", [("sim.ge_torque", "false")]),
     "ge_drag_off": ("lemniscate_low", [("sim.ge_drag", "false")]),
+    "descent_through_drag_table": ("hover_descent_sweep", [
+        ("traj.hold", "0"), ("traj.duration", "0.5"), ("metrics_warmup", "0.1")]),
 }
 
 
@@ -447,6 +454,39 @@ def test_cli_identify_fit_failure_exit_code(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("\n".join(rows) + "\n")
     assert main(["identify", "fg", str(path)]) == EXIT_FIT
+
+
+def test_cli_identify_fits_with_flown_vehicle(tmp_path, capsys, monkeypatch):
+    path = _write_scenario(tmp_path, extra="vehicle.mass = 1.2\n")
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+    log_path = str(tmp_path / "out" / "cli_hover" / "log.csv")
+    lone = tmp_path / "lone" / "log.csv"
+    lone.parent.mkdir()
+    lone.write_bytes((tmp_path / "out" / "cli_hover" / "log.csv").read_bytes())
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        raise FitError("recorded")
+
+    monkeypatch.setattr(cli, "fit_drag_from_log", record)
+    monkeypatch.setattr(cli, "fit_thrust_factor", record)
+    capsys.readouterr()
+
+    assert main(["identify", "drag", log_path]) == EXIT_FIT
+    assert calls[-1][1].m == 1.2
+    assert main(["identify", "fg", log_path]) == EXIT_FIT
+    log = TrajectoryLog.from_csv(log_path)
+    thrust = VehicleParams().k_t * np.sum(log.cols(["n1", "n2", "n3", "n4"]) ** 2, axis=1)
+    ok = thrust > 1e-6
+    assert np.array_equal(calls[-1][1], 1.2 * log.col("obs_aext_z")[ok] / thrust[ok])
+    assert "default vehicle" not in capsys.readouterr().err
+
+    # no scenario.resolved beside the log: the default vehicle, said once on stderr
+    assert main(["identify", "drag", str(lone)]) == EXIT_FIT
+    assert calls[-1][1].m == VehicleParams().m
+    err = capsys.readouterr().err
+    assert err.count("default vehicle") == 1 and err.count("\n") == 2
 
 
 def test_cli_compare(tmp_path, capsys):

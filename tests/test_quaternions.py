@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 import nearground
 from nearground import quaternions as quat
 from nearground.errors import InputError
+from nearground.vehicle import VehicleParams, build_mixing_matrix, mixing_matrix_inverse
 
 # Defaults include +-0.0, subnormals and magnitudes whose products overflow.
 finite_vec3 = arrays(np.float64, 3, elements=st.floats(allow_nan=False, allow_infinity=False))
@@ -61,3 +62,47 @@ def test_from_z_axis_yaw_rejects_zero_axis():
         quat.from_z_axis_yaw(np.zeros(3), 0.0)
     with pytest.raises(InputError):
         quat.from_z_axis_yaw(np.array([np.nan, 0.0, 1.0]), 0.0)
+
+
+# Finite values: +-0.0, subnormals and magnitudes whose products overflow.
+finite_vec4 = arrays(np.float64, 4, elements=st.floats(allow_nan=False, allow_infinity=False))
+finite_mat3 = arrays(np.float64, (3, 3),
+                     elements=st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(finite_mat3, finite_mat3, finite_vec3, finite_vec3, finite_vec4, finite_vec4,
+       st.integers(0, 2), st.integers(0, 2))
+def test_dot_bit_identical_to_matmul(R, S, a, b, p, r, i, j):
+    # every operand shape and layout the per-step path reduces with .dot
+    vehicle = VehicleParams()
+    pairs = [
+        (a, b), (p, r),                               # 3- and 4-vector dots
+        (R[:, i], a), (a, R[:, i]), (R[:, i], R[:, j]),  # strided columns
+        (R, a), (R.T, a), (-R, a),                    # matrix-vector, both layouts
+        (R, S), (R, np.diag(S.diagonal())),           # 3x3 products (model drag)
+        (mixing_matrix_inverse(vehicle), p),          # cached read-only 4x4
+        (build_mixing_matrix(vehicle), p),
+    ]
+    with np.errstate(all="ignore"):
+        for x, y in pairs:
+            assert x.dot(y).tobytes() == (x @ y).tobytes()
+
+
+# the modules every simulation step runs through; estimation.py keeps @ in
+# its batch fits, which run once per identification, not per step
+PER_STEP_MODULES = ("quaternions.py", "groundeffect.py", "simulator.py", "controller.py",
+                    "flatness.py")
+
+
+def test_per_step_modules_do_not_use_matmul_operator():
+    # a @ b dispatches through the matmul ufunc, about twice the cost of
+    # a.dot(b) on 3-vectors for the same BLAS call and the same bytes
+    pkg = os.path.dirname(nearground.__file__)
+    found = []
+    for name in PER_STEP_MODULES:
+        with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.MatMult)]
+    assert found == []
