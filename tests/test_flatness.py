@@ -452,14 +452,23 @@ _REFERENCE_FIELDS = ("thrust", "attitude", "omega", "omega_dot", "torque", "roto
 
 
 def _exact(value):
-    """A value reduced to its type and bytes, or the type of the exception raised."""
+    """A value reduced to its type and bytes, every NaN as the one canonical NaN.
+
+    Where a NaN sits is compared, its sign bit is not, as in the cross-product
+    tests: the sign of a + b for two NaNs of opposite sign is not fixed in
+    Python float arithmetic. CPython's generic float add keeps b's NaN and its
+    specialised add, used once the call site has warmed up, keeps a's.
+    """
     if isinstance(value, FlatReference):
         return tuple(_exact(getattr(value, name)) for name in _REFERENCE_FIELDS)
     if isinstance(value, tuple):
         return tuple(_exact(v) for v in value)
     if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f":
+            value = np.where(np.isnan(value), np.nan, value)
         return value.dtype.str, value.shape, value.tobytes()
-    return type(value), np.float64(value).tobytes()
+    x = np.float64(value)
+    return type(value), (np.float64(np.nan) if np.isnan(x) else x).tobytes()
 
 
 def _outcome(fn, *args, **kwargs):
