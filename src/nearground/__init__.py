@@ -93,18 +93,13 @@ from .simulator import (
     imu_sample,
     run_closed_loop,
     simulate_attitude,
-    state_derivative,
     step,
 )
 from .vehicle import (
     GRAVITY,
-    RotorSpeeds,
     VehicleParams,
     build_mixing_matrix,
-    composite_speeds,
     mixing_matrix_inverse,
-    thrust_from_speeds,
-    wrench_from_speeds,
 )
 
 __version__ = "0.1.0"

@@ -1,12 +1,24 @@
-"""Flat key-value config files.
+"""Flat key-value config files, read into and written from dataclass sections.
 
 Format: one ``key = value`` pair per line, ``#`` comments, blank lines
-ignored.  Keys may repeat (used for ``drag_sample`` rows); values are kept
-as raw strings and converted through the typed getters, which report the
-offending key and line number on failure.
+ignored. Only a key read as rows (``drag_sample``) may repeat; a scalar key
+set twice in one file is an error. A later file or an override may set a key
+again, and the last setting wins.
+
+A section is a dataclass whose fields are its keys. A field's default is the
+key's default and its type gives the key's type: bool, int, float, str, or a
+tuple of floats of the default's length (bool is its own type, never an int).
+A field without a default is a required key, typed by its annotation, and
+``field(metadata={"key": ...})`` names a key that differs from the field. A
+field of any other type (an array, a nested section, a dict) is no key: its
+class reads it. A ``{key: default}`` dict is a section of its own keys.
+``read_section`` and ``write_section`` use the one table, so what one writes
+the other reads back to equal values.
 """
 
 from __future__ import annotations
+
+from dataclasses import MISSING, fields
 
 from .errors import ConfigError
 
@@ -18,8 +30,75 @@ def _location(source, line):
     return f"{source}:{line}" if line else str(source)
 
 
+def _parse_bool(text):
+    lowered = text.lower()
+    if lowered in _TRUE or lowered in _FALSE:
+        return lowered in _TRUE
+    raise ValueError(text)
+
+
+# key type -> (parse, format); the format is exact: its output parses back to the value
+_TYPES = {
+    "bool": (_parse_bool, lambda v: "true" if v else "false"),
+    "int": (int, lambda v: repr(int(v))),
+    "float": (float, lambda v: repr(float(v))),
+    "str": (str, str),
+    "tuple": (lambda text: tuple(float(p) for p in text.split(",")),
+              lambda v: ", ".join(repr(float(x)) for x in v)),
+}
+
+
+def key_table(section):
+    """{key: (field name, default or MISSING, type name)} of a section."""
+    if isinstance(section, dict):
+        return {key: (key, default, type(default).__name__) for key, default in section.items()}
+    table = {}
+    for f in fields(section):
+        kind = type(f.default).__name__
+        if f.default is MISSING:   # a required key, typed by its annotation
+            kind = getattr(f.type, "__name__", f.type)
+        if kind in _TYPES:
+            table[f.metadata.get("key", f.name)] = (f.name, f.default, kind)
+    return table
+
+
+def read_section(section, cfg, prefix="", extra=()):
+    """Constructor kwargs of a section from the keys 'prefix + key' that cfg sets.
+
+    A key under prefix that is not in the table is a ConfigError naming its
+    file and line, unless extra holds the key or its first dotted part plus
+    '.' (keys the caller reads itself). A required key cfg does not set is a
+    ConfigError.
+    """
+    table = key_table(section)
+    known = [prefix + key for key in table]
+    for key in cfg.keys():
+        if (key.startswith(prefix) and key not in known and key not in extra
+                and key.partition(".")[0] + "." not in extra):
+            import difflib   # only on this error path: it adds to every start-up
+
+            close = difflib.get_close_matches(key, known + list(extra), n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise ConfigError(f"{cfg.where(key)}: unknown key {key!r}{hint}")
+    kwargs = {}
+    for key, (name, default, kind) in table.items():
+        key = prefix + key
+        if key not in cfg:
+            if default is MISSING:
+                raise ConfigError(f"{cfg.source}: missing required key {key!r}")
+            continue
+        kwargs[name] = cfg.parse(key, kind, default)
+    return kwargs
+
+
+def write_section(section, prefix=""):
+    """'prefix + key = value' lines of a section instance, in table order."""
+    return [f"{prefix}{key} = {_TYPES[kind][1](getattr(section, name))}"
+            for key, (name, _, kind) in key_table(section).items()]
+
+
 class KeyValueConfig:
-    """Parsed key-value file with typed, error-reporting accessors."""
+    """Parsed key-value file; each entry keeps the file and line it came from."""
 
     def __init__(self, entries, source="<memory>", sources=None):
         # entries: list of (key, raw_value, line_number); sources: the file of
@@ -28,10 +107,8 @@ class KeyValueConfig:
         self.source = source
         self._sources = [source] * len(self.entries) if sources is None else list(sources)
         self._by_key = {}
-        self._where = {}
         for (key, value, line), src in zip(self.entries, self._sources):
-            self._by_key.setdefault(key, []).append((value, line))
-            self._where[key] = _location(src, line)
+            self._by_key.setdefault(key, []).append((value, line, src))
 
     @classmethod
     def from_path(cls, path):
@@ -52,8 +129,6 @@ class KeyValueConfig:
                 entries.append((key, value.strip(), lineno))
         return cls(entries, source=str(path))
 
-    # -- raw access ---------------------------------------------------------
-
     def subset(self, prefix):
         """New config holding keys under 'prefix.' with the prefix stripped."""
         dot = prefix + "."
@@ -70,97 +145,41 @@ class KeyValueConfig:
         return KeyValueConfig(self.entries + other.entries, source=other.source,
                               sources=self._sources + other._sources)
 
-    def where(self, key):
-        """'source:line' of the entry that sets key (its last occurrence)."""
-        return self._where[key]
-
-    def reject_unknown(self, known, allow_prefixes=()):
-        """ConfigError for the first key that is not in known and has none of the prefixes."""
-        for key, _, _ in self.entries:
-            if key in known or key.startswith(tuple(allow_prefixes)):
-                continue
-            import difflib   # only on this error path: it adds to every start-up
-
-            close = difflib.get_close_matches(key, sorted(known), n=1)
-            hint = f"; did you mean {close[0]!r}?" if close else ""
-            raise ConfigError(f"{self._where[key]}: unknown key {key!r}{hint}")
-
     def __contains__(self, key):
         return key in self._by_key
 
     def keys(self):
         return list(self._by_key.keys())
 
-    def _last(self, key):
-        return self._by_key[key][-1][0]
+    def where(self, key):
+        """'source:line' of the entry that sets key (its last occurrence)."""
+        _, line, src = self._by_key[key][-1]
+        return _location(src, line)
 
     def get_all(self, key):
-        """All (value, line) pairs for a repeated key, in file order."""
-        return list(self._by_key.get(key, []))
+        """(value, 'source:line') of every entry of a repeatable key, in order."""
+        return [(value, _location(src, line)) for value, line, src in self._by_key.get(key, [])]
 
-    # -- typed getters ------------------------------------------------------
+    def value(self, key):
+        """Raw value of a scalar key's last entry; set twice in one file is a ConfigError."""
+        first_line = {}
+        for _, line, src in self._by_key[key]:
+            if src in first_line:
+                raise ConfigError(f"{_location(src, first_line[src])}: key {key!r} "
+                                  f"is set again on line {line}")
+            first_line[src] = line
+        return self._by_key[key][-1][0]
 
-    def get_str(self, key, default=None):
-        if key not in self._by_key:
-            if default is not None:
-                return default
-            raise ConfigError(f"{self.source}: missing required key {key!r}")
-        return self._last(key)
-
-    def get_float(self, key, default=None):
-        if key not in self._by_key:
-            if default is not None:
-                return float(default)
-            raise ConfigError(f"{self.source}: missing required key {key!r}")
-        value = self._last(key)
+    def parse(self, key, kind, default=MISSING):
+        """A key's value as one of the section key types; a tuple has the default's length."""
+        text = self.value(key)
         try:
-            return float(value)
+            value = _TYPES[kind][0](text)
         except ValueError:
             raise ConfigError(
-                f"{self.where(key)}: key {key!r}: cannot parse {value!r} as float"
+                f"{self.where(key)}: key {key!r}: cannot parse {text!r} as {kind}"
             ) from None
-
-    def get_int(self, key, default=None):
-        if key not in self._by_key:
-            if default is not None:
-                return int(default)
-            raise ConfigError(f"{self.source}: missing required key {key!r}")
-        value = self._last(key)
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(
-                f"{self.where(key)}: key {key!r}: cannot parse {value!r} as int"
-            ) from None
-
-    def get_bool(self, key, default=None):
-        if key not in self._by_key:
-            if default is not None:
-                return bool(default)
-            raise ConfigError(f"{self.source}: missing required key {key!r}")
-        value = self._last(key)
-        lowered = value.lower()
-        if lowered in _TRUE:
-            return True
-        if lowered in _FALSE:
-            return False
-        raise ConfigError(f"{self.where(key)}: key {key!r}: cannot parse {value!r} as bool")
-
-    def get_floats(self, key, default=None, n=None):
-        """Comma-separated float list; length checked when n is given."""
-        if key not in self._by_key:
-            if default is not None:
-                return list(default)
-            raise ConfigError(f"{self.source}: missing required key {key!r}")
-        value = self._last(key)
-        try:
-            parts = [float(p) for p in value.split(",")]
-        except ValueError:
-            raise ConfigError(
-                f"{self.where(key)}: key {key!r}: cannot parse {value!r} as float list"
-            ) from None
-        if n is not None and len(parts) != n:
-            raise ConfigError(
-                f"{self.where(key)}: key {key!r}: expected {n} values, got {len(parts)}"
-            )
-        return parts
+        if kind == "tuple" and len(value) != len(default):
+            raise ConfigError(f"{self.where(key)}: key {key!r}: expected {len(default)} "
+                              f"values, got {len(value)}")
+        return value

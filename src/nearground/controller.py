@@ -21,7 +21,8 @@ from .errors import ControllerFault, InputError, ParameterError
 from .estimation import FilteredDerivative, LowPass, WrenchObserverRunner
 from .flatness import flat_reference
 from .groundeffect import GroundEffectParams, drag_matrix, equivalent_inertia, thrust_factor
-from .vehicle import VehicleParams, build_mixing_matrix, mixing_matrix_inverse
+from .simulator import SimConfig
+from .vehicle import GRAVITY, VehicleParams, build_mixing_matrix, mixing_matrix_inverse
 
 Z_W = np.array([0.0, 0.0, 1.0])
 
@@ -31,28 +32,25 @@ TORQUE_MODES = ("none", "model", "indi", "hybrid")
 
 @dataclass
 class ControlGains:
-    kp: np.ndarray = None       # position, 1/s^2
-    kv: np.ndarray = None       # velocity, 1/s
-    kxi: np.ndarray = None      # attitude, 1/s
-    komega: np.ndarray = None   # body rate, 1/s
+    kp: np.ndarray = (6.0, 6.0, 8.0)         # position, 1/s^2
+    kv: np.ndarray = (4.0, 4.0, 5.0)         # velocity, 1/s
+    kxi: np.ndarray = (12.0, 12.0, 8.0)      # attitude, 1/s
+    komega: np.ndarray = (60.0, 60.0, 40.0)  # body rate, 1/s
     accel_comp: str = "model"
     torque_comp: str = "hybrid"
     gyro_cutoff: float = 40.0       # Hz, rate loop filters
     observer_cutoff: float = 20.0   # Hz, wrench observer filters
 
     def __post_init__(self):
-        defaults = {
-            "kp": [6.0, 6.0, 8.0],
-            "kv": [4.0, 4.0, 5.0],
-            "kxi": [12.0, 12.0, 8.0],
-            "komega": [60.0, 60.0, 40.0],
-        }
-        for name, default in defaults.items():
-            value = getattr(self, name)
-            value = np.asarray(default if value is None else value, dtype=float).reshape(3)
-            if np.any(value < 0.0):
-                raise ParameterError(f"gain {name} must be non-negative")
+        # "not x > 0" style comparisons also reject NaN
+        for name in ("kp", "kv", "kxi", "komega"):
+            value = np.array(getattr(self, name), dtype=float).reshape(3)
+            if not np.all(value >= 0.0):
+                raise ParameterError(f"gain {name} must be non-negative, got {value}")
             setattr(self, name, value)
+        for name in ("gyro_cutoff", "observer_cutoff"):
+            if not getattr(self, name) > 0.0:
+                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
         if self.accel_comp not in ACCEL_MODES:
             raise ParameterError(f"accel_comp must be one of {ACCEL_MODES}")
         if self.torque_comp not in TORQUE_MODES:
@@ -242,8 +240,8 @@ class CascadeController:
     """
 
     def __init__(self, trajectory, vehicle: VehicleParams, ge: GroundEffectParams,
-                 gains: ControlGains, attitude_rate=500.0, position_rate=100.0,
-                 gravity=9.81, model_mismatch=1.0):
+                 gains: ControlGains, attitude_rate=SimConfig.attitude_rate,
+                 position_rate=SimConfig.position_rate, gravity=GRAVITY, model_mismatch=1.0):
         self.trajectory = trajectory
         self.vehicle = vehicle
         self.ge = ge if model_mismatch == 1.0 else ge.scaled(model_mismatch)
@@ -320,7 +318,7 @@ class FeedforwardController:
     """
 
     def __init__(self, trajectory, vehicle: VehicleParams, ge: GroundEffectParams,
-                 gravity=9.81, command_lead=0.0):
+                 gravity=GRAVITY, command_lead=0.0):
         self.trajectory = trajectory
         self.vehicle = vehicle
         self.ge = ge

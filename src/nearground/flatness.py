@@ -73,7 +73,7 @@ class FlatReference:
 
 # -- trajectory generators ---------------------------------------------------
 
-def lemniscate(t, half_width=0.75, height=1.0, peak_speed=1.0):
+def lemniscate(t, half_width, height, peak_speed):
     """Figure-eight at constant altitude: x = A sin(wt), y = A/2 sin(2wt).
 
     The angular rate is set so the largest speed over a period equals
@@ -92,7 +92,7 @@ def lemniscate(t, half_width=0.75, height=1.0, peak_speed=1.0):
     return FlatOutput(p, v, a, j, s)
 
 
-def lemniscate_period(half_width=0.75, peak_speed=1.0):
+def lemniscate_period(half_width, peak_speed):
     return 2.0 * math.pi * half_width * math.sqrt(2.0) / peak_speed
 
 
@@ -134,11 +134,11 @@ def hover_point(t, position):
     return FlatOutput(position, np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
 
 
-# the keyword parameters make_trajectory accepts for each kind
+# the keyword parameters make_trajectory accepts for each kind, with their defaults
 TRAJECTORY_KEYS = {
-    "lemniscate": ("half_width", "height", "speed"),
-    "hover_descent": ("h_start", "h_end", "duration", "hold"),
-    "hover": ("x", "y", "height"),
+    "lemniscate": {"half_width": 0.75, "height": 1.0, "speed": 1.0},
+    "hover_descent": {"h_start": 1.0, "h_end": 0.1, "duration": 20.0, "hold": 0.0},
+    "hover": {"x": 0.0, "y": 0.0, "height": 1.0},
 }
 
 
@@ -150,22 +150,14 @@ def make_trajectory(kind, **kw):
     if unknown:
         raise ParameterError(f"{kind} trajectory takes no parameter {unknown[0]!r}; "
                              f"known: {', '.join(TRAJECTORY_KEYS[kind])}")
+    if not all(math.isfinite(value) for value in kw.values()):
+        raise ParameterError(f"{kind} trajectory parameters must be finite, got {kw}")
+    p = {**TRAJECTORY_KEYS[kind], **kw}
     if kind == "lemniscate":
-        return lambda t: lemniscate(
-            t,
-            half_width=kw.get("half_width", 0.75),
-            height=kw.get("height", 1.0),
-            peak_speed=kw.get("speed", 1.0),
-        )
+        return lambda t: lemniscate(t, p["half_width"], p["height"], p["speed"])
     if kind == "hover_descent":
-        return lambda t: hover_descent(
-            t,
-            kw.get("h_start", 1.0),
-            kw.get("h_end", 0.1),
-            kw.get("duration", 20.0),
-            hold=kw.get("hold", 0.0),
-        )
-    pos = np.array([kw.get("x", 0.0), kw.get("y", 0.0), kw.get("height", 1.0)])
+        return lambda t: hover_descent(t, p["h_start"], p["h_end"], p["duration"], p["hold"])
+    pos = np.array([p["x"], p["y"], p["height"]])
     return lambda t: hover_point(t, pos)
 
 

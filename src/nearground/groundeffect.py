@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import KeyValueConfig
+from .config import KeyValueConfig, read_section, write_section
 from .errors import ConfigError, InputError, ParameterError
 from .quaternions import check_rotation
 from .vehicle import GRAVITY, VehicleParams
@@ -80,54 +80,47 @@ class GroundEffectParams:
         self.validate()
 
     def validate(self):
-        if self.g1 <= 0.0 or self.g2 < 0.0:
-            raise ParameterError("need g1 > 0 and g2 >= 0")
-        if self.g4 <= 0.0 or self.g5 < 0.0:
-            raise ParameterError("need g4 > 0 and g5 >= 0")
+        # "not x > 0" style comparisons also reject NaN
+        if not (self.g1 > 0.0 and self.g2 >= 0.0):
+            raise ParameterError(f"need g1 > 0 and g2 >= 0, got g1={self.g1}, g2={self.g2}")
+        if not (self.g4 > 0.0 and self.g5 >= 0.0):
+            raise ParameterError(f"need g4 > 0 and g5 >= 0, got g4={self.g4}, g5={self.g5}")
         # h^2 + g3 h + g4 > 0 for all h >= 0: value at h=0 is g4 > 0 and the
         # vertex -g3/2 only enters h >= 0 for negative g3.
-        if self.g3 < 0.0 and self.g4 - self.g3 * self.g3 / 4.0 <= 0.0:
+        if not (self.g3 >= 0.0 or self.g4 - self.g3 * self.g3 / 4.0 > 0.0):
             raise ParameterError("h^2 + g3*h + g4 must stay positive for h >= 0")
+        if math.isnan(self.tilt_saturation_deg):
+            raise ParameterError("tilt_saturation_deg must not be NaN")
         t = self.drag_table
         if t.ndim != 2 or t.shape[1] != 3 or t.shape[0] < 2:
             raise ConfigError("drag table needs >= 2 rows of (h, d_x, d_y)")
-        if np.any(np.diff(t[:, 0]) <= 0.0):
+        if not np.all(np.diff(t[:, 0]) > 0.0):
             raise ConfigError("drag table altitudes must be strictly increasing")
-        if np.any(t[:, 1:] < 0.0):
+        if not np.all(t[:, 1:] >= 0.0):
             raise ConfigError("drag coefficients must be non-negative")
-
-    CONFIG_KEYS = ("g1", "g2", "g3", "g4", "g5", "tilt_saturation_deg", "drag_sample")
 
     @classmethod
     def from_config(cls, cfg: KeyValueConfig):
-        cfg.reject_unknown(cls.CONFIG_KEYS)
+        """Parameters from a ground-effect section; drag_sample rows form the drag table."""
         rows = []
-        for value, line in cfg.get_all("drag_sample"):
+        for value, where in cfg.get_all("drag_sample"):
             parts = value.split(",")
             if len(parts) != 3:
-                raise ConfigError(
-                    f"{cfg.source}:{line}: drag_sample needs 'h, d_x, d_y', got {value!r}"
-                )
+                raise ConfigError(f"{where}: drag_sample needs 'h, d_x, d_y', got {value!r}")
             try:
                 rows.append([float(p) for p in parts])
             except ValueError:
-                raise ConfigError(
-                    f"{cfg.source}:{line}: drag_sample: cannot parse {value!r}"
-                ) from None
-        table = np.array(rows) if rows else None
-        return cls(
-            g1=cfg.get_float("g1", 0.08),
-            g2=cfg.get_float("g2", 0.04),
-            g3=cfg.get_float("g3", 0.0),
-            g4=cfg.get_float("g4", 0.08),
-            g5=cfg.get_float("g5", 9.0e-4),
-            drag_table=table,
-            tilt_saturation_deg=cfg.get_float("tilt_saturation_deg", 10.0),
-        )
+                raise ConfigError(f"{where}: drag_sample: cannot parse {value!r}") from None
+        return cls(drag_table=rows or None, **read_section(cls, cfg, extra=("drag_sample",)))
 
     @classmethod
     def from_file(cls, path):
         return cls.from_config(KeyValueConfig.from_path(path))
+
+    def config_lines(self):
+        """The section as 'key = value' lines that from_config reads back."""
+        return write_section(self) + ["drag_sample = " + ", ".join(map(repr, row))
+                                      for row in self.drag_table.tolist()]
 
     def scaled(self, factor):
         """Copy with all model magnitudes multiplied (controller mismatch knob)."""

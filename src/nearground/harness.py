@@ -12,17 +12,21 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import KeyValueConfig
+from .config import KeyValueConfig, read_section, write_section
 from .controller import CascadeController, ControlGains, FeedforwardController
 from .errors import ConfigError, InputError
 from .flatness import TRAJECTORY_KEYS, make_trajectory
 from .groundeffect import GroundEffectParams
 from .simulator import SimConfig, TrajectoryLog, run_closed_loop
 from .vehicle import VehicleParams
+
+
+# the sections a scenario reads under 'prefix.' keys, beside its own keys
+_SECTIONS = ("traj.", "ctrl.", "sim.", "vehicle.", "ge.")
 
 
 @dataclass
@@ -32,15 +36,24 @@ class Scenario:
     name: str
     seed: int
     duration: float
-    trajectory_kind: str = "hover"
+    trajectory_kind: str = field(default="hover", metadata={"key": "trajectory"})
     trajectory_params: dict = field(default_factory=dict)
-    controller_kind: str = "cascade"      # or "feedforward"
+    # "cascade" or "feedforward"
+    controller_kind: str = field(default="cascade", metadata={"key": "controller"})
     gains: ControlGains = field(default_factory=ControlGains)
     sim: SimConfig = field(default_factory=SimConfig)
     vehicle: VehicleParams = field(default_factory=VehicleParams)
     ge: GroundEffectParams = field(default_factory=GroundEffectParams)
     mismatch: float = 1.0                 # controller ground-effect model scale
     metrics_warmup: float = 1.0           # seconds trimmed before metrics
+
+    def __post_init__(self):
+        # "not x >= 0" style comparisons also reject NaN
+        for key in ("seed", "mismatch", "metrics_warmup"):
+            if not getattr(self, key) >= 0:
+                raise ConfigError(f"{key} must be non-negative, got {getattr(self, key)}")
+        if not 0.0 < self.duration < math.inf:
+            raise ConfigError(f"duration must be positive and finite, got {self.duration}")
 
     def trajectory_spec(self):
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.trajectory_params.items()))
@@ -69,161 +82,47 @@ class Scenario:
 
     @classmethod
     def from_file(cls, path, overrides=None):
-        cfg = KeyValueConfig.from_path(path)
+        # a file that sets no name is named after itself
+        name = os.path.splitext(os.path.basename(path))[0]
+        cfg = KeyValueConfig([("name", name, 0)], source="<file name>")
+        cfg = cfg.merged_with(KeyValueConfig.from_path(path))
         if overrides:
             cfg = cfg.merged_with(overrides)
-        return cls.from_config(cfg, default_name=os.path.splitext(os.path.basename(path))[0])
-
-    CONFIG_KEYS = ("name", "seed", "duration", "trajectory", "controller", "mismatch",
-                   "metrics_warmup", "vehicle_file", "ge_file")
+        return cls.from_config(cfg)
 
     @classmethod
-    def _known_keys(cls, trajectory_kind):
-        """Every key from_config reads outside vehicle.* and ge.*, which their readers check."""
-        if trajectory_kind not in TRAJECTORY_KEYS:
-            raise ConfigError(f"unknown trajectory kind {trajectory_kind!r}; "
+    def from_config(cls, cfg: KeyValueConfig):
+        """Scenario from a config; a key that no section reads is a ConfigError."""
+        kwargs = read_section(cls, cfg, extra=("vehicle_file", "ge_file") + _SECTIONS)
+        kind = kwargs.get("trajectory_kind", cls.trajectory_kind)
+        if kind not in TRAJECTORY_KEYS:
+            raise ConfigError(f"{cfg.where('trajectory')}: unknown trajectory kind {kind!r}; "
                               f"choose from {', '.join(TRAJECTORY_KEYS)}")
-        return set(cls.CONFIG_KEYS).union(
-            ("sim." + f.name for f in fields(SimConfig)),
-            ("ctrl." + f.name for f in fields(ControlGains)),
-            ("traj." + key for key in TRAJECTORY_KEYS[trajectory_kind]),
-        )
-
-    @classmethod
-    def from_config(cls, cfg: KeyValueConfig, default_name="scenario"):
-        """Scenario from a config; a key no reader consumes is a ConfigError."""
-        traj_kind = cfg.get_str("trajectory", "hover")
-        try:
-            known = cls._known_keys(traj_kind)
-        except ConfigError as err:
-            raise ConfigError(f"{cfg.where('trajectory')}: {err}") from None
-        cfg.reject_unknown(known, allow_prefixes=("vehicle.", "ge."))
-        vehicle_cfg = KeyValueConfig([], source="defaults")
-        if "vehicle_file" in cfg:
-            vehicle_cfg = KeyValueConfig.from_path(cfg.get_str("vehicle_file"))
-        vehicle = VehicleParams.from_config(vehicle_cfg.merged_with(cfg.subset("vehicle")))
-        ge_cfg = KeyValueConfig([], source="defaults")
-        if "ge_file" in cfg:
-            ge_cfg = KeyValueConfig.from_path(cfg.get_str("ge_file"))
-        ge = GroundEffectParams.from_config(ge_cfg.merged_with(cfg.subset("ge")))
-
-        traj_params = {}
-        for key, _, _ in cfg.subset("traj").entries:
-            traj_params[key] = cfg.subset("traj").get_float(key)
-
-        sim = SimConfig(
-            dt=cfg.get_float("sim.dt", 5.0e-4),
-            attitude_rate=cfg.get_float("sim.attitude_rate", 500.0),
-            position_rate=cfg.get_float("sim.position_rate", 100.0),
-            gravity=cfg.get_float("sim.gravity", 9.81),
-            ge_force=cfg.get_bool("sim.ge_force", True),
-            ge_torque=cfg.get_bool("sim.ge_torque", True),
-            ge_drag=cfg.get_bool("sim.ge_drag", True),
-            torque_formulation=cfg.get_str("sim.torque_formulation", "explicit"),
-            motor_tau=cfg.get_float("sim.motor_tau", 0.030),
-            noise_accel=cfg.get_float("sim.noise_accel", 0.0),
-            noise_gyro=cfg.get_float("sim.noise_gyro", 0.0),
-            ext_force=np.array(cfg.get_floats("sim.ext_force", [0.0, 0.0, 0.0], n=3)),
-            ext_torque=np.array(cfg.get_floats("sim.ext_torque", [0.0, 0.0, 0.0], n=3)),
-            ext_on=cfg.get_float("sim.ext_on", 0.0),
-            ext_off=cfg.get_float("sim.ext_off", math.inf),
-            ground_clearance=cfg.get_float("sim.ground_clearance", 0.02),
-            log_decimation=cfg.get_int("sim.log_decimation", 1),
-        )
-        gains = ControlGains(
-            kp=cfg.get_floats("ctrl.kp", [6.0, 6.0, 8.0], n=3),
-            kv=cfg.get_floats("ctrl.kv", [4.0, 4.0, 5.0], n=3),
-            kxi=cfg.get_floats("ctrl.kxi", [12.0, 12.0, 8.0], n=3),
-            komega=cfg.get_floats("ctrl.komega", [60.0, 60.0, 40.0], n=3),
-            accel_comp=cfg.get_str("ctrl.accel_comp", "model"),
-            torque_comp=cfg.get_str("ctrl.torque_comp", "hybrid"),
-            gyro_cutoff=cfg.get_float("ctrl.gyro_cutoff", 40.0),
-            observer_cutoff=cfg.get_float("ctrl.observer_cutoff", 20.0),
-        )
         return cls(
-            name=cfg.get_str("name", default_name),
-            seed=cfg.get_int("seed"),
-            duration=cfg.get_float("duration"),
-            trajectory_kind=traj_kind,
-            trajectory_params=traj_params,
-            controller_kind=cfg.get_str("controller", "cascade"),
-            gains=gains,
-            sim=sim,
-            vehicle=vehicle,
-            ge=ge,
-            mismatch=cfg.get_float("mismatch", 1.0),
-            metrics_warmup=cfg.get_float("metrics_warmup", 1.0),
+            trajectory_params=read_section(TRAJECTORY_KEYS[kind], cfg, "traj."),
+            gains=ControlGains(**read_section(ControlGains, cfg, "ctrl.")),
+            sim=SimConfig(**read_section(SimConfig, cfg, "sim.")),
+            vehicle=VehicleParams.from_config(_with_file(cfg, "vehicle")),
+            ge=GroundEffectParams.from_config(_with_file(cfg, "ge")),
+            **kwargs,
         )
 
     def resolved_text(self):
-        lines = [
-            f"name = {self.name}",
-            f"seed = {self.seed}",
-            f"duration = {self.duration}",
-            f"trajectory = {self.trajectory_kind}",
-        ]
-        for key in sorted(self.trajectory_params):
-            lines.append(f"traj.{key} = {self.trajectory_params[key]}")
-        lines.append(f"controller = {self.controller_kind}")
-        g = self.gains
-        lines += [
-            "ctrl.kp = " + _floats(g.kp),
-            "ctrl.kv = " + _floats(g.kv),
-            "ctrl.kxi = " + _floats(g.kxi),
-            "ctrl.komega = " + _floats(g.komega),
-            f"ctrl.accel_comp = {g.accel_comp}",
-            f"ctrl.torque_comp = {g.torque_comp}",
-            f"ctrl.gyro_cutoff = {g.gyro_cutoff}",
-            f"ctrl.observer_cutoff = {g.observer_cutoff}",
-        ]
-        s = self.sim
-        lines += [
-            f"sim.dt = {s.dt}",
-            f"sim.attitude_rate = {s.attitude_rate}",
-            f"sim.position_rate = {s.position_rate}",
-            f"sim.gravity = {s.gravity}",
-            f"sim.ge_force = {str(s.ge_force).lower()}",
-            f"sim.ge_torque = {str(s.ge_torque).lower()}",
-            f"sim.ge_drag = {str(s.ge_drag).lower()}",
-            f"sim.torque_formulation = {s.torque_formulation}",
-            f"sim.motor_tau = {s.motor_tau}",
-            f"sim.noise_accel = {s.noise_accel}",
-            f"sim.noise_gyro = {s.noise_gyro}",
-            "sim.ext_force = " + _floats(s.ext_force),
-            "sim.ext_torque = " + _floats(s.ext_torque),
-            f"sim.ext_on = {s.ext_on}",
-            f"sim.ext_off = {s.ext_off}",
-            f"sim.ground_clearance = {s.ground_clearance}",
-            f"sim.log_decimation = {s.log_decimation}",
-            f"mismatch = {self.mismatch}",
-            f"metrics_warmup = {self.metrics_warmup}",
-            f"vehicle.mass = {self.vehicle.m}",
-            f"vehicle.wheelbase = {self.vehicle.b}",
-            f"vehicle.k_t = {self.vehicle.k_t}",
-            f"vehicle.k_tx = {self.vehicle.k_tx}",
-            f"vehicle.k_ty = {self.vehicle.k_ty}",
-            f"vehicle.k_i = {self.vehicle.k_i}",
-            f"vehicle.n_max = {self.vehicle.n_max}",
-            f"vehicle.rotor_plane_offset = {self.vehicle.rotor_plane_offset}",
-            f"ge.g1 = {self.ge.g1}",
-            f"ge.g2 = {self.ge.g2}",
-            f"ge.g3 = {self.ge.g3}",
-            f"ge.g4 = {self.ge.g4}",
-            f"ge.g5 = {self.ge.g5}",
-            f"ge.tilt_saturation_deg = {self.ge.tilt_saturation_deg}",
-        ]
-        J = self.vehicle.inertia
-        lines += [f"vehicle.inertia_{axes} = {float(J[i, j])!r}"
-                  for axes, i, j in (("xx", 0, 0), ("yy", 1, 1), ("zz", 2, 2),
-                                     ("xy", 0, 1), ("xz", 0, 2), ("yz", 1, 2))]
-        for row in self.ge.drag_table:
-            lines.append("ge.drag_sample = " + _floats(row))
+        """The scenario as config text that from_file reads back to an equal scenario."""
+        lines = write_section(self)
+        lines += [f"traj.{key} = {float(value)!r}"
+                  for key, value in sorted(self.trajectory_params.items())]
+        lines += write_section(self.gains, "ctrl.") + write_section(self.sim, "sim.")
+        lines += ["vehicle." + line for line in self.vehicle.config_lines()]
+        lines += ["ge." + line for line in self.ge.config_lines()]
         return "\n".join(lines) + "\n"
 
 
-def _floats(values):
-    """Comma-separated shortest round-trip reprs."""
-    return ", ".join(repr(float(v)) for v in values)
+def _with_file(cfg, section):
+    """The section's keys of the file that '<section>_file' names, then cfg's own."""
+    key = section + "_file"
+    base = KeyValueConfig.from_path(cfg.value(key)) if key in cfg else KeyValueConfig([])
+    return base.merged_with(cfg.subset(section))
 
 
 @dataclass

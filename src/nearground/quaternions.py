@@ -72,10 +72,6 @@ def _cross(a, b):
     return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
 
 
-def conjugate(q):
-    return np.array([q[0], -q[1], -q[2], -q[3]])
-
-
 def rot_matrix(q):
     """3x3 rotation matrix; columns are the body axes in world coordinates."""
     return np.array(rot_rows(_floats(q)))

@@ -71,19 +71,22 @@ class SimConfig:
     motor_tau: float = 0.030           # s; 0 means speeds track commands exactly
     noise_accel: float = 0.0           # m/s^2, std per axis
     noise_gyro: float = 0.0            # rad/s, std per axis
-    ext_force: np.ndarray = None       # constant world force, N
-    ext_torque: np.ndarray = None      # constant body torque, N m
+    ext_force: np.ndarray = (0.0, 0.0, 0.0)    # constant world force, N
+    ext_torque: np.ndarray = (0.0, 0.0, 0.0)   # constant body torque, N m
     ext_on: float = 0.0                # external wrench active from this time
     ext_off: float = math.inf
     ground_clearance: float = 0.02     # crash when the lowest rotor tip reaches this
     log_decimation: int = 1
 
     def __post_init__(self):
-        self.ext_force = np.zeros(3) if self.ext_force is None else np.asarray(self.ext_force, float)
-        self.ext_torque = np.zeros(3) if self.ext_torque is None else np.asarray(self.ext_torque, float)
+        self.ext_force = np.array(self.ext_force, dtype=float)
+        self.ext_torque = np.array(self.ext_torque, dtype=float)
         # "not x > 0" style comparisons also reject NaN
         if not self.dt > 0.0:
             raise ConfigError(f"physics step must be positive, got {self.dt}")
+        for name in ("gravity", "ground_clearance", "ext_on", "ext_off"):
+            if math.isnan(getattr(self, name)):
+                raise ConfigError(f"{name} must not be NaN")
         if self.torque_formulation not in ("explicit", "equivalent"):
             raise ConfigError(f"unknown torque formulation {self.torque_formulation!r}")
         for name in ("motor_tau", "noise_accel", "noise_gyro"):
@@ -302,12 +305,6 @@ def disturbance_forces(x, vehicle: VehicleParams, ge: GroundEffectParams, cfg: S
     return np.array(f_ge), np.array(f_drag), tau_level
 
 
-def state_derivative(x, n_cmd, vehicle: VehicleParams, ge: GroundEffectParams,
-                     cfg: SimConfig, t=0.0):
-    """Time derivative of the packed state under commanded rotor speeds."""
-    return _Plant(vehicle, ge, cfg).derivative(np.asarray(x, float), n_cmd, t)
-
-
 def step(x, n_cmd, dt, vehicle: VehicleParams, ge: GroundEffectParams, cfg: SimConfig,
          t=0.0):
     """One RK4 step; renormalizes the quaternion, checks for non-finite states."""
@@ -375,10 +372,6 @@ class TrajectoryLog:
 
     def cols(self, names):
         return self.data[:, [self._index[n] for n in names]]
-
-    def decimated(self, factor):
-        return TrajectoryLog(self.data[::factor].copy(), self.crashed,
-                             self.infeasible, self.seed)
 
     def after(self, t0):
         """Rows with t >= t0 (warmup trimming for metrics)."""

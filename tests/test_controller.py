@@ -42,6 +42,10 @@ def test_gain_validation():
         ControlGains(accel_comp="magic")
     with pytest.raises(ParameterError):
         ControlGains(torque_comp="magic")
+    for kwargs in ({"gyro_cutoff": -5.0}, {"gyro_cutoff": 0.0}, {"observer_cutoff": math.nan},
+                   {"kv": [4.0, math.nan, 5.0]}):
+        with pytest.raises(ParameterError):
+            ControlGains(**kwargs)
 
 
 # -- acceleration command ------------------------------------------------------

@@ -193,6 +193,10 @@ def test_non_convergence_reported():
 
 # -- body rates --------------------------------------------------------------
 
+def _conjugate(q):
+    return np.array([q[0], -q[1], -q[2], -q[3]])
+
+
 def _fd_omega(traj, t, dt=5e-4):
     """Body rates by central difference of the reference attitude."""
     _, qm, _ = reference_thrust_attitude(traj(t - dt), VEH, GE)
@@ -203,7 +207,7 @@ def _fd_omega(traj, t, dt=5e-4):
     if np.dot(qp, q0) < 0:
         qp = -qp
     qdot = (qp - qm) / (2 * dt)
-    return 2.0 * quat.multiply(quat.conjugate(q0), qdot)[1:]
+    return 2.0 * quat.multiply(_conjugate(q0), qdot)[1:]
 
 
 def test_static_hover_rates_zero():

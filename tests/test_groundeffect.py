@@ -98,6 +98,9 @@ def test_torque_lever_invalid_params():
         GroundEffectParams(g4=0.0)
     with pytest.raises(ParameterError):
         GroundEffectParams(g3=-2.0, g4=0.5)
+    for name in ("g1", "g2", "g3", "g4", "g5", "tilt_saturation_deg"):
+        with pytest.raises(ParameterError):
+            GroundEffectParams(**{name: math.nan})
 
 
 # -- leveling torque ---------------------------------------------------------
@@ -267,6 +270,9 @@ def test_drag_force_perpendicular_to_body_z():
 def test_empty_drag_table_rejected():
     with pytest.raises(ConfigError):
         GroundEffectParams(drag_table=np.zeros((1, 3)))
+    for row in ([math.nan, 0.2, 0.2], [1.0, math.nan, 0.2]):
+        with pytest.raises(ConfigError):
+            GroundEffectParams(drag_table=[[0.5, 0.2, 0.2], row])
 
 
 # -- equivalent inertia ------------------------------------------------------

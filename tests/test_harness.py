@@ -93,7 +93,7 @@ def test_metrics_decimation_invariant():
     scenario.sim.log_decimation = 1
     scenario.sim.noise_gyro = 0.002
     log, metrics = run(scenario)
-    decimated = compute_metrics(log.decimated(10), scenario)
+    decimated = compute_metrics(TrajectoryLog(log.data[::10]), scenario)
     for field in ("rmse_xoy_cm", "rmse_z_cm", "rmse_all_cm"):
         full = getattr(metrics, field)
         dec = getattr(decimated, field)
@@ -313,11 +313,11 @@ def test_write_series_csv(tmp_path):
 
 # -- CLI ----------------------------------------------------------------------
 
-def _write_scenario(tmp_path, extra=""):
+def _write_scenario(tmp_path, extra="", height=0.5):
     path = tmp_path / "scn.cfg"
     path.write_text(
         "name = cli_hover\nseed = 3\nduration = 1.0\ntrajectory = hover\n"
-        "traj.height = 0.5\nsim.dt = 1e-3\nsim.log_decimation = 4\n"
+        f"traj.height = {height}\nsim.dt = 1e-3\nsim.log_decimation = 4\n"
         "metrics_warmup = 0.3\n" + extra
     )
     return str(path)
@@ -372,6 +372,8 @@ def test_make_trajectory_rejects_unknown_parameter():
         make_trajectory("lemniscate", height=0.5, hieght=0.4)
     with pytest.raises(ParameterError):
         make_trajectory("circle")
+    with pytest.raises(ParameterError):
+        make_trajectory("hover", height=math.nan)
 
 
 def test_shipped_vehicle_and_ge_files_pass_the_key_check():
@@ -395,8 +397,8 @@ def test_cli_sweep_checks_param_before_running(tmp_path, capsys, param, values, 
 
 
 def test_cli_reference_generation_exit_code(tmp_path, capsys):
-    # the later traj.height wins: a hover reference below the ground
-    assert main(["run", _write_scenario(tmp_path, extra="traj.height = -0.5\n")]) == EXIT_REFERENCE
+    # a hover reference below the ground
+    assert main(["run", _write_scenario(tmp_path, height=-0.5)]) == EXIT_REFERENCE
     err = capsys.readouterr().err
     assert err.startswith("reference generation failed:") and err.count("\n") == 1
 

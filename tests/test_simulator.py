@@ -20,18 +20,23 @@ from nearground.simulator import (
     LOG_COLUMNS,
     SimConfig,
     TrajectoryLog,
+    _Plant,
     disturbance_forces,
     hover_initial_state,
     imu_sample,
     run_closed_loop,
     simulate_attitude,
-    state_derivative,
     step,
 )
 from nearground.vehicle import GRAVITY, VehicleParams
 
 VEH = VehicleParams()
 GE = GroundEffectParams()
+
+
+def _derivative(x, cfg, t=0.0):
+    """Plant time derivative of the packed state, rotor commands equal to the speeds."""
+    return _Plant(VEH, GE, cfg).derivative(x, x[13:17], t)
 
 
 def _hover_state(h, ge=GE, level=True):
@@ -48,7 +53,7 @@ def _hover_state(h, ge=GE, level=True):
 def test_hover_equilibrium_zero_derivative():
     cfg = SimConfig()
     x = _hover_state(0.25)
-    xdot = state_derivative(x, x[13:17], VEH, GE, cfg)
+    xdot = _derivative(x, cfg)
     assert np.max(np.abs(xdot)) < 1e-10
 
 
@@ -60,7 +65,7 @@ def test_classic_hover_with_toggles_off():
     x[2] = 1.0
     x[6] = 1.0
     x[13:17] = n0
-    xdot = state_derivative(x, x[13:17], VEH, GE, cfg)
+    xdot = _derivative(x, cfg)
     assert np.max(np.abs(xdot[3:6])) < 1e-10
 
 
@@ -69,22 +74,22 @@ def test_leveling_torque_restores_small_tilt():
     x = _hover_state(0.2)
     q = quat.from_axis_angle([1.0, 0.0, 0.0], math.radians(5.0))
     x[6:10] = q
-    xdot = state_derivative(x, x[13:17], VEH, GE, cfg)
+    xdot = _derivative(x, cfg)
     # positive roll tilt must produce a negative roll acceleration
     assert xdot[10] < -1e-3
     off = SimConfig(ge_torque=False)
-    xdot_off = state_derivative(x, x[13:17], VEH, GE, off)
+    xdot_off = _derivative(x, off)
     assert abs(xdot_off[10]) < 1e-12
 
 
 def test_external_torque_injection():
     cfg = SimConfig(ext_torque=np.array([0.01, 0.0, 0.0]))
     x = _hover_state(1.5)
-    xdot = state_derivative(x, x[13:17], VEH, GE, cfg, t=0.0)
+    xdot = _derivative(x, cfg, t=0.0)
     assert np.isclose(xdot[10], 0.01 / VEH.inertia[0, 0], rtol=1e-9)
     # outside the activation window the wrench vanishes
     cfg2 = SimConfig(ext_torque=np.array([0.01, 0.0, 0.0]), ext_on=1.0, ext_off=2.0)
-    assert abs(state_derivative(x, x[13:17], VEH, GE, cfg2, t=0.5)[10]) < 1e-12
+    assert abs(_derivative(x, cfg2, t=0.5)[10]) < 1e-12
 
 
 def test_hover_fixed_point_over_many_steps():
@@ -178,7 +183,7 @@ def test_finite_state_with_overflowing_sum_is_not_a_fault():
 def test_imu_hover_convention_and_determinism():
     cfg = SimConfig(noise_accel=0.02, noise_gyro=0.002)
     x = _hover_state(0.4)
-    xdot = state_derivative(x, x[13:17], VEH, GE, cfg)
+    xdot = _derivative(x, cfg)
     clean = SimConfig()
     f, w = imu_sample(x, xdot, clean, np.random.default_rng(0))
     assert np.allclose(f, [0.0, 0.0, GRAVITY], atol=1e-10)
@@ -260,10 +265,13 @@ def test_sim_config_validation():
         {"motor_tau": -0.01}, {"noise_accel": -0.1}, {"noise_gyro": -0.1},
         {"motor_tau": math.nan},
         {"log_decimation": 0}, {"log_decimation": -2}, {"log_decimation": 2.5},
+        {"gravity": math.nan}, {"ground_clearance": math.nan},
+        {"ext_on": math.nan}, {"ext_off": math.nan},
     ]
     for kwargs in bad:
         with pytest.raises(ConfigError):
             SimConfig(**kwargs)
+    assert SimConfig(ext_off=math.inf).ext_off == math.inf
 
 
 def _hover_controller(noise=False):

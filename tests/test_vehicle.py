@@ -3,17 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nearground.config import KeyValueConfig
 from nearground.errors import ConfigError, ParameterError
 from nearground.vehicle import (
     SIGN_MATRIX,
-    RotorSpeeds,
     VehicleParams,
     build_mixing_matrix,
-    composite_speeds,
     mixing_matrix_inverse,
-    thrust_from_speeds,
-    wrench_from_speeds,
 )
 
 
@@ -51,6 +46,11 @@ def test_nonpositive_coefficient_rejected():
         VehicleParams(b=-0.1)
     with pytest.raises(ParameterError):
         VehicleParams(inertia=np.diag([1e-3, -1e-3, 1e-3]))
+    for name in ("m", "b", "k_t", "k_tx", "k_ty", "k_i", "n_max", "rotor_plane_offset"):
+        with pytest.raises(ParameterError):
+            VehicleParams(**{name: np.nan})
+    with pytest.raises(ParameterError):
+        VehicleParams(inertia=np.diag([5e-3, np.nan, 9e-3]))
 
 
 @settings(deadline=None, max_examples=50)
@@ -78,16 +78,20 @@ def test_wrench_round_trip_through_speeds():
     p = VehicleParams()
     rng = np.random.default_rng(3)
     n = rng.uniform(3000.0, 15000.0, 4)
-    T, tau = wrench_from_speeds(n, p)
-    n2 = mixing_matrix_inverse(p) @ np.concatenate(([T], tau))
-    assert np.allclose(n2, n * n, rtol=1e-12)
+    wrench = build_mixing_matrix(p) @ (n * n)
+    assert np.allclose(mixing_matrix_inverse(p) @ wrench, n * n, rtol=1e-12)
+
+
+def _thrust(n, p):
+    """Total thrust: the first row of the mixing matrix applied to the squared speeds."""
+    return float(build_mixing_matrix(p)[0] @ (n * n))
 
 
 def test_thrust_zero_and_symmetric():
     p = VehicleParams()
-    assert thrust_from_speeds(np.zeros(4), p) == 0.0
+    assert _thrust(np.zeros(4), p) == 0.0
     n0 = 9000.0
-    assert np.isclose(thrust_from_speeds(np.full(4, n0), p), 4.0 * p.k_t * n0**2, rtol=1e-14)
+    assert np.isclose(_thrust(np.full(4, n0), p), 4.0 * p.k_t * n0**2, rtol=1e-14)
 
 
 def test_thrust_term_by_term_oracle():
@@ -97,47 +101,39 @@ def test_thrust_term_by_term_oracle():
     expected = 0.0
     for ni in n:
         expected += p.k_t * ni * ni
-    assert np.isclose(thrust_from_speeds(n, p), expected, rtol=1e-15)
+    assert np.isclose(_thrust(n, p), expected, rtol=1e-15)
 
 
 def test_composite_speeds_symmetry_and_zero():
+    # equal speeds give thrust and no torque; zero speeds give no wrench
     p = VehicleParams()
     n0 = 8000.0
-    base = composite_speeds(np.full(4, n0), p)
-    assert np.allclose(base, [4.0 * n0 * n0, 0.0, 0.0, 0.0], atol=1e-6)
-    assert np.allclose(composite_speeds(np.zeros(4), p), np.zeros(4))
+    M = build_mixing_matrix(p)
+    assert np.allclose(M @ np.full(4, n0 * n0), [4.0 * p.k_t * n0 * n0, 0.0, 0.0, 0.0],
+                       atol=1e-12)
+    assert np.array_equal(M @ np.zeros(4), np.zeros(4))
 
 
 def test_composite_speeds_pure_roll():
-    # speeds built from M^-1 applied to a thrust+roll wrench excite only
-    # the first two composite channels
+    # squared speeds from M^-1 applied to a thrust+roll wrench excite only
+    # the thrust and roll channels
     p = VehicleParams()
     w = np.array([8.0, 0.05, 0.0, 0.0])
     n2 = mixing_matrix_inverse(p) @ w
     assert np.all(n2 > 0.0)
-    base = composite_speeds(np.sqrt(n2), p)
-    assert abs(base[0]) > 0.0 and abs(base[1]) > 0.0
-    assert abs(base[2]) < 1e-9 * abs(base[0])
-    assert abs(base[3]) < 1e-9 * abs(base[0])
+    back = build_mixing_matrix(p) @ n2
+    assert abs(back[0]) > 0.0 and abs(back[1]) > 0.0
+    assert abs(back[2]) < 1e-9 * abs(back[0])
+    assert abs(back[3]) < 1e-9 * abs(back[0])
 
 
 @settings(deadline=None, max_examples=30)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_composite_thrust_channel_consistency(seed):
-    # k_t * first composite channel equals the thrust sum for any speeds
+    # the thrust row of the mixing matrix is k_t times the sum of squared speeds
     p = VehicleParams()
     n = np.random.default_rng(seed).uniform(0.0, p.n_max, 4)
-    assert np.isclose(
-        composite_speeds(n, p)[0] * p.k_t, thrust_from_speeds(n, p), rtol=1e-12
-    )
-
-
-def test_rotor_speeds_validation():
-    with pytest.raises(ParameterError):
-        RotorSpeeds(np.array([-1.0, 0.0, 0.0, 0.0]))
-    s = RotorSpeeds(np.array([1.0, 2.0, 3.0, 4.0]))
-    assert np.allclose(s.squared(), [1.0, 4.0, 9.0, 16.0])
-    assert s.within_limits(VehicleParams())
+    assert np.isclose(_thrust(n, p), p.k_t * np.sum(n * n), rtol=1e-12)
 
 
 def test_config_round_trip(tmp_path):
@@ -155,9 +151,8 @@ def test_config_round_trip(tmp_path):
 def test_config_error_reports_key_and_line(tmp_path):
     path = tmp_path / "vehicle.cfg"
     path.write_text("mass = 1.0\nwheelbase = oops\n")
-    cfg = KeyValueConfig.from_path(path)
     with pytest.raises(ConfigError) as err:
-        cfg.get_float("wheelbase")
+        VehicleParams.from_file(path)
     assert "wheelbase" in str(err.value) and ":2" in str(err.value)
 
 
