@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -115,8 +116,16 @@ def _flown_vehicle(log_path):
 
 
 def _cmd_identify(args):
-    if args.op == "fg":
-        if _is_trajectory_log(args.input):
+    if args.op == "drag":
+        fit = fit_drag_from_log(TrajectoryLog.from_csv(args.input), _flown_vehicle(args.input))
+        result = json.dumps(asdict(fit), indent=2, sort_keys=True)
+    else:
+        if args.op == "mg":
+            data = _load_samples_csv(args.input)
+            if data.shape[1] < 4:
+                raise ConfigError("mg samples need columns: h, tilt_rad, thrust, torque")
+            report = fit_torque_lever(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
+        elif _is_trajectory_log(args.input):
             log = TrajectoryLog.from_csv(args.input)
             vehicle = _flown_vehicle(args.input)
             speeds = log.cols(["n1", "n2", "n3", "n4"])
@@ -129,33 +138,13 @@ def _cmd_identify(args):
         else:
             data = _load_samples_csv(args.input)
             report = fit_thrust_factor(data[:, 0], data[:, 1])
-    elif args.op == "mg":
-        data = _load_samples_csv(args.input)
-        if data.shape[1] < 4:
-            raise ConfigError("mg samples need columns: h, tilt_rad, thrust, torque")
-        report = fit_torque_lever(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
-    elif args.op == "drag":
-        log = TrajectoryLog.from_csv(args.input)
-        fit = fit_drag_from_log(log, _flown_vehicle(args.input))
-        payload = {
-            "d_x": fit.d_x, "d_y": fit.d_y,
-            "stderr_x": fit.stderr_x, "stderr_y": fit.stderr_y,
-            "n_samples": fit.n_samples,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            with open(os.path.join(args.out, "fit_drag.json"), "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-        return EXIT_OK
-    else:
-        raise ConfigError(f"unknown identify op {args.op!r}")
-    print(report.to_text())
-    print(report.to_json())
+        print(report.to_text())
+        result = report.to_json()
+    print(result)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, f"fit_{args.op}.json"), "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
+            fh.write(result + "\n")
     return EXIT_OK
 
 
@@ -163,7 +152,11 @@ def _cmd_compare(args):
     reports = []
     for path in args.metrics:
         with open(path, "r", encoding="utf-8") as fh:
-            reports.append(MetricsReport.from_json(fh.read()))
+            text = fh.read()
+        try:
+            reports.append(MetricsReport.from_json(text))
+        except ConfigError as err:
+            raise ConfigError(f"{path}: {err}") from None
     table = compare(reports, baseline=args.baseline)
     print(table.to_text())
     if args.out:

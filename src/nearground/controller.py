@@ -5,8 +5,8 @@ body-rate loop, torque by model inversion with the altitude-dependent
 inertia or by incremental inversion from the measured rotor torque, and
 rotor-speed allocation with thrust-priority saturation handling.
 
-A controller instance owns filter state and the last issued command; it is
-stepped by one scenario runner and is not safe for concurrent callers.
+A controller instance owns filter state and the signals of its last tick;
+it is stepped by one scenario runner and is not safe for concurrent callers.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import quaternions as quat
 from .errors import ControllerFault, InputError, ParameterError
-from .estimation import FilteredDerivative, LowPass, WrenchObserverRunner
+from .estimation import FilteredDerivative, WrenchObserverRunner
 from .flatness import flat_reference
 from .groundeffect import GroundEffectParams, drag_matrix, equivalent_inertia, thrust_factor
 from .simulator import SimConfig
@@ -250,19 +250,16 @@ class CascadeController:
         self.attitude_period = 1.0 / attitude_rate
         self.ratio = int(round(attitude_rate / position_rate))
         self._tick_count = 0
-        self._gyro_lp = LowPass(gains.gyro_cutoff, attitude_rate)
-        self._gyro_deriv = FilteredDerivative(gains.gyro_cutoff, attitude_rate)
+        self._gyro_filter = FilteredDerivative(gains.gyro_cutoff, attitude_rate)
         self.observer = WrenchObserverRunner(vehicle, attitude_rate, gains.observer_cutoff)
         self.last_flat = None
         self.last_reference = None
         self.last_wrench = None
-        self.last_command = None
         self.last_attitude_target = None
         self._f_cmd = None
 
     def tick(self, t, meas):
-        omega_f = self._gyro_lp.update(meas.gyro)
-        omega_dot_f = self._gyro_deriv.update(meas.gyro)
+        omega_f, omega_dot_f = self._gyro_filter.update(meas.gyro)
         tau_hat = applied_torque(meas.rotor_speeds, self.vehicle)
         thrust_hat = self.vehicle.k_t * float(meas.rotor_speeds.dot(meas.rotor_speeds))
         self.last_wrench = self.observer.update(
@@ -304,9 +301,7 @@ class CascadeController:
                 use_equivalent_inertia=(mode == "hybrid"),
                 age=0.0, period=self.attitude_period,
             )
-        command = allocate(thrust_des, torque_des, self.vehicle)
-        self.last_command = command
-        return command
+        return allocate(thrust_des, torque_des, self.vehicle)
 
 
 class FeedforwardController:
@@ -327,7 +322,6 @@ class FeedforwardController:
         self.last_flat = None
         self.last_reference = None
         self.last_wrench = None
-        self.last_command = None
         self.last_attitude_target = None
 
     def tick(self, t, meas):
@@ -337,6 +331,5 @@ class FeedforwardController:
         command = allocate(ref.thrust, ref.torque, self.vehicle)
         self.last_flat = flat
         self.last_reference = ref
-        self.last_command = command
         self.last_attitude_target = ref.attitude
         return command

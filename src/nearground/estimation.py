@@ -48,7 +48,7 @@ class LowPass:
 
 
 class FilteredDerivative:
-    """Low-pass the signal, then backward-difference it."""
+    """Low-pass the signal, then backward-difference it; update returns both."""
 
     def __init__(self, cutoff_hz, sample_rate_hz):
         self.lp = LowPass(cutoff_hz, sample_rate_hz)
@@ -56,13 +56,14 @@ class FilteredDerivative:
         self._prev = None
 
     def update(self, x):
+        """(filtered value, its rate); the first rate is zero."""
         y = self.lp.update(x)
         if self._prev is None:
             self._prev = y.copy()
-            return np.zeros_like(y)
+            return y, np.zeros_like(y)
         d = (y - self._prev) / self.dt
         self._prev = y.copy()
-        return d
+        return y, d
 
 
 # -- wrench observer ----------------------------------------------------------
@@ -100,8 +101,7 @@ class WrenchObserverRunner:
         self.period = 1.0 / sample_rate_hz
         self.f_accel = LowPass(cutoff_hz, sample_rate_hz)
         self.f_thrust = LowPass(cutoff_hz, sample_rate_hz)
-        self.f_omega = LowPass(cutoff_hz, sample_rate_hz)
-        self.d_omega = FilteredDerivative(cutoff_hz, sample_rate_hz)
+        self.f_omega = FilteredDerivative(cutoff_hz, sample_rate_hz)
         self.last = None
         self.dropped = 0
 
@@ -116,8 +116,7 @@ class WrenchObserverRunner:
             return self.last
         f_f = self.f_accel.update(specific_force)
         T_f = float(self.f_thrust.update([thrust])[0])
-        w_f = self.f_omega.update(omega)
-        wd_f = self.d_omega.update(omega)
+        w_f, wd_f = self.f_omega.update(omega)
         est = wrench_observer(q_hat, f_f, T_f, w_f, wd_f, tau_b, self.vehicle)
         est.t = t
         self.last = est

@@ -94,6 +94,8 @@ class GroundEffectParams:
         t = self.drag_table
         if t.ndim != 2 or t.shape[1] != 3 or t.shape[0] < 2:
             raise ConfigError("drag table needs >= 2 rows of (h, d_x, d_y)")
+        if not np.all(np.isfinite(t)):
+            raise ConfigError("drag table entries must be finite")
         if not np.all(np.diff(t[:, 0]) > 0.0):
             raise ConfigError("drag table altitudes must be strictly increasing")
         if not np.all(t[:, 1:] >= 0.0):

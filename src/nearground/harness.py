@@ -12,7 +12,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -141,41 +141,30 @@ class MetricsReport:
     angle_profile: list = field(default_factory=list)   # (h0, E) pairs
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "trajectory": self.trajectory,
-            "seed": self.seed,
-            "rmse_xoy_cm": self.rmse_xoy_cm,
-            "rmse_z_cm": self.rmse_z_cm,
-            "rmse_all_cm": self.rmse_all_cm,
-            "max_ep_cm": self.max_ep_cm,
-            "std_ep_cm": self.std_ep_cm,
-            "attitude_rmse_rad": self.attitude_rmse_rad,
-            "crashed": self.crashed,
-            "infeasible": self.infeasible,
-            "angle_profile": [[float(h), float(e)] for h, e in self.angle_profile],
-        }
+        record = asdict(self)
+        record["angle_profile"] = [[float(h), float(e)] for h, e in self.angle_profile]
+        return record
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text):
-        d = json.loads(text)
-        return cls(
-            name=d["name"],
-            trajectory=d["trajectory"],
-            seed=d["seed"],
-            rmse_xoy_cm=d["rmse_xoy_cm"],
-            rmse_z_cm=d["rmse_z_cm"],
-            rmse_all_cm=d["rmse_all_cm"],
-            max_ep_cm=d["max_ep_cm"],
-            std_ep_cm=d["std_ep_cm"],
-            attitude_rmse_rad=d["attitude_rmse_rad"],
-            crashed=d["crashed"],
-            infeasible=d["infeasible"],
-            angle_profile=[tuple(p) for p in d.get("angle_profile", [])],
-        )
+        """Report from to_json text; a missing or unknown key is a ConfigError."""
+        try:
+            record = json.loads(text)
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"not a metrics record: {err}") from None
+        if not isinstance(record, dict):
+            raise ConfigError("not a metrics record: expected a JSON object")
+        # records written before the profile existed carry none
+        record["angle_profile"] = [tuple(p) for p in record.get("angle_profile", [])]
+        names = {f.name for f in fields(cls)}
+        missing, unknown = names - record.keys(), record.keys() - names
+        if missing or unknown:
+            raise ConfigError(f"metrics record: missing keys {sorted(missing)}, "
+                              f"unknown keys {sorted(unknown)}")
+        return cls(**record)
 
 
 def attitude_errors(log: TrajectoryLog):
@@ -288,41 +277,44 @@ def sweep(scenario_path, param, values, out_root=None, jobs=1, seed=None):
     return [_sweep_worker(task) for task in tasks]
 
 
+# the compared metrics: (MetricsReport field, column title, text column width)
+COMPARED_METRICS = (
+    ("rmse_xoy_cm", "RMSE XOY", 12),
+    ("rmse_z_cm", "RMSE Z", 10),
+    ("rmse_all_cm", "RMSE all", 10),
+    ("max_ep_cm", "max|E|", 10),
+    ("std_ep_cm", "std|E|", 10),
+)
+
+
 class ComparisonTable:
     """Side-by-side metric table with percent improvement over a baseline."""
 
-    HEADERS = ["name", "rmse_xoy_cm", "rmse_z_cm", "rmse_all_cm", "max_ep_cm",
-               "std_ep_cm", "reduction_vs_baseline_pct"]
+    HEADERS = ["name", *(key for key, _, _ in COMPARED_METRICS), "reduction_vs_baseline_pct"]
 
     def __init__(self, rows, baseline_name, mismatched):
         self.rows = rows
         self.baseline_name = baseline_name
         self.mismatched_trajectories = mismatched
 
+    @staticmethod
+    def _cells(row, digits, reduction_digits):
+        """A row's name, compared metrics and reduction, as fixed-point text."""
+        return [row["name"], *(f"{row[key]:.{digits}f}" for key, _, _ in COMPARED_METRICS),
+                f"{row['reduction_pct']:.{reduction_digits}f}"]
+
     def to_csv(self):
         lines = [",".join(self.HEADERS)]
-        for row in self.rows:
-            lines.append(
-                "%s,%.4f,%.4f,%.4f,%.4f,%.4f,%.2f"
-                % (row["name"], row["rmse_xoy_cm"], row["rmse_z_cm"], row["rmse_all_cm"],
-                   row["max_ep_cm"], row["std_ep_cm"], row["reduction_pct"])
-            )
+        lines += [",".join(self._cells(row, 4, 2)) for row in self.rows]
         return "\n".join(lines) + "\n"
 
     def to_text(self):
-        widths = [28, 12, 10, 10, 10, 10, 12]
-        head = ["scenario", "RMSE XOY", "RMSE Z", "RMSE all", "max|E|", "std|E|", "vs base %"]
+        widths = [28, *(width for _, _, width in COMPARED_METRICS), 12]
+        head = ["scenario", *(title for _, title, _ in COMPARED_METRICS), "vs base %"]
         out = ["".join(h.ljust(w) for h, w in zip(head, widths))]
         for row in self.rows:
-            cells = [
-                row["name"][:27],
-                "%.3f" % row["rmse_xoy_cm"],
-                "%.3f" % row["rmse_z_cm"],
-                "%.3f" % row["rmse_all_cm"],
-                "%.3f" % row["max_ep_cm"],
-                "%.3f" % row["std_ep_cm"],
-                "%.1f" % row["reduction_pct"],
-            ]
+            cells = self._cells(row, 3, 1)
+            cells[0] = cells[0][:27]
             out.append("".join(c.ljust(w) for c, w in zip(cells, widths)))
         if self.mismatched_trajectories:
             out.append("warning: reports cover different trajectories "
@@ -346,17 +338,8 @@ def compare(reports, baseline=None):
         reduction = 0.0
         if base.rmse_all_cm > 0.0:
             reduction = 100.0 * (1.0 - r.rmse_all_cm / base.rmse_all_cm)
-        rows.append(
-            {
-                "name": r.name,
-                "rmse_xoy_cm": r.rmse_xoy_cm,
-                "rmse_z_cm": r.rmse_z_cm,
-                "rmse_all_cm": r.rmse_all_cm,
-                "max_ep_cm": r.max_ep_cm,
-                "std_ep_cm": r.std_ep_cm,
-                "reduction_pct": reduction,
-            }
-        )
+        rows.append({"name": r.name, **{key: getattr(r, key) for key, _, _ in COMPARED_METRICS},
+                     "reduction_pct": reduction})
     mismatched = specs if len(specs) > 1 else set()
     return ComparisonTable(rows, base.name, mismatched)
 

@@ -87,6 +87,9 @@ class SimConfig:
         for name in ("gravity", "ground_clearance", "ext_on", "ext_off"):
             if math.isnan(getattr(self, name)):
                 raise ConfigError(f"{name} must not be NaN")
+        for name in ("ext_force", "ext_torque"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.torque_formulation not in ("explicit", "equivalent"):
             raise ConfigError(f"unknown torque formulation {self.torque_formulation!r}")
         for name in ("motor_tau", "noise_accel", "noise_gyro"):
@@ -108,9 +111,6 @@ class SimConfig:
 
     def steps_per_attitude_tick(self):
         return round(1.0 / (self.attitude_rate * self.dt))
-
-    def attitude_ticks_per_position_tick(self):
-        return round(self.attitude_rate / self.position_rate)
 
 
 @dataclass
@@ -397,13 +397,13 @@ class TrajectoryLog:
             if header != LOG_COLUMNS:
                 raise ConfigError(f"{path}: unexpected log columns")
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        fields = dict(part.split("=") for part in meta.lstrip("# ").split())
-        return cls(
-            data,
-            crashed=bool(int(fields.get("crashed", "0"))),
-            infeasible=bool(int(fields.get("infeasible", "0"))),
-            seed=int(fields.get("seed", "0")),
-        )
+        try:
+            fields = dict(part.split("=") for part in meta.lstrip("# ").split())
+            crashed, infeasible, seed = (int(fields.get(key, "0"))
+                                         for key in ("crashed", "infeasible", "seed"))
+        except ValueError:
+            raise ConfigError(f"{path}: cannot parse the log's first line {meta!r}") from None
+        return cls(data, crashed=bool(crashed), infeasible=bool(infeasible), seed=seed)
 
 
 def hover_initial_state(trajectory, vehicle: VehicleParams, ge: GroundEffectParams,

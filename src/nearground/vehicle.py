@@ -71,16 +71,8 @@ class VehicleParams:
         if not np.all(np.linalg.eigvalsh(J) > 0.0):
             raise ParameterError("inertia must be positive definite")
 
-    @property
-    def J(self):
-        return self.inertia
-
     def hover_thrust(self):
         return self.m * GRAVITY
-
-    def hover_speed(self):
-        """Per-rotor speed (rpm) balancing weight out of ground effect."""
-        return float(np.sqrt(self.m * GRAVITY / (4.0 * self.k_t)))
 
     @classmethod
     def from_config(cls, cfg: KeyValueConfig):

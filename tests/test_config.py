@@ -125,6 +125,7 @@ def test_rerun_from_resolved_gives_identical_artifacts(tmp_path):
     ("mismatch", "nan"), ("mismatch", "-0.5"),
     ("metrics_warmup", "nan"), ("metrics_warmup", "-1"),
     ("sim.ground_clearance", "nan"),
+    ("sim.ext_force", "nan, 0, 0"), ("sim.ext_torque", "0, inf, 0"),
 ])
 def test_out_of_range_value_is_a_config_error(tmp_path, capsys, key, value):
     settings_ = {"seed": "1", "duration": "1.0", key: value}
@@ -133,6 +134,19 @@ def test_out_of_range_value_is_a_config_error(tmp_path, capsys, key, value):
         Scenario.from_file(path)
     assert main(["run", path]) == EXIT_CONFIG
     assert key.removeprefix("sim.") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", [
+    ("0.1, 0.2, 0.2", "inf, 0.3, 0.3"),     # a row no finite altitude reaches
+    ("0.1, inf, 0.2", "0.5, 0.3, 0.3"),     # an infinite coefficient
+])
+def test_non_finite_drag_table_is_a_config_error(tmp_path, capsys, rows):
+    text = "seed = 1\nduration = 0.2\n" + "".join(f"ge.drag_sample = {row}\n" for row in rows)
+    path = _write(tmp_path / "scn.cfg", text)
+    with pytest.raises(ConfigError, match="drag table entries must be finite"):
+        Scenario.from_file(path)
+    assert main(["run", path]) == EXIT_CONFIG
+    assert "drag table" in capsys.readouterr().err
 
 
 def test_scalar_key_set_twice_in_one_file(tmp_path):

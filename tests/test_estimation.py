@@ -78,9 +78,13 @@ def test_lowpass_rejects_bad_cutoff():
 
 def test_filtered_derivative_tracks_ramp():
     fd = FilteredDerivative(40.0, 1000.0)
+    lp = LowPass(40.0, 1000.0)
     out = 0.0
     for k in range(2000):
-        out = fd.update(np.array([0.5 * k / 1000.0]))
+        x = np.array([0.5 * k / 1000.0])
+        filtered, out = fd.update(x)
+        # the value it differentiates is a plain low-pass of the signal, bit for bit
+        assert np.array_equal(filtered, lp.update(x))
     assert abs(float(out[0]) - 0.5) < 0.01
 
 

@@ -2,16 +2,21 @@ import hashlib
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nearground.cli as cli
 from nearground.cli import (
     EXIT_CONFIG,
     EXIT_CONTROLLER,
     EXIT_CRASH,
+    EXIT_FAIL,
     EXIT_FIT,
+    EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_REFERENCE,
     EXIT_SIM_FAULT,
@@ -71,6 +76,21 @@ def test_run_writes_artifacts(tmp_path):
     assert np.array_equal(back.data, log.data)
     loaded = MetricsReport.from_json((out / "metrics.json").read_text())
     assert loaded.to_dict() == metrics.to_dict()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.text(), trajectory=st.text(), seed=st.integers(0, 2**63 - 1),
+       metrics=st.lists(_FINITE, min_size=6, max_size=6),
+       crashed=st.booleans(), infeasible=st.booleans(),
+       profile=st.lists(st.tuples(_FINITE, _FINITE), max_size=6))
+def test_metrics_report_json_round_trip(name, trajectory, seed, metrics, crashed, infeasible,
+                                        profile):
+    report = MetricsReport(name, trajectory, seed, *metrics, crashed, infeasible,
+                           angle_profile=profile)
+    assert MetricsReport.from_json(report.to_json()) == report
 
 
 def test_perfect_model_hover_rmse_small():
@@ -501,6 +521,95 @@ def test_cli_compare(tmp_path, capsys):
     assert code == EXIT_OK
     assert "50.0" in capsys.readouterr().out
     assert (tmp_path / "comparison.csv").exists()
+
+
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+
+
+def test_cli_compare_output_pinned(tmp_path, capsys):
+    # comparison_three.csv/.txt pin the bytes of both tables: a truncated name,
+    # mixed trajectories, rounding at every precision and a baseline that is not first
+    reports = [
+        MetricsReport("uncompensated_baseline_with_a_long_name", "hover(height=0.12)", 0,
+                      1.23456789, 0.98765432, 1.5803101234, 2.71828182, 0.33333333, 0.0123,
+                      False, False),
+        MetricsReport("hybrid", "lemniscate(half_width=0.75,height=0.12,speed=1.0)", 1,
+                      0.5, 0.25, 0.5590169943749475, 0.99995, 0.00005, 0.004, False, True),
+        MetricsReport("model", "hover_descent(duration=8.0,h_end=0.08,h_start=0.9,hold=1.0)", 2,
+                      2.000049999, 1e-7, 2.0000500000025, 3.14159265, 0.123449, 0.02, True, False,
+                      angle_profile=[(0.1, 0.02), (0.12, 0.015)]),
+    ]
+    paths = []
+    for report in reports:
+        paths.append(str(tmp_path / f"{report.name}.json"))
+        with open(paths[-1], "w", encoding="utf-8") as fh:
+            fh.write(report.to_json() + "\n")
+    assert main(["compare", *paths, "--baseline", "hybrid", "--out", str(tmp_path)]) == EXIT_OK
+    with open(os.path.join(DATA_DIR, "comparison_three.txt"), encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read() + "\n"
+    with open(os.path.join(DATA_DIR, "comparison_three.csv"), "rb") as fh:
+        assert (tmp_path / "comparison.csv").read_bytes() == fh.read()
+
+
+_RECORD = MetricsReport("a", "hover()", 1, 6.0, 8.0, 10.0, 15.0, 2.0, 0.02, False, False).to_dict()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"name": "a",', "not a metrics record"),
+    ("[1, 2]", "not a metrics record"),
+    (json.dumps({k: v for k, v in _RECORD.items() if k != "trajectory"}),
+     "missing keys ['trajectory']"),
+    (json.dumps({**_RECORD, "rmse_all": 1.0}), "unknown keys ['rmse_all']"),
+], ids=["not_json", "not_an_object", "missing_key", "unknown_key"])
+def test_cli_compare_rejects_malformed_record(tmp_path, capsys, text, message):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(_RECORD))
+    bad.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        MetricsReport.from_json(text)
+    assert main(["compare", str(good), str(bad)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(bad) in err and message in err
+
+
+@pytest.mark.parametrize("op, meta", [
+    ("drag", "# crashed=maybe infeasible=0 seed=0"),
+    ("fg", "# crashed=0 infeasible seed=0"),
+], ids=["drag_flag_not_a_number", "fg_flag_without_value"])
+def test_cli_identify_rejects_malformed_log_header(tmp_path, capsys, op, meta):
+    path = tmp_path / "log.csv"
+    TrajectoryLog(np.zeros((3, len(TrajectoryLog.columns)))).to_csv(path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(meta + "\n" + "".join(lines[1:]))
+    assert main(["identify", op, str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(path) in err and meta in err
+
+
+def _documented_exit_codes(text):
+    """{code: meaning} of the 'Exit codes: 0 success, 1 ...' list in text."""
+    listing = " ".join(text.split("Exit codes:", 1)[1].split(".", 1)[0].split())
+    codes = {}
+    for item in listing.split(", "):
+        code, meaning = item.split(" ", 1)
+        assert int(code) not in codes
+        codes[int(code)] = meaning
+    return codes
+
+
+def test_exit_code_lists_match_the_constants():
+    meaning = {EXIT_OK: "success", EXIT_FAIL: "oracle", EXIT_CRASH: "crashed",
+               EXIT_INFEASIBLE: "infeasible", EXIT_CONFIG: "configuration",
+               EXIT_FIT: "identification", EXIT_SIM_FAULT: "simulation fault",
+               EXIT_REFERENCE: "reference generation", EXIT_CONTROLLER: "controller"}
+    assert set(meaning) == {getattr(cli, name) for name in dir(cli) if name.startswith("EXIT_")}
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    for text in (readme, cli.__doc__):
+        documented = _documented_exit_codes(text)
+        assert set(documented) == set(meaning)
+        for code, word in meaning.items():
+            assert word in documented[code]
 
 
 def test_cli_oracle_all(capsys):
