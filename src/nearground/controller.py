@@ -19,10 +19,21 @@ import numpy as np
 from . import quaternions as quat
 from .errors import ControllerFault, InputError, ParameterError
 from .estimation import FilteredDerivative, WrenchObserverRunner
-from .flatness import flat_reference
-from .groundeffect import GroundEffectParams, drag_matrix, equivalent_inertia, thrust_factor
+from .flatness import _torque, flat_reference
+from .groundeffect import (
+    GroundEffectParams,
+    drag_matrix,
+    equivalent_inertia_operator,
+    thrust_factor,
+)
 from .simulator import SimConfig
-from .vehicle import GRAVITY, VehicleParams, build_mixing_matrix, mixing_matrix_inverse
+from .vehicle import (
+    GRAVITY,
+    VehicleParams,
+    build_mixing_matrix,
+    inertia_operator,
+    mixing_matrix_inverse,
+)
 
 Z_W = np.array([0.0, 0.0, 1.0])
 
@@ -101,25 +112,42 @@ def attitude_error_vector(q_hat, q_des):
     Error quaternion conj(q_hat) * q_des, sign-lifted to w >= 0, converted
     through the angle/axis map. Insensitive to the quaternion double cover.
     """
-    for q in (q_hat, q_des):
-        if abs(float(np.dot(q, q)) - 1.0) > 1e-6:
-            raise InputError("attitude quaternions must be unit norm")
-    hw, hx, hy, hz = np.asarray(q_hat, float).tolist()
-    e = quat._multiply([hw, -hx, -hy, -hz], np.asarray(q_des, float).tolist())
+    q_hat, q_des = np.asarray(q_hat, float), np.asarray(q_des, float)
+    _check_unit(q_hat)
+    _check_unit(q_des)
+    return np.array(_attitude_error(q_hat.tolist(), q_des.tolist()))
+
+
+def _check_unit(q):
+    """Reject a float64 quaternion array whose squared norm is off 1 by more than 1e-6."""
+    if abs(float(q.dot(q)) - 1.0) > 1e-6:
+        raise InputError("attitude quaternions must be unit norm")
+
+
+def _attitude_error(q_hat, q_des):
+    """attitude_error_vector of two unit quaternions given as float lists, as a list."""
+    hw, hx, hy, hz = q_hat
+    e = quat._multiply([hw, -hx, -hy, -hz], q_des)
     if e[0] < 0.0:
         e = [-v for v in e]
     w = min(e[0], 1.0)
     k = 2.0 if 1.0 - w < 1e-8 else 2.0 * math.acos(w) / math.sqrt(1.0 - w * w)
-    return np.array([k * e[1], k * e[2], k * e[3]])
+    return [k * e[1], k * e[2], k * e[3]]
 
 
 def bodyrate_command(xi_err, omega_ref, omega_f, omega_dot_ref, gains: ControlGains):
     """Desired body rate and rate derivative from the attitude error."""
-    omega_des = gains.kxi * np.asarray(xi_err, float) + np.asarray(omega_ref, float)
-    omega_dot_des = gains.komega * (omega_des - np.asarray(omega_f, float)) + np.asarray(
-        omega_dot_ref, float
-    )
-    return omega_des, omega_dot_des
+    omega_des, omega_dot_des = _bodyrate(
+        quat._floats(xi_err), quat._floats(omega_ref), quat._floats(omega_f),
+        quat._floats(omega_dot_ref), gains.kxi.tolist(), gains.komega.tolist())
+    return np.array(omega_des), np.array(omega_dot_des)
+
+
+def _bodyrate(xi_err, omega_ref, omega_f, omega_dot_ref, kxi, komega):
+    """bodyrate_command on float triples, the gains kxi and komega as lists."""
+    omega_des = [k * x + r for k, x, r in zip(kxi, xi_err, omega_ref)]
+    return omega_des, [k * (d - f) + r
+                       for k, d, f, r in zip(komega, omega_des, omega_f, omega_dot_ref)]
 
 
 def thrust_command(a_des_total, z_b_hat, mass):
@@ -131,33 +159,39 @@ def thrust_command(a_des_total, z_b_hat, mass):
     return max(0.0, mass * float(np.asarray(a_des_total, float).dot(z)) / norm)
 
 
+def _command_inertia(h, thrust_ref, vehicle, ge, use_equivalent_inertia):
+    """The InertiaOperator of J'(h) at the reference thrust, or of J."""
+    if use_equivalent_inertia:
+        return equivalent_inertia_operator(h, ge, vehicle, thrust=thrust_ref)
+    return inertia_operator(vehicle.inertia)
+
+
 def torque_command_model(omega_des, omega_dot_des, h, thrust_ref,
                          vehicle: VehicleParams, ge: GroundEffectParams,
                          use_equivalent_inertia=True):
     """Inverse rotational dynamics; J'(h) absorbs the leveling torque."""
-    if use_equivalent_inertia:
-        J = equivalent_inertia(h, ge, vehicle, thrust=thrust_ref)
-    else:
-        J = vehicle.inertia
-    omega_des = np.asarray(omega_des, float)
-    return J.dot(np.asarray(omega_dot_des, float)) + quat.cross(omega_des, J.dot(omega_des))
+    J = _command_inertia(h, thrust_ref, vehicle, ge, use_equivalent_inertia)
+    return np.array(_torque(J, quat._floats(omega_des), quat._floats(omega_dot_des)))
 
 
 def torque_command_indi(tau_applied, omega_dot_des, omega_dot_f, h, thrust_ref,
                         vehicle: VehicleParams, ge: GroundEffectParams,
                         use_equivalent_inertia=True, age=0.0, period=0.002):
     """Incremental inversion: applied torque plus inertia-scaled rate-accel error."""
+    J = _command_inertia(h, thrust_ref, vehicle, ge, use_equivalent_inertia)
+    return np.array(_torque_indi(quat._floats(tau_applied), quat._floats(omega_dot_des),
+                                 quat._floats(omega_dot_f), J, age, period))
+
+
+def _torque_indi(tau_applied, omega_dot_des, omega_dot_f, J, age, period):
+    """torque_command_indi on float triples for the InertiaOperator J, as a list."""
     if age > 2.0 * period + 1e-12:
         raise ControllerFault(
             f"applied-torque estimate is stale ({age:.4f}s > 2 control periods)"
         )
-    if use_equivalent_inertia:
-        J = equivalent_inertia(h, ge, vehicle, thrust=thrust_ref)
-    else:
-        J = vehicle.inertia
-    return np.asarray(tau_applied, float) + J.dot(
-        np.asarray(omega_dot_des, float) - np.asarray(omega_dot_f, float)
-    )
+    j0, j1, j2 = J.dot([a - b for a, b in zip(omega_dot_des, omega_dot_f)])
+    t0, t1, t2 = tau_applied
+    return [t0 + j0, t1 + j1, t2 + j2]
 
 
 def _max_feasible_fraction(base, column, hi):
@@ -236,7 +270,10 @@ class CascadeController:
 
     All feedforward models are evaluated at the desired state. The model
     copy of the ground-effect parameters may carry a multiplicative
-    mismatch relative to the simulated truth.
+    mismatch relative to the simulated truth. The gains are read once, at
+    construction. Everything that depends only on outer-loop values (the
+    attitude target, the reference rates and J'(h_des)) is computed once
+    per position tick; the inner tick runs on Python floats.
     """
 
     def __init__(self, trajectory, vehicle: VehicleParams, ge: GroundEffectParams,
@@ -252,56 +289,62 @@ class CascadeController:
         self._tick_count = 0
         self._gyro_filter = FilteredDerivative(gains.gyro_cutoff, attitude_rate)
         self.observer = WrenchObserverRunner(vehicle, attitude_rate, gains.observer_cutoff)
+        self._kxi, self._komega = gains.kxi.tolist(), gains.komega.tolist()
+        self._incremental = gains.torque_comp in ("indi", "hybrid")
+        self._use_equivalent = gains.torque_comp in ("model", "hybrid")
         self.last_flat = None
         self.last_reference = None
         self.last_wrench = None
         self.last_attitude_target = None
         self._f_cmd = None
+        self._q_des = None          # the attitude target as floats
+        self._rates_ref = None      # (omega, omega_dot) of the reference, as floats
+        self._J_des = None          # InertiaOperator of the torque command
 
     def tick(self, t, meas):
-        omega_f, omega_dot_f = self._gyro_filter.update(meas.gyro)
+        omega_f, omega_dot_f = self._gyro_filter._update(meas.gyro.tolist())
         tau_hat = applied_torque(meas.rotor_speeds, self.vehicle)
         thrust_hat = self.vehicle.k_t * float(meas.rotor_speeds.dot(meas.rotor_speeds))
+        q = meas.q.tolist()
+        R_hat = np.array(quat.rot_rows(q))
         self.last_wrench = self.observer.update(
-            t, meas.q, meas.specific_force, thrust_hat, meas.gyro, tau_hat
+            t, meas.q, meas.specific_force, thrust_hat, meas.gyro, tau_hat, _R=R_hat
         )
-
         if self._tick_count % self.ratio == 0:
-            flat = self.trajectory(t)
-            ref = flat_reference(flat, self.vehicle, self.ge, self.gravity)
-            a_des = acceleration_command(
-                flat, ref, meas.p, meas.v, self.gains, self.vehicle, self.ge,
-                a_ext_est=self.last_wrench.accel if self.last_wrench else None,
-            )
-            self._f_cmd = a_des + self.gravity * Z_W
-            self.last_flat = flat
-            self.last_reference = ref
+            self._position_tick(t, meas)
         self._tick_count += 1
 
-        flat, ref = self.last_flat, self.last_reference
-        R_hat = quat.rot_matrix(meas.q)
+        _check_unit(meas.q)
         thrust_des = thrust_command(self._f_cmd, R_hat[:, 2], self.vehicle.m)
-        q_des = quat.from_z_axis_yaw(self._f_cmd, flat.yaw)
-        self.last_attitude_target = q_des
-        xi_err = attitude_error_vector(meas.q, q_des)
-        omega_des, omega_dot_des = bodyrate_command(
-            xi_err, ref.omega, omega_f, ref.omega_dot, self.gains
+        omega_ref, omega_dot_ref = self._rates_ref
+        omega_des, omega_dot_des = _bodyrate(
+            _attitude_error(q, self._q_des), omega_ref, omega_f, omega_dot_ref,
+            self._kxi, self._komega,
         )
-        h_des = flat.p[2] + self.vehicle.rotor_plane_offset
-        mode = self.gains.torque_comp
-        if mode in ("none", "model"):
-            torque_des = torque_command_model(
-                omega_des, omega_dot_des, h_des, ref.thrust, self.vehicle, self.ge,
-                use_equivalent_inertia=(mode == "model"),
-            )
+        if self._incremental:
+            torque_des = _torque_indi(tau_hat.tolist(), omega_dot_des, omega_dot_f, self._J_des,
+                                      0.0, self.attitude_period)
         else:
-            torque_des = torque_command_indi(
-                tau_hat, omega_dot_des, omega_dot_f, h_des, ref.thrust,
-                self.vehicle, self.ge,
-                use_equivalent_inertia=(mode == "hybrid"),
-                age=0.0, period=self.attitude_period,
-            )
+            torque_des = _torque(self._J_des, omega_des, omega_dot_des)
         return allocate(thrust_des, torque_des, self.vehicle)
+
+    def _position_tick(self, t, meas):
+        flat = self.trajectory(t)
+        ref = flat_reference(flat, self.vehicle, self.ge, self.gravity)
+        a_des = acceleration_command(
+            flat, ref, meas.p, meas.v, self.gains, self.vehicle, self.ge,
+            a_ext_est=self.last_wrench.accel if self.last_wrench else None,
+        )
+        self._f_cmd = a_des + self.gravity * Z_W
+        q_des = quat.from_z_axis_yaw(self._f_cmd, flat.yaw)
+        _check_unit(q_des)
+        self._q_des = q_des.tolist()
+        self._rates_ref = ref.omega.tolist(), ref.omega_dot.tolist()
+        self._J_des = _command_inertia(flat.p[2] + self.vehicle.rotor_plane_offset, ref.thrust,
+                                       self.vehicle, self.ge, self._use_equivalent)
+        self.last_attitude_target = q_des
+        self.last_flat = flat
+        self.last_reference = ref
 
 
 class FeedforwardController:

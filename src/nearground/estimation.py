@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FitError, InputError
-from .quaternions import cross, rot_matrix
-from .vehicle import VehicleParams
+from .quaternions import _cross, _floats, rot_matrix
+from .vehicle import VehicleParams, inertia_operator
 
 Z_W = np.array([0.0, 0.0, 1.0])
 
@@ -24,7 +24,12 @@ Z_W = np.array([0.0, 0.0, 1.0])
 # -- filtering ----------------------------------------------------------------
 
 class LowPass:
-    """First-order IIR low-pass with exact unity DC gain."""
+    """First-order IIR low-pass with exact unity DC gain.
+
+    The state is a list of Python floats, one per sample component, updated
+    as s + alpha * (x - s): the rounding of numpy's elementwise form. A
+    one-element initial value applies to every component.
+    """
 
     def __init__(self, cutoff_hz, sample_rate_hz, initial=None):
         if cutoff_hz >= 0.5 * sample_rate_hz:
@@ -36,15 +41,27 @@ class LowPass:
         dt = 1.0 / sample_rate_hz
         tau = 1.0 / (2.0 * math.pi * cutoff_hz)
         self.alpha = dt / (dt + tau)
-        self.state = None if initial is None else np.asarray(initial, dtype=float)
+        self.state = None if initial is None else np.asarray(initial, dtype=float).ravel().tolist()
 
     def update(self, x):
+        """Filter one sample; returns the new state as an array of the sample's shape."""
         x = np.asarray(x, dtype=float)
-        if self.state is None:
-            self.state = x.copy()
+        return np.array(self._update(x.ravel().tolist())).reshape(x.shape)
+
+    def _update(self, x):
+        """update on a list of floats; returns the state list, which later calls replace."""
+        s = self.state
+        if s is None:
+            s = list(x)
         else:
-            self.state = self.state + self.alpha * (x - self.state)
-        return self.state
+            if len(s) != len(x):
+                if len(s) != 1:
+                    raise InputError(f"sample has {len(x)} components, the filter {len(s)}")
+                s = s * len(x)
+            a = self.alpha
+            s = [v + a * (u - v) for v, u in zip(s, x)]
+        self.state = s
+        return s
 
 
 class FilteredDerivative:
@@ -56,14 +73,19 @@ class FilteredDerivative:
         self._prev = None
 
     def update(self, x):
-        """(filtered value, its rate); the first rate is zero."""
-        y = self.lp.update(x)
-        if self._prev is None:
-            self._prev = y.copy()
-            return y, np.zeros_like(y)
-        d = (y - self._prev) / self.dt
-        self._prev = y.copy()
-        return y, d
+        """(filtered value, its rate) as arrays of the sample's shape; the first rate is zero."""
+        x = np.asarray(x, dtype=float)
+        y, d = self._update(x.ravel().tolist())
+        return np.array(y).reshape(x.shape), np.array(d).reshape(x.shape)
+
+    def _update(self, x):
+        """update on a list of floats, returning two lists."""
+        y = self.lp._update(x)
+        prev, self._prev = self._prev, y
+        if prev is None:
+            return y, [0.0] * len(y)
+        dt = self.dt
+        return y, [(a - b) / dt for a, b in zip(y, prev)]
 
 
 # -- wrench observer ----------------------------------------------------------
@@ -82,12 +104,21 @@ def wrench_observer(q_hat, specific_force_f, thrust_f, omega_f, omega_dot_f,
     accel: R f_imu - z_B T/m, the residual world acceleration not explained
     by the rotors. torque: J w_dot + w x J w - tau_B.
     """
-    R = rot_matrix(q_hat)
-    a_ext = R.dot(np.asarray(specific_force_f, float)) - R[:, 2] * (thrust_f / vehicle.m)
-    J = vehicle.inertia
-    omega_f = np.asarray(omega_f, float)
-    tau_ext = J.dot(np.asarray(omega_dot_f, float)) + cross(omega_f, J.dot(omega_f)) - tau_b
-    return WrenchEstimate(a_ext, tau_ext)
+    return _wrench(rot_matrix(q_hat), _floats(specific_force_f), float(thrust_f),
+                   _floats(omega_f), _floats(omega_dot_f), _floats(tau_b), vehicle.m,
+                   inertia_operator(vehicle.inertia))
+
+
+def _wrench(R, f, thrust, w, wd, tau_b, m, J):
+    """wrench_observer for the attitude matrix R, the InertiaOperator J and lists of floats."""
+    f0, f1, f2 = R.dot(np.array(f)).tolist()
+    z0, z1, z2 = R[:, 2].tolist()
+    k = thrust / m
+    a_ext = [f0 - z0 * k, f1 - z1 * k, f2 - z2 * k]
+    j0, j1, j2 = J.dot(wd)
+    c0, c1, c2 = _cross(w, J.dot(w))
+    b0, b1, b2 = tau_b
+    return WrenchEstimate(np.array(a_ext), np.array([j0 + c0 - b0, j1 + c1 - b1, j2 + c2 - b2]))
 
 
 class WrenchObserverRunner:
@@ -102,22 +133,25 @@ class WrenchObserverRunner:
         self.f_accel = LowPass(cutoff_hz, sample_rate_hz)
         self.f_thrust = LowPass(cutoff_hz, sample_rate_hz)
         self.f_omega = FilteredDerivative(cutoff_hz, sample_rate_hz)
+        self._J = inertia_operator(vehicle.inertia)
         self.last = None
         self.dropped = 0
 
-    def update(self, t, q_hat, specific_force, thrust, omega, tau_b, t_torque=None):
+    def update(self, t, q_hat, specific_force, thrust, omega, tau_b, t_torque=None, _R=None):
         """Feed one synchronized sample; returns the current WrenchEstimate.
 
         A torque sample older than one period is a misalignment: the sample
         is dropped, counted in ``dropped``, and the previous estimate stands.
+        _R may be rot_matrix(q_hat), which this then does not build again.
         """
         if t_torque is not None and abs(t - t_torque) > self.period * (1.0 + 1e-9):
             self.dropped += 1
             return self.last
-        f_f = self.f_accel.update(specific_force)
-        T_f = float(self.f_thrust.update([thrust])[0])
-        w_f, wd_f = self.f_omega.update(omega)
-        est = wrench_observer(q_hat, f_f, T_f, w_f, wd_f, tau_b, self.vehicle)
+        f_f = self.f_accel._update(_floats(specific_force))
+        (T_f,) = self.f_thrust._update([float(thrust)])
+        w_f, wd_f = self.f_omega._update(_floats(omega))
+        R = _R if _R is not None else rot_matrix(q_hat)
+        est = _wrench(R, f_f, T_f, w_f, wd_f, _floats(tau_b), self.vehicle.m, self._J)
         est.t = t
         self.last = est
         return est

@@ -14,12 +14,15 @@ the amplified thrust, so its derivative needs no model approximation.
 
 Reference generation runs once per control tick and follows the
 simulator's arithmetic rule: elementwise work on Python floats, each dot
-and matrix-vector product one ``ndarray.dot`` call on a float64 array of
-the same layout (BLAS rounds those as fused multiply-add chains that float
-sums would not reproduce; ``.dot`` reaches the same kernel as ``@`` at
-half the call cost). The public functions are array wrappers over the
-float bodies (``_thrust_attitude``, ``_rates``, ``_torque``), which
-``flat_reference`` calls directly.
+and matrix-vector product with a genuine sum one ``ndarray.dot`` call on a
+float64 array of the same layout (BLAS rounds those as fused multiply-add
+chains that float sums would not reproduce; ``.dot`` reaches the same
+kernel as ``@`` at half the call cost). The exception is J'(h) of a
+diagonal inertia: its products are exact float products, 0.0 + j_i * w_i,
+which round as BLAS does because the other terms of each row are exact
+zeros (``InertiaOperator``). The public functions are array wrappers over
+the float bodies (``_thrust_attitude``, ``_rates``, ``_torque``), which
+``flat_reference`` and the controller call directly.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .errors import ParameterError, ReferenceGenerationError
 from .groundeffect import (
     GroundEffectParams,
     drag_coefficients,
-    equivalent_inertia,
+    equivalent_inertia_operator,
     thrust_factor,
 )
 from .vehicle import GRAVITY, VehicleParams, mixing_matrix_inverse
@@ -316,15 +319,14 @@ def _rates(flat, R, d1, d2, gravity):
 def reference_torque(omega, omega_dot, h, thrust, vehicle: VehicleParams,
                      ge: GroundEffectParams, gravity=GRAVITY):
     """Body torque J'(h) w_dot + w x J'(h) w with the leveling-equivalent inertia."""
-    Jp = equivalent_inertia(h, ge, vehicle, thrust=thrust, gravity=gravity)
-    return np.array(_torque(Jp, np.asarray(omega, dtype=float),
-                            np.asarray(omega_dot, dtype=float)))
+    Jp = equivalent_inertia_operator(h, ge, vehicle, thrust=thrust, gravity=gravity)
+    return np.array(_torque(Jp, quat._floats(omega), quat._floats(omega_dot)))
 
 
-def _torque(Jp, omega, omega_dot):
-    """reference_torque for the inertia Jp and float64 (3,) rates, as a list."""
-    t0, t1, t2 = Jp.dot(omega_dot).tolist()
-    c0, c1, c2 = quat._cross(omega.tolist(), Jp.dot(omega).tolist())
+def _torque(J, omega, omega_dot):
+    """J w_dot + w x J w for an InertiaOperator J and two float triples, as a list."""
+    t0, t1, t2 = J.dot(omega_dot)
+    c0, c1, c2 = quat._cross(omega, J.dot(omega))
     return [t0 + c0, t1 + c1, t2 + c2]
 
 
@@ -339,8 +341,7 @@ def flat_reference(flat: FlatOutput, vehicle: VehicleParams, ge: GroundEffectPar
     h, d1, d2 = _altitude_drag(flat, vehicle, ge)
     thrust, q, iterations = _thrust_attitude(flat, h, d1, d2, vehicle, ge, gravity)
     omega, omega_dot = _rates(flat, np.array(quat.rot_rows(q)), d1, d2, gravity)
-    omega, omega_dot = np.array(omega), np.array(omega_dot)
-    Jp = equivalent_inertia(h, ge, vehicle, thrust=thrust, gravity=gravity)
+    Jp = equivalent_inertia_operator(h, ge, vehicle, thrust=thrust, gravity=gravity)
     torque = _torque(Jp, omega, omega_dot)
     n_sq = mixing_matrix_inverse(vehicle).dot(np.array([thrust] + torque)).tolist()
     top = vehicle.n_max**2 + 1e-9
@@ -348,5 +349,5 @@ def flat_reference(flat: FlatOutput, vehicle: VehicleParams, ge: GroundEffectPar
     # np.sqrt(np.clip(n_sq, 0.0, None)) on floats: with no upper bound np.clip
     # is np.maximum, which turns a -0.0 into +0.0 (and keeps NaN)
     n_ref = np.array([math.sqrt(0.0 if v <= 0.0 else v) for v in n_sq])
-    return FlatReference(thrust, np.array(q), omega, omega_dot, np.array(torque), n_ref,
-                         feasible, iterations)
+    return FlatReference(thrust, np.array(q), np.array(omega), np.array(omega_dot),
+                         np.array(torque), n_ref, feasible, iterations)

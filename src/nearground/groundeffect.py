@@ -33,7 +33,7 @@ import numpy as np
 from .config import KeyValueConfig, read_section, write_section
 from .errors import ConfigError, InputError, ParameterError
 from .quaternions import check_rotation
-from .vehicle import GRAVITY, VehicleParams
+from .vehicle import GRAVITY, InertiaOperator, VehicleParams, inertia_operator
 
 # Default drag table: force-unit coefficients (kg/s), increasing with h.
 # The 0.10 m rows are exactly 0.5963 (x) and 0.6179 (y) times the 2.0 m rows.
@@ -310,11 +310,19 @@ def equivalent_inertia(h, params: GroundEffectParams, vehicle: VehicleParams,
     J' = J + diag(s^2, s^2, 0)/m with s = lever(h)*T/g. When no thrust is
     given the hover value T = m g / (1 + F(h)) is used.
     """
+    added = _equivalent_added(h, params, vehicle, thrust, gravity)
+    return InertiaOperator(None, vehicle.inertia).plus_roll_pitch(added).matrix
+
+
+def equivalent_inertia_operator(h, params: GroundEffectParams, vehicle: VehicleParams,
+                                thrust=None, gravity=GRAVITY):
+    """equivalent_inertia as an InertiaOperator: its products, byte for byte."""
+    added = _equivalent_added(h, params, vehicle, thrust, gravity)
+    return inertia_operator(vehicle.inertia).plus_roll_pitch(added)
+
+
+def _equivalent_added(h, params, vehicle, thrust, gravity):
     h = _check_h(h)
     if thrust is None:
-        thrust = vehicle.m * gravity / (1.0 + thrust_factor(h, params))
-    added = added_inertia(torque_lever(h, params) * thrust, vehicle.m, gravity)
-    Jp = vehicle.inertia.copy()
-    Jp[0, 0] += added
-    Jp[1, 1] += added
-    return Jp
+        thrust = vehicle.m * gravity / (1.0 + _factor(h, params))
+    return added_inertia(_lever(h, params) * thrust, vehicle.m, gravity)

@@ -158,13 +158,35 @@ class MetricsReport:
         if not isinstance(record, dict):
             raise ConfigError("not a metrics record: expected a JSON object")
         # records written before the profile existed carry none
-        record["angle_profile"] = [tuple(p) for p in record.get("angle_profile", [])]
+        record.setdefault("angle_profile", [])
         names = {f.name for f in fields(cls)}
         missing, unknown = names - record.keys(), record.keys() - names
         if missing or unknown:
             raise ConfigError(f"metrics record: missing keys {sorted(missing)}, "
                               f"unknown keys {sorted(unknown)}")
+        for f in fields(cls):
+            if not _JSON_VALUE_CHECKS[f.type](record[f.name]):
+                raise ConfigError(f"metrics record: {f.name} must be {_JSON_VALUE_NAMES[f.type]}, "
+                                  f"got {record[f.name]!r}")
+        record["angle_profile"] = [tuple(p) for p in record["angle_profile"]]
         return cls(**record)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# what from_json accepts for each MetricsReport field type, and how its errors name it
+_JSON_VALUE_CHECKS = {
+    "str": lambda v: isinstance(v, str),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": _is_number,
+    "bool": lambda v: isinstance(v, bool),
+    "list": lambda v: isinstance(v, list) and all(
+        isinstance(p, list) and len(p) == 2 and all(map(_is_number, p)) for p in v),
+}
+_JSON_VALUE_NAMES = {"str": "a string", "int": "an integer", "float": "a number",
+                     "bool": "true or false", "list": "a list of [h, E] number pairs"}
 
 
 def attitude_errors(log: TrajectoryLog):

@@ -16,14 +16,24 @@ Arithmetic rule of the per-step path (this module, groundeffect,
 quaternions, flatness, controller and the wrench observer): elementwise
 work (sums, products and quotients of single components) runs on Python
 floats, which round exactly like numpy's elementwise ufuncs, so moving it
-changes no bit of a log. Every reduction (q.q, M n^2, R^T v,
--R (d * v_b), R^T l, l.l, J w, Jinv tau) stays one BLAS call on arrays of
-the same layout: BLAS evaluates these 3- and 4-element dot and
-matrix-vector products as fused multiply-add chains in kernel-specific
-orders, which a Python sum would not reproduce. The call is
-``ndarray.dot``, never the ``@`` operator: on these operands both reach
-the same ddot/dgemv kernel and give the same bytes, and ``.dot`` costs
-about half as much per call because it skips the ufunc dispatch.
+changes no bit of a log. Every reduction with a genuine sum (q.q, M n^2,
+R^T v, -R (d * v_b), R^T l, l.l, and J w or Jinv tau for a non-diagonal
+inertia) stays one BLAS call on arrays of the same layout: BLAS evaluates
+these 3- and 4-element dot and matrix-vector products as fused
+multiply-add chains in kernel-specific orders, which a Python sum would
+not reproduce. The call is ``ndarray.dot``, never the ``@`` operator: on
+these operands both reach the same ddot/dgemv kernel and give the same
+bytes, and ``.dot`` costs about half as much per call because it skips
+the ufunc dispatch. The one exception is a product with a diagonal
+matrix (J, Jinv or J'(h) of a diagonal inertia, ``InertiaOperator`` in
+vehicle.py): its rows sum one product with exact zeros from an
+accumulator at +0.0, so the float 0.0 + j_i * w_i has BLAS's bytes for
+finite operands, and a non-finite result is recomputed by the call.
+
+A tick evaluates the geometry of its state once: ``_Plant.derivative``
+returns the state's frame (unit quaternion, R, world drag, leveling
+axis), which ``imu_sample`` and ``disturbance_forces`` reuse; called
+without it, as on a logged step that is not a tick, they evaluate it.
 
 All randomness flows from one seeded generator per run; identical config
 and seed reproduce logs bit for bit.
@@ -47,7 +57,7 @@ from .groundeffect import (
     torque_lever,
     world_drag,
 )
-from .vehicle import GRAVITY, VehicleParams, build_mixing_matrix
+from .vehicle import GRAVITY, VehicleParams, build_mixing_matrix, inertia_operator
 
 # state vector layout
 _P = slice(0, 3)
@@ -163,18 +173,15 @@ class _Plant:
     """One vehicle under one SimConfig, with the constants of its derivative."""
 
     __slots__ = (
-        "M", "J", "Jinv", "J_diagonal", "Jdiag", "m", "g", "offset", "ge",
+        "M", "J", "Jinv", "m", "g", "offset", "ge",
         "ge_force", "ge_torque", "ge_drag", "equivalent", "motor_tau",
         "ext_force", "ext_torque", "ext_on", "ext_off", "weight_z",
     )
 
     def __init__(self, vehicle: VehicleParams, ge: GroundEffectParams, cfg: SimConfig):
         self.M = build_mixing_matrix(vehicle)
-        self.J = vehicle.inertia
-        self.Jinv = np.linalg.inv(self.J)
-        Jdiag = np.diag(self.J).copy()
-        self.J_diagonal = bool(np.count_nonzero(self.J - np.diag(Jdiag)) == 0)
-        self.Jdiag = Jdiag.tolist()
+        self.J = inertia_operator(vehicle.inertia)
+        self.Jinv = inertia_operator(np.linalg.inv(vehicle.inertia))
         self.m = vehicle.m
         self.g = cfg.gravity
         self.offset = vehicle.rotor_plane_offset
@@ -190,50 +197,59 @@ class _Plant:
         self.ext_off = cfg.ext_off
         self.weight_z = -vehicle.m * cfg.gravity
 
-    def ground(self, R, v, h, thrust):
-        """(f_ge, f_drag, lever*T) at altitude h, the forces as float triples.
+    def frame(self, x, h):
+        """The geometry of state x at altitude h: (unit q, rotation rows, R, f_drag, axis).
+
+        q is a float list and R an array. f_drag is the world drag (a float
+        triple, zero when toggled off or at h <= 0). axis is the leveling
+        axis as floats where the explicit form applies a leveling torque
+        (at h > 0), else None. None of it depends on the rotor speeds.
+        """
+        qn, rows, R = _unit_rows(x[_Q])
+        if not h > 0.0:
+            return qn, rows, R, _ZERO3, None
+        f_drag = world_drag(R, x[_V], h, self.ge).tolist() if self.ge_drag else _ZERO3
+        return qn, rows, R, f_drag, self.leveling(R)
+
+    def leveling(self, R):
+        """leveling_axis(R) as floats when the explicit form applies a leveling torque, else None."""
+        if self.ge_torque and not self.equivalent:
+            return leveling_axis(R, self.ge).tolist()
+        return None
+
+    def ground(self, rows, h, thrust):
+        """(f_ge, lever*T) at altitude h under the rotation rows, f_ge a float triple.
 
         A term toggled off, or every term at h <= 0, is zero.
         """
         if not h > 0.0:
-            return _ZERO3, _ZERO3, 0.0
+            return _ZERO3, 0.0
         f_ge = _ZERO3
         if self.ge_force:
             k = _factor(h, self.ge) * thrust
-            f_ge = [k * z for z in R[:, 2].tolist()]
-        f_drag = world_drag(R, v, h, self.ge).tolist() if self.ge_drag else _ZERO3
+            f_ge = [k * rows[0][2], k * rows[1][2], k * rows[2][2]]
         lever_t = _lever(h, self.ge) * thrust if self.ge_torque else 0.0
-        return f_ge, f_drag, lever_t
+        return f_ge, lever_t
 
-    def angular_accel(self, R, omega, tau, lever_t):
-        """Body angular acceleration (a float list) under the rotor torque tau (floats).
+    def angular_accel(self, w, tau, lever_t, axis):
+        """Body angular acceleration (a float list) at body rate w under the rotor torque tau.
 
-        The leveling torque lever_t * leveling_axis(R) is applied to J in the
-        explicit form, and absorbed into J'(h) in the equivalent form.
+        The leveling torque lever_t * axis is applied to J in the explicit
+        form (axis from ``leveling``), and absorbed into J'(h) in the
+        equivalent form.
         """
-        w = omega.tolist()
         t0, t1, t2 = tau
         if not self.equivalent:
             if lever_t > 0.0:
-                a0, a1, a2 = leveling_axis(R, self.ge).tolist()
+                a0, a1, a2 = axis
                 t0, t1, t2 = t0 + lever_t * a0, t1 + lever_t * a1, t2 + lever_t * a2
-            c0, c1, c2 = quat._cross(w, self.J.dot(omega).tolist())
-            return self.Jinv.dot(np.array([t0 - c0, t1 - c1, t2 - c2])).tolist()
+            c0, c1, c2 = quat._cross(w, self.J.dot(w))
+            return self.Jinv.dot([t0 - c0, t1 - c1, t2 - c2])
         added = added_inertia(lever_t, self.m, self.g)
-        if self.J_diagonal:
-            j0, j1, j2 = self.Jdiag
-            Jw = (j0 * w[0], j1 * w[1], j2 * w[2])
-        else:
-            Jw = self.J.dot(omega).tolist()
+        Jw = self.J.dot(w)
         Jpw = (Jw[0] + added * w[0], Jw[1] + added * w[1], Jw[2] + 0.0)
         c0, c1, c2 = quat._cross(w, Jpw)
-        net = [t0 - c0, t1 - c1, t2 - c2]
-        if self.J_diagonal:
-            return [net[0] / (j0 + added), net[1] / (j1 + added), net[2] / (j2 + 0.0)]
-        Jp = self.J.copy()
-        Jp[0, 0] += added
-        Jp[1, 1] += added
-        return np.linalg.solve(Jp, np.array(net)).tolist()
+        return self.J.plus_roll_pitch(added).solve([t0 - c0, t1 - c1, t2 - c2])
 
     def motor_rate(self, n_cmd, n):
         """dn/dt of the first-order motor lag toward n_cmd, as a float list.
@@ -250,9 +266,12 @@ class _Plant:
         return [(c0 - n0) / tau, (c1 - n1) / tau, (c2 - n2) / tau, (c3 - n3) / tau]
 
     def derivative(self, x, n_cmd, t):
+        """(dx/dt as an array, the frame of x)."""
         xs = x.tolist()
         vx, vy, vz = xs[3:6]
-        qn, rows, R = _unit_rows(x[_Q])
+        h = xs[2] + self.offset
+        frame = self.frame(x, h)
+        qn, rows, _, (dx, dy, dz), axis = frame
         n = x[_N]
         thrust, t0, t1, t2 = self.M.dot(n * n).tolist()
         fx = 0.0 + thrust * rows[0][2]
@@ -263,23 +282,23 @@ class _Plant:
             fx, fy, fz = fx + ex, fy + ey, fz + ez
             ex, ey, ez = self.ext_torque
             t0, t1, t2 = t0 + ex, t1 + ey, t2 + ez
-        (gx, gy, gz), (dx, dy, dz), lever_t = self.ground(R, x[_V], xs[2] + self.offset,
-                                                           thrust)
+        (gx, gy, gz), lever_t = self.ground(rows, h, thrust)
         m = self.m
-        return np.array(
+        xdot = np.array(
             [vx, vy, vz, (fx + gx + dx) / m, (fy + gy + dy) / m, (fz + gz + dz) / m]
             + _quat_rate(qn, xs[10:13])
-            + self.angular_accel(R, x[_W], (t0, t1, t2), lever_t)
+            + self.angular_accel(xs[10:13], (t0, t1, t2), lever_t, axis)
             + self.motor_rate(n_cmd, xs[13:17])
         )
+        return xdot, frame
 
     def rk4(self, x, n_cmd, dt, t, k1=None):
-        """One RK4 step; k1 may be derivative(x, n_cmd, t) if already at hand."""
+        """One RK4 step; k1 may be derivative(x, n_cmd, t)[0] if already at hand."""
         if self.motor_tau <= 0.0:
             x = x.copy()
             x[_N] = n_cmd
         cmd = np.asarray(n_cmd, dtype=float).tolist()
-        out = _rk4(lambda y, s: self.derivative(y, cmd, s), x, t, dt, k1)
+        out = _rk4(lambda y, s: self.derivative(y, cmd, s)[0], x, t, dt, k1)
         out[_Q] /= math.sqrt(float(out[_Q].dot(out[_Q])))
         # a finite sum means finite entries; only an overflowing sum needs the full test
         if not math.isfinite(sum(out.tolist())) and not np.isfinite(out).all():
@@ -288,20 +307,19 @@ class _Plant:
 
 
 def disturbance_forces(x, vehicle: VehicleParams, ge: GroundEffectParams, cfg: SimConfig,
-                       _plant=None):
+                       _plant=None, _frame=None):
     """(f_ge, f_drag, tau_level) acting on the state, honoring the toggles.
 
     The thrust is k_t * sum(n^2). tau_level is zero in the equivalent
-    formulation, where the plant carries the torque in J'(h).
+    formulation, where the plant carries the torque in J'(h). _frame may be
+    the plant's frame of x, which this then does not evaluate again.
     """
     plant = _plant if _plant is not None else _Plant(vehicle, ge, cfg)
-    _, _, R = _unit_rows(x[_Q])
-    n = x[_N]
     h = float(x[2]) + vehicle.rotor_plane_offset
-    f_ge, f_drag, lever_t = plant.ground(R, x[_V], h, vehicle.k_t * float(n.dot(n)))
-    tau_level = np.zeros(3)
-    if h > 0.0 and plant.ge_torque and not plant.equivalent:
-        tau_level = lever_t * leveling_axis(R, ge)
+    _, rows, _, f_drag, axis = _frame if _frame is not None else plant.frame(x, h)
+    n = x[_N]
+    f_ge, lever_t = plant.ground(rows, h, vehicle.k_t * float(n.dot(n)))
+    tau_level = np.zeros(3) if axis is None else np.array([lever_t * a for a in axis])
     return np.array(f_ge), np.array(f_drag), tau_level
 
 
@@ -311,14 +329,15 @@ def step(x, n_cmd, dt, vehicle: VehicleParams, ge: GroundEffectParams, cfg: SimC
     return _Plant(vehicle, ge, cfg).rk4(np.asarray(x, float), n_cmd, dt, t)
 
 
-def imu_sample(x, xdot, cfg: SimConfig, rng):
+def imu_sample(x, xdot, cfg: SimConfig, rng, _frame=None):
     """(body specific force, body rates), Gaussian noise from the run generator.
 
     The accelerometer reading is R^T(a + g z_W): at rest it reports +g along
     body z, and rotating it into the world frame makes the disturbance
-    observer identity exact at zero noise.
+    observer identity exact at zero noise. _frame may be the plant's frame
+    of x, whose R this then uses.
     """
-    _, _, R = _unit_rows(x[_Q])
+    R = _frame[2] if _frame is not None else _unit_rows(x[_Q])[2]
     a0, a1, a2 = xdot[_V].tolist()
     g = cfg.gravity
     f_body = R.T.dot(np.array([a0 + g * 0.0, a1 + g * 0.0, a2 + g]))   # a + g z_W
@@ -350,6 +369,8 @@ _DIST_COLS = ["fg_x", "fg_y", "fg_z", "fd_x", "fd_y", "fd_z",
               "taug_x", "taug_y", "taug_z"]
 
 LOG_COLUMNS = _STATE_COLS + _REF_COLS + _CMD_COLS + _OBS_COLS + _DIST_COLS
+# "%.17g" round-trips every double; Python floats print -0, nan, inf and -inf as numpy's do
+_ROW_FORMAT = ",".join(["%.17g"] * len(LOG_COLUMNS)) + "\n"
 
 
 class TrajectoryLog:
@@ -386,8 +407,9 @@ class TrajectoryLog:
                 f"seed={self.seed}\n"
             )
             fh.write(",".join(LOG_COLUMNS) + "\n")
+            # row by row: a whole-log tolist() would hold every cell as a Python float at once
             for row in self.data:
-                fh.write(",".join("%.17g" % v for v in row) + "\n")
+                fh.write(_ROW_FORMAT % tuple(row.tolist()))
 
     @classmethod
     def from_csv(cls, path):
@@ -396,7 +418,13 @@ class TrajectoryLog:
             header = fh.readline().strip().split(",")
             if header != LOG_COLUMNS:
                 raise ConfigError(f"{path}: unexpected log columns")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            try:
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as err:
+                raise ConfigError(f"{path}: malformed log row: {err}") from None
+        if data.size and data.shape[1] != len(LOG_COLUMNS):
+            raise ConfigError(f"{path}: log rows have {data.shape[1]} cells, "
+                              f"the header {len(LOG_COLUMNS)}")
         try:
             fields = dict(part.split("=") for part in meta.lstrip("# ").split())
             crashed, infeasible, seed = (int(fields.get(key, "0"))
@@ -447,11 +475,11 @@ def run_closed_loop(controller, vehicle: VehicleParams, ge: GroundEffectParams,
 
     for k in range(steps + 1):
         t = k * cfg.dt
-        k1 = None
+        k1 = frame = None
         if k % per_tick == 0:
             n_cmd = command.rotor_speeds if command is not None else x[_N]
-            xdot = plant.derivative(x, n_cmd, t)
-            f_imu, gyro = imu_sample(x, xdot, cfg, rng)
+            xdot, frame = plant.derivative(x, n_cmd, t)
+            f_imu, gyro = imu_sample(x, xdot, cfg, rng, _frame=frame)
             meas = Measurement(t, x[_P].copy(), x[_V].copy(), x[_Q].copy(),
                                gyro, f_imu, x[_N].copy())
             command = controller.tick(t, meas)
@@ -462,7 +490,7 @@ def run_closed_loop(controller, vehicle: VehicleParams, ge: GroundEffectParams,
                 xdot[_N] = plant.motor_rate(command.rotor_speeds, x[_N].tolist())
                 k1 = xdot
         if k % decim == 0:
-            _log_row(rows[n_rows], t, x, command, controller, plant, vehicle, ge, cfg)
+            _log_row(rows[n_rows], t, x, command, controller, plant, frame, vehicle, ge, cfg)
             n_rows += 1
         if k == steps:
             break
@@ -478,8 +506,8 @@ def run_closed_loop(controller, vehicle: VehicleParams, ge: GroundEffectParams,
     return TrajectoryLog(rows[:n_rows], crashed=crashed, infeasible=infeasible, seed=seed)
 
 
-def _log_row(row, t, x, command, controller, plant, vehicle, ge, cfg):
-    """Fill one zero-initialised log row."""
+def _log_row(row, t, x, command, controller, plant, frame, vehicle, ge, cfg):
+    """Fill one zero-initialised log row; frame is the plant's frame of x, or None."""
     row[0] = t
     row[1:18] = x
     row[18] = x[2] + vehicle.rotor_plane_offset
@@ -504,7 +532,7 @@ def _log_row(row, t, x, command, controller, plant, vehicle, ge, cfg):
     if est is not None:
         row[49:52] = est.accel
         row[52:55] = est.torque
-    f_ge, f_drag, tau_level = disturbance_forces(x, vehicle, ge, cfg, _plant=plant)
+    f_ge, f_drag, tau_level = disturbance_forces(x, vehicle, ge, cfg, _plant=plant, _frame=frame)
     row[55:58] = f_ge
     row[58:61] = f_drag
     row[61:64] = tau_level
@@ -528,10 +556,10 @@ def simulate_attitude(q0, omega0, torque_fn, vehicle: VehicleParams,
     def deriv(y, t):
         q = y[:4] / math.sqrt(float(y[:4].dot(y[:4])))
         w = y[4:]
-        qs = q.tolist()
+        qs, ws = q.tolist(), w.tolist()
         tau = np.asarray(torque_fn(t, q, w), dtype=float).tolist()
-        R = np.array(quat.rot_rows(qs))
-        return np.array(_quat_rate(qs, w.tolist()) + plant.angular_accel(R, w, tau, lever_t))
+        axis = plant.leveling(np.array(quat.rot_rows(qs))) if lever_t > 0.0 else None
+        return np.array(_quat_rate(qs, ws) + plant.angular_accel(ws, tau, lever_t, axis))
 
     steps = int(round(duration / dt))
     states = np.empty((steps + 1, 7))

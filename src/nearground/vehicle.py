@@ -8,6 +8,7 @@ consistent assignment to physical arms is acceptable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -122,3 +123,66 @@ def build_mixing_matrix(params: VehicleParams):
 def mixing_matrix_inverse(params: VehicleParams):
     """Inverse of build_mixing_matrix, cached and read-only the same way."""
     return _mixing_pair(*_mixing_key(params))[1]
+
+
+class InertiaOperator:
+    """A 3x3 matrix M (an inertia, its inverse or J'(h)) applied to float triples.
+
+    ``dot(v)`` is ``M.dot(v)`` byte for byte. For a diagonal M (every
+    off-diagonal entry zero) it is the float expression 0.0 + m_i * v_i:
+    BLAS's sum over a row adds only exact zeros to the one product m_i * v_i,
+    and its accumulator starts at +0.0, so the call and the expression round
+    identically. That holds while the products are finite; otherwise a zero
+    entry times an infinity is NaN in BLAS, so a non-finite result is
+    recomputed by the call. Any other M costs one ``.dot`` call. Exactly one
+    of ``diag`` (a list of floats) and ``matrix`` is set.
+    """
+
+    __slots__ = ("diag", "matrix")
+
+    def __init__(self, diag, matrix):
+        self.diag = diag
+        self.matrix = matrix
+
+    def dot(self, v):
+        """M v for a sequence of three floats, as a list."""
+        if self.diag is None:
+            return self.matrix.dot(np.array(v)).tolist()
+        d0, d1, d2 = self.diag
+        v0, v1, v2 = v
+        p0, p1, p2 = 0.0 + d0 * v0, 0.0 + d1 * v1, 0.0 + d2 * v2
+        if math.isfinite(p0 + p1 + p2):
+            return [p0, p1, p2]
+        return np.diag(self.diag).dot(np.array(v)).tolist()
+
+    def solve(self, v):
+        """M^-1 v as a list: a quotient per component, or np.linalg.solve."""
+        if self.diag is None:
+            return np.linalg.solve(self.matrix, np.array(v)).tolist()
+        d0, d1, d2 = self.diag
+        v0, v1, v2 = v
+        return [v0 / d0, v1 / d1, v2 / d2]
+
+    def plus_roll_pitch(self, added):
+        """The operator of M + diag(added, added, 0), summed as equivalent_inertia sums it."""
+        if self.diag is None:
+            M = self.matrix.copy()
+            M[0, 0] += added
+            M[1, 1] += added
+            return InertiaOperator(None, M)
+        d0, d1, d2 = self.diag
+        return InertiaOperator([d0 + added, d1 + added, d2], None)
+
+
+def inertia_operator(M):
+    """InertiaOperator of a 3x3 matrix, cached on its bytes."""
+    return _inertia_operator(np.asarray(M, dtype=float).tobytes())
+
+
+@lru_cache(maxsize=32)
+def _inertia_operator(key):
+    M = np.frombuffer(key).reshape(3, 3)   # read-only
+    d = np.diag(M).tolist()
+    if np.count_nonzero(M - np.diag(d)):
+        return InertiaOperator(None, M)
+    return InertiaOperator(d, None)

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearground import quaternions as quat
+from nearground.config import KeyValueConfig
 from nearground.controller import (
     CascadeController,
     ControlGains,
@@ -21,7 +23,13 @@ from nearground.controller import (
 )
 from nearground.errors import ControllerFault, InputError, ParameterError
 from nearground.flatness import flat_reference, hover_point, make_trajectory
-from nearground.groundeffect import GroundEffectParams, thrust_factor, torque_lever_peak
+from nearground.groundeffect import (
+    GroundEffectParams,
+    equivalent_inertia,
+    thrust_factor,
+    torque_lever_peak,
+)
+from nearground.harness import Scenario
 from nearground.simulator import SimConfig, run_closed_loop
 from nearground.vehicle import (
     GRAVITY,
@@ -278,3 +286,142 @@ def test_feedforward_controller_protocol():
     cmd = ff.tick(0.0, None)
     assert np.isclose(cmd.thrust, VEH.m * GRAVITY / (1.0 + thrust_factor(1.0, GE)), rtol=1e-9)
     assert ff.last_reference is not None and ff.last_attitude_target is not None
+
+
+# -- the float tick against the array code it replaced ---------------------------------
+
+class _ArrayLowPass:
+    def __init__(self, cutoff_hz, rate_hz):
+        dt = 1.0 / rate_hz
+        tau = 1.0 / (2.0 * math.pi * cutoff_hz)
+        self.alpha = dt / (dt + tau)
+        self.state = None
+
+    def update(self, x):
+        x = np.asarray(x, dtype=float)
+        self.state = x.copy() if self.state is None else self.state + self.alpha * (x - self.state)
+        return self.state
+
+
+class _ArrayFilteredDerivative:
+    def __init__(self, cutoff_hz, rate_hz):
+        self.lp = _ArrayLowPass(cutoff_hz, rate_hz)
+        self.dt = 1.0 / rate_hz
+        self.prev = None
+
+    def update(self, x):
+        y = self.lp.update(x)
+        d = np.zeros_like(y) if self.prev is None else (y - self.prev) / self.dt
+        self.prev = y.copy()
+        return y, d
+
+
+class _ArrayCascade:
+    """CascadeController's tick in numpy arrays, every stage recomputed on every tick.
+
+    A test-side reference: the gyro and observer filters, the observer, the
+    attitude error, the body-rate loop and both torque laws as array
+    expressions, every inertia product one ``.dot`` on the matrix.
+    """
+
+    def __init__(self, ctrl: CascadeController, rate_hz):
+        self.c = ctrl
+        g = ctrl.gains
+        self.gyro = _ArrayFilteredDerivative(g.gyro_cutoff, rate_hz)
+        self.f_accel = _ArrayLowPass(g.observer_cutoff, rate_hz)
+        self.f_thrust = _ArrayLowPass(g.observer_cutoff, rate_hz)
+        self.f_omega = _ArrayFilteredDerivative(g.observer_cutoff, rate_hz)
+        self.count = 0
+        self.f_cmd = self.flat = self.ref = self.wrench = None
+
+    def _observer(self, meas, thrust_hat, tau_hat):
+        veh = self.c.vehicle
+        f_f = self.f_accel.update(meas.specific_force)
+        T_f = float(self.f_thrust.update([thrust_hat])[0])
+        w_f, wd_f = self.f_omega.update(meas.gyro)
+        R = quat.rot_matrix(meas.q)
+        J = veh.inertia
+        return (R.dot(f_f) - R[:, 2] * (T_f / veh.m),
+                J.dot(wd_f) + np.cross(w_f, J.dot(w_f)) - tau_hat)
+
+    def tick(self, t, meas):
+        c, veh = self.c, self.c.vehicle
+        omega_f, omega_dot_f = self.gyro.update(meas.gyro)
+        n = meas.rotor_speeds
+        tau_hat = build_mixing_matrix(veh).dot(n * n)[1:4]
+        self.wrench = self._observer(meas, veh.k_t * float(n.dot(n)), tau_hat)
+        if self.count % c.ratio == 0:
+            self.flat = c.trajectory(t)
+            self.ref = flat_reference(self.flat, veh, c.ge, c.gravity)
+            a_des = acceleration_command(self.flat, self.ref, meas.p, meas.v, c.gains, veh,
+                                         c.ge, a_ext_est=self.wrench[0])
+            self.f_cmd = a_des + c.gravity * Z
+        self.count += 1
+        flat, ref = self.flat, self.ref
+        R_hat = quat.rot_matrix(meas.q)
+        thrust_des = thrust_command(self.f_cmd, R_hat[:, 2], veh.m)
+        q_des = quat.from_z_axis_yaw(self.f_cmd, flat.yaw)
+        hw, hx, hy, hz = meas.q
+        e = quat.multiply([hw, -hx, -hy, -hz], q_des)
+        if e[0] < 0.0:
+            e = -e
+        w = min(e[0], 1.0)
+        k = 2.0 if 1.0 - w < 1e-8 else 2.0 * math.acos(w) / math.sqrt(1.0 - w * w)
+        omega_des = c.gains.kxi * (k * e[1:]) + ref.omega
+        omega_dot_des = c.gains.komega * (omega_des - omega_f) + ref.omega_dot
+        mode = c.gains.torque_comp
+        J = veh.inertia
+        if mode in ("model", "hybrid"):
+            J = equivalent_inertia(flat.p[2] + veh.rotor_plane_offset, c.ge, veh, thrust=ref.thrust)
+        if mode in ("none", "model"):
+            torque = J.dot(omega_dot_des) + np.cross(omega_des, J.dot(omega_des))
+        else:
+            torque = tau_hat + J.dot(omega_dot_des - omega_dot_f)
+        return allocate(thrust_des, torque, veh), q_des
+
+
+def _exact(*values):
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+class _Twin:
+    """Ticks the controller and its array reference on the same measurement."""
+
+    def __init__(self, ctrl, reference):
+        self.ctrl, self.reference, self.ticks = ctrl, reference, 0
+
+    def __getattr__(self, name):
+        return getattr(self.ctrl, name)
+
+    def tick(self, t, meas):
+        cmd = self.ctrl.tick(t, meas)
+        want, q_des = self.reference.tick(t, meas)
+        assert _exact(cmd.thrust, cmd.torque, cmd.rotor_speeds) == \
+            _exact(want.thrust, want.torque, want.rotor_speeds)
+        assert (cmd.saturated, cmd.yaw_shed, cmd.rp_shed, cmd.thrust_clipped) == \
+            (want.saturated, want.yaw_shed, want.rp_shed, want.thrust_clipped)
+        est = self.ctrl.last_wrench
+        assert _exact(est.accel, est.torque) == _exact(*self.reference.wrench)
+        assert est.t == t
+        assert _exact(self.ctrl.last_attitude_target) == _exact(q_des)
+        self.ticks += 1
+        return cmd
+
+
+@pytest.mark.parametrize("accel, torque", [("model", "none"), ("model", "model"),
+                                           ("indi", "indi"), ("model", "hybrid")])
+@pytest.mark.parametrize("offdiag", [False, True], ids=["diagonal", "offdiag_inertia_offset"])
+def test_float_tick_bit_identical_to_array_code(accel, torque, offdiag):
+    overrides = [("duration", "0.3"), ("ctrl.accel_comp", accel), ("ctrl.torque_comp", torque)]
+    if offdiag:
+        overrides += [("vehicle.inertia_xy", "2e-4"), ("vehicle.inertia_yz", "1.5e-4"),
+                      ("vehicle.rotor_plane_offset", "0.02")]
+    scenario = Scenario.from_file(
+        os.path.join(os.path.dirname(__file__), "..", "configs", "scenarios",
+                     "lemniscate_low.cfg"),
+        overrides=KeyValueConfig([(k, v, 0) for k, v in overrides], source="<test>"))
+    _, ctrl = scenario.build()
+    twin = _Twin(ctrl, _ArrayCascade(ctrl, scenario.sim.attitude_rate))
+    log = run_closed_loop(twin, scenario.vehicle, scenario.ge, scenario.sim,
+                          scenario.duration, seed=scenario.seed)
+    assert twin.ticks == 151 and not log.crashed

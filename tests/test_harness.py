@@ -560,7 +560,18 @@ _RECORD = MetricsReport("a", "hover()", 1, 6.0, 8.0, 10.0, 15.0, 2.0, 0.02, Fals
     (json.dumps({k: v for k, v in _RECORD.items() if k != "trajectory"}),
      "missing keys ['trajectory']"),
     (json.dumps({**_RECORD, "rmse_all": 1.0}), "unknown keys ['rmse_all']"),
-], ids=["not_json", "not_an_object", "missing_key", "unknown_key"])
+    (json.dumps({**_RECORD, "rmse_all_cm": "0.5"}), "rmse_all_cm must be a number, got '0.5'"),
+    (json.dumps({**_RECORD, "max_ep_cm": True}), "max_ep_cm must be a number, got True"),
+    (json.dumps({**_RECORD, "seed": 1.5}), "seed must be an integer, got 1.5"),
+    (json.dumps({**_RECORD, "crashed": 0}), "crashed must be true or false, got 0"),
+    (json.dumps({**_RECORD, "name": 7}), "name must be a string, got 7"),
+    (json.dumps({**_RECORD, "angle_profile": [[0.1]]}),
+     "angle_profile must be a list of [h, E] number pairs, got [[0.1]]"),
+    (json.dumps({**_RECORD, "angle_profile": 3}),
+     "angle_profile must be a list of [h, E] number pairs, got 3"),
+], ids=["not_json", "not_an_object", "missing_key", "unknown_key", "string_metric",
+        "bool_metric", "float_seed", "int_flag", "int_name", "short_profile_pair",
+        "profile_not_a_list"])
 def test_cli_compare_rejects_malformed_record(tmp_path, capsys, text, message):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     good.write_text(json.dumps(_RECORD))
@@ -584,6 +595,26 @@ def test_cli_identify_rejects_malformed_log_header(tmp_path, capsys, op, meta):
     assert main(["identify", op, str(path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert str(path) in err and meta in err
+
+
+_ROW = ",".join(["0"] * len(TrajectoryLog.columns))
+
+
+@pytest.mark.parametrize("op", ["drag", "fg"])
+@pytest.mark.parametrize("rows, message", [
+    (["1,2,abc"], "malformed log row"),
+    ([_ROW, _ROW[:-2]], "malformed log row"),
+    ([_ROW.replace("0", "x", 1)], "malformed log row"),
+    (["1,2,3", "4,5,6"], "log rows have 3 cells, the header 64"),
+], ids=["short_non_numeric_row", "row_missing_a_cell", "non_numeric_cell", "narrow_rows"])
+def test_cli_identify_rejects_malformed_log_row(tmp_path, capsys, op, rows, message):
+    path = tmp_path / "log.csv"
+    TrajectoryLog(np.zeros((1, len(TrajectoryLog.columns)))).to_csv(path)
+    head = path.read_text().splitlines(keepends=True)[:2]
+    path.write_text("".join(head) + "\n".join(rows) + "\n")
+    assert main(["identify", op, str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err
 
 
 def _documented_exit_codes(text):

@@ -36,7 +36,7 @@ GE = GroundEffectParams()
 
 def _derivative(x, cfg, t=0.0):
     """Plant time derivative of the packed state, rotor commands equal to the speeds."""
-    return _Plant(VEH, GE, cfg).derivative(x, x[13:17], t)
+    return _Plant(VEH, GE, cfg).derivative(x, x[13:17], t)[0]
 
 
 def _hover_state(h, ge=GE, level=True):
@@ -321,6 +321,21 @@ def test_log_csv_round_trip(tmp_path):
     assert back.crashed == log.crashed
     assert back.seed == log.seed
     assert list(LOG_COLUMNS) == TrajectoryLog.columns
+
+
+def test_log_csv_text_of_special_values(tmp_path):
+    # each cell is "%.17g" of the float64, the way the row-by-row numpy formatting wrote it
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308,
+               1.0 / 3.0, -1e300, 123456789.0, 0.1]
+    data = np.resize(np.array(special), (3, len(LOG_COLUMNS)))
+    data[1] = -data[1]
+    path = tmp_path / "log.csv"
+    TrajectoryLog(data, seed=3).to_csv(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[2:] == [",".join("%.17g" % v for v in row) for row in data]
+    back = TrajectoryLog.from_csv(path)
+    assert np.array_equal(back.data, data, equal_nan=True)
+    assert np.array_equal(np.signbit(back.data[~np.isnan(data)]), np.signbit(data[~np.isnan(data)]))
 
 
 def test_initial_state_matches_reference():

@@ -4,10 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearground.errors import ConfigError, ParameterError
+from nearground.groundeffect import (
+    GroundEffectParams,
+    equivalent_inertia,
+    equivalent_inertia_operator,
+)
 from nearground.vehicle import (
     SIGN_MATRIX,
     VehicleParams,
     build_mixing_matrix,
+    inertia_operator,
     mixing_matrix_inverse,
 )
 
@@ -171,3 +177,48 @@ def test_mixing_matrices_cached_read_only_and_exact():
             cached[0, 0] = 1.0
     other = build_mixing_matrix(VehicleParams(b=0.30, k_tx=1.5e-8))
     assert other is not M and not np.array_equal(other, M)
+
+
+# every finite double: both zeros, subnormals, and magnitudes whose products overflow
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_OFFDIAG_J = np.array([[5e-3, 2e-4, -1e-4], [2e-4, 5e-3, 1.5e-4], [-1e-4, 1.5e-4, 9e-3]])
+
+
+def _bytes_of(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.floats(1e-6, 10.0), min_size=3, max_size=3),
+       st.lists(_FINITE, min_size=3, max_size=3), st.floats(0.0, 2.0), st.floats(0.0, 30.0),
+       st.booleans())
+def test_inertia_operator_products_are_the_blas_products(diag, v, h, thrust, offdiag):
+    # the float products of a diagonal inertia, J^-1 and J'(h) give BLAS's bytes;
+    # the off-diagonal inertia takes the .dot path
+    J = _OFFDIAG_J if offdiag else np.diag(diag)
+    vehicle = VehicleParams(inertia=J)
+    Jinv = np.linalg.inv(J)
+    Jp = equivalent_inertia(h, GroundEffectParams(), vehicle, thrust=thrust)
+    va = np.array(v)
+    with np.errstate(all="ignore"):
+        cases = [
+            (inertia_operator(J), J),
+            (inertia_operator(Jinv), Jinv),
+            (equivalent_inertia_operator(h, GroundEffectParams(), vehicle, thrust=thrust), Jp),
+        ]
+        for op, M in cases:
+            assert (op.diag is None) == offdiag
+            assert _bytes_of(op.dot(v)) == M.dot(va).tobytes()
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -3.5, 1e308, np.inf, -np.inf, np.nan]),
+                min_size=3, max_size=3))
+def test_inertia_operator_non_finite_like_blas(v):
+    # a zero entry times an infinity is NaN in BLAS; the diagonal form then
+    # defers to the call (NaNs compared by position, their sign is not part of the contract)
+    J = VehicleParams().inertia
+    with np.errstate(all="ignore"):
+        got, want = np.array(inertia_operator(J).dot(v)), J.dot(np.array(v))
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert _bytes_of(got[~np.isnan(got)]) == want[~np.isnan(want)].tobytes()
