@@ -58,7 +58,6 @@ from .flatness import (
     make_trajectory,
     reference_rates,
     reference_thrust_attitude,
-    reference_torque,
 )
 from .groundeffect import (
     GroundEffectParams,

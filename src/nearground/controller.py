@@ -119,15 +119,15 @@ def attitude_error_vector(q_hat, q_des):
 
 
 def _check_unit(q):
-    """Reject a float64 quaternion array whose squared norm is off 1 by more than 1e-6."""
-    if abs(float(q.dot(q)) - 1.0) > 1e-6:
+    """Reject a float64 quaternion array whose squared norm is off 1 by more than 1e-6 or NaN."""
+    if not abs(float(q.dot(q)) - 1.0) <= 1e-6:
         raise InputError("attitude quaternions must be unit norm")
 
 
 def _attitude_error(q_hat, q_des):
     """attitude_error_vector of two unit quaternions given as float lists, as a list."""
     hw, hx, hy, hz = q_hat
-    e = quat._multiply([hw, -hx, -hy, -hz], q_des)
+    e = quat.multiply([hw, -hx, -hy, -hz], q_des)
     if e[0] < 0.0:
         e = [-v for v in e]
     w = min(e[0], 1.0)
@@ -135,16 +135,11 @@ def _attitude_error(q_hat, q_des):
     return [k * e[1], k * e[2], k * e[3]]
 
 
-def bodyrate_command(xi_err, omega_ref, omega_f, omega_dot_ref, gains: ControlGains):
-    """Desired body rate and rate derivative from the attitude error."""
-    omega_des, omega_dot_des = _bodyrate(
-        quat._floats(xi_err), quat._floats(omega_ref), quat._floats(omega_f),
-        quat._floats(omega_dot_ref), gains.kxi.tolist(), gains.komega.tolist())
-    return np.array(omega_des), np.array(omega_dot_des)
+def bodyrate_command(xi_err, omega_ref, omega_f, omega_dot_ref, kxi, komega):
+    """Desired body rate and rate derivative from the attitude error.
 
-
-def _bodyrate(xi_err, omega_ref, omega_f, omega_dot_ref, kxi, komega):
-    """bodyrate_command on float triples, the gains kxi and komega as lists."""
+    Float triples in, two lists out; the gains kxi and komega are lists.
+    """
     omega_des = [k * x + r for k, x, r in zip(kxi, xi_err, omega_ref)]
     return omega_des, [k * (d - f) + r
                        for k, d, f, r in zip(komega, omega_des, omega_f, omega_dot_ref)]
@@ -154,37 +149,24 @@ def thrust_command(a_des_total, z_b_hat, mass):
     """Thrust projecting the total desired specific force on the body axis."""
     z = np.asarray(z_b_hat, float)
     norm = math.sqrt(float(z.dot(z)))
-    if norm <= 0.0:
-        raise InputError("body z axis must be non-zero")
+    if not norm > 0.0:
+        raise InputError("body z axis must be non-zero and not NaN")
     return max(0.0, mass * float(np.asarray(a_des_total, float).dot(z)) / norm)
 
 
-def _command_inertia(h, thrust_ref, vehicle, ge, use_equivalent_inertia):
-    """The InertiaOperator of J'(h) at the reference thrust, or of J."""
-    if use_equivalent_inertia:
-        return equivalent_inertia_operator(h, ge, vehicle, thrust=thrust_ref)
-    return inertia_operator(vehicle.inertia)
-
-
 def torque_command_model(omega_des, omega_dot_des, h, thrust_ref,
-                         vehicle: VehicleParams, ge: GroundEffectParams,
-                         use_equivalent_inertia=True):
+                         vehicle: VehicleParams, ge: GroundEffectParams):
     """Inverse rotational dynamics; J'(h) absorbs the leveling torque."""
-    J = _command_inertia(h, thrust_ref, vehicle, ge, use_equivalent_inertia)
+    J = equivalent_inertia_operator(h, ge, vehicle, thrust=thrust_ref)
     return np.array(_torque(J, quat._floats(omega_des), quat._floats(omega_dot_des)))
 
 
-def torque_command_indi(tau_applied, omega_dot_des, omega_dot_f, h, thrust_ref,
-                        vehicle: VehicleParams, ge: GroundEffectParams,
-                        use_equivalent_inertia=True, age=0.0, period=0.002):
-    """Incremental inversion: applied torque plus inertia-scaled rate-accel error."""
-    J = _command_inertia(h, thrust_ref, vehicle, ge, use_equivalent_inertia)
-    return np.array(_torque_indi(quat._floats(tau_applied), quat._floats(omega_dot_des),
-                                 quat._floats(omega_dot_f), J, age, period))
+def torque_command_indi(tau_applied, omega_dot_des, omega_dot_f, J, age, period):
+    """Incremental inversion: applied torque plus inertia-scaled rate-accel error.
 
-
-def _torque_indi(tau_applied, omega_dot_des, omega_dot_f, J, age, period):
-    """torque_command_indi on float triples for the InertiaOperator J, as a list."""
+    Float triples in, a list out, for the InertiaOperator J. A torque
+    estimate older than two control periods is a ControllerFault.
+    """
     if age > 2.0 * period + 1e-12:
         raise ControllerFault(
             f"applied-torque estimate is stale ({age:.4f}s > 2 control periods)"
@@ -299,10 +281,10 @@ class CascadeController:
         self._f_cmd = None
         self._q_des = None          # the attitude target as floats
         self._rates_ref = None      # (omega, omega_dot) of the reference, as floats
-        self._J_des = None          # InertiaOperator of the torque command
+        self._J_des = inertia_operator(vehicle.inertia)   # J, or J'(h_des) when _use_equivalent
 
     def tick(self, t, meas):
-        omega_f, omega_dot_f = self._gyro_filter._update(meas.gyro.tolist())
+        omega_f, omega_dot_f = self._gyro_filter.update(meas.gyro.tolist())
         tau_hat = applied_torque(meas.rotor_speeds, self.vehicle)
         thrust_hat = self.vehicle.k_t * float(meas.rotor_speeds.dot(meas.rotor_speeds))
         q = meas.q.tolist()
@@ -317,13 +299,13 @@ class CascadeController:
         _check_unit(meas.q)
         thrust_des = thrust_command(self._f_cmd, R_hat[:, 2], self.vehicle.m)
         omega_ref, omega_dot_ref = self._rates_ref
-        omega_des, omega_dot_des = _bodyrate(
+        omega_des, omega_dot_des = bodyrate_command(
             _attitude_error(q, self._q_des), omega_ref, omega_f, omega_dot_ref,
             self._kxi, self._komega,
         )
         if self._incremental:
-            torque_des = _torque_indi(tau_hat.tolist(), omega_dot_des, omega_dot_f, self._J_des,
-                                      0.0, self.attitude_period)
+            torque_des = torque_command_indi(tau_hat.tolist(), omega_dot_des, omega_dot_f,
+                                             self._J_des, 0.0, self.attitude_period)
         else:
             torque_des = _torque(self._J_des, omega_des, omega_dot_des)
         return allocate(thrust_des, torque_des, self.vehicle)
@@ -340,8 +322,9 @@ class CascadeController:
         _check_unit(q_des)
         self._q_des = q_des.tolist()
         self._rates_ref = ref.omega.tolist(), ref.omega_dot.tolist()
-        self._J_des = _command_inertia(flat.p[2] + self.vehicle.rotor_plane_offset, ref.thrust,
-                                       self.vehicle, self.ge, self._use_equivalent)
+        if self._use_equivalent:
+            self._J_des = equivalent_inertia_operator(flat.p[2] + self.vehicle.rotor_plane_offset,
+                                                      self.ge, self.vehicle, thrust=ref.thrust)
         self.last_attitude_target = q_des
         self.last_flat = flat
         self.last_reference = ref

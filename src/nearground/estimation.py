@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FitError, InputError
-from .quaternions import _cross, _floats, rot_matrix
+from .quaternions import _floats, cross, rot_matrix
 from .vehicle import VehicleParams, inertia_operator
 
 Z_W = np.array([0.0, 0.0, 1.0])
@@ -27,37 +27,29 @@ class LowPass:
     """First-order IIR low-pass with exact unity DC gain.
 
     The state is a list of Python floats, one per sample component, updated
-    as s + alpha * (x - s): the rounding of numpy's elementwise form. A
-    one-element initial value applies to every component.
+    as s + alpha * (x - s): the rounding of numpy's elementwise form.
     """
 
-    def __init__(self, cutoff_hz, sample_rate_hz, initial=None):
-        if cutoff_hz >= 0.5 * sample_rate_hz:
-            raise ConfigError(
-                f"cutoff {cutoff_hz} Hz must be below Nyquist of {sample_rate_hz} Hz"
-            )
-        if cutoff_hz <= 0.0:
-            raise ConfigError("cutoff must be positive")
+    def __init__(self, cutoff_hz, sample_rate_hz):
+        # "not x > 0" style comparisons also reject NaN
+        if not (math.isfinite(sample_rate_hz) and sample_rate_hz > 0.0):
+            raise ConfigError(f"sample rate must be finite and positive, got {sample_rate_hz}")
+        if not 0.0 < cutoff_hz < 0.5 * sample_rate_hz:
+            raise ConfigError(f"cutoff {cutoff_hz} Hz must be positive and below Nyquist "
+                              f"of {sample_rate_hz} Hz")
         dt = 1.0 / sample_rate_hz
         tau = 1.0 / (2.0 * math.pi * cutoff_hz)
         self.alpha = dt / (dt + tau)
-        self.state = None if initial is None else np.asarray(initial, dtype=float).ravel().tolist()
+        self.state = None
 
     def update(self, x):
-        """Filter one sample; returns the new state as an array of the sample's shape."""
-        x = np.asarray(x, dtype=float)
-        return np.array(self._update(x.ravel().tolist())).reshape(x.shape)
-
-    def _update(self, x):
-        """update on a list of floats; returns the state list, which later calls replace."""
+        """Filter a list of floats; returns the state list, which later calls replace."""
         s = self.state
         if s is None:
             s = list(x)
+        elif len(s) != len(x):
+            raise InputError(f"sample has {len(x)} components, the filter {len(s)}")
         else:
-            if len(s) != len(x):
-                if len(s) != 1:
-                    raise InputError(f"sample has {len(x)} components, the filter {len(s)}")
-                s = s * len(x)
             a = self.alpha
             s = [v + a * (u - v) for v, u in zip(s, x)]
         self.state = s
@@ -73,14 +65,8 @@ class FilteredDerivative:
         self._prev = None
 
     def update(self, x):
-        """(filtered value, its rate) as arrays of the sample's shape; the first rate is zero."""
-        x = np.asarray(x, dtype=float)
-        y, d = self._update(x.ravel().tolist())
-        return np.array(y).reshape(x.shape), np.array(d).reshape(x.shape)
-
-    def _update(self, x):
-        """update on a list of floats, returning two lists."""
-        y = self.lp._update(x)
+        """(filtered value, its rate) as lists for a list of floats; the first rate is zero."""
+        y = self.lp.update(x)
         prev, self._prev = self._prev, y
         if prev is None:
             return y, [0.0] * len(y)
@@ -97,26 +83,20 @@ class WrenchEstimate:
     t: float = 0.0
 
 
-def wrench_observer(q_hat, specific_force_f, thrust_f, omega_f, omega_dot_f,
-                    tau_b, vehicle: VehicleParams):
+def wrench_observer(R, f, thrust, w, wd, tau_b, m, J):
     """External wrench from filtered measurements.
 
     accel: R f_imu - z_B T/m, the residual world acceleration not explained
-    by the rotors. torque: J w_dot + w x J w - tau_B.
+    by the rotors. torque: J w_dot + w x J w - tau_B. R is the attitude
+    matrix, J an InertiaOperator, m the mass, thrust a float and the rest
+    float triples.
     """
-    return _wrench(rot_matrix(q_hat), _floats(specific_force_f), float(thrust_f),
-                   _floats(omega_f), _floats(omega_dot_f), _floats(tau_b), vehicle.m,
-                   inertia_operator(vehicle.inertia))
-
-
-def _wrench(R, f, thrust, w, wd, tau_b, m, J):
-    """wrench_observer for the attitude matrix R, the InertiaOperator J and lists of floats."""
     f0, f1, f2 = R.dot(np.array(f)).tolist()
     z0, z1, z2 = R[:, 2].tolist()
     k = thrust / m
     a_ext = [f0 - z0 * k, f1 - z1 * k, f2 - z2 * k]
     j0, j1, j2 = J.dot(wd)
-    c0, c1, c2 = _cross(w, J.dot(w))
+    c0, c1, c2 = cross(w, J.dot(w))
     b0, b1, b2 = tau_b
     return WrenchEstimate(np.array(a_ext), np.array([j0 + c0 - b0, j1 + c1 - b1, j2 + c2 - b2]))
 
@@ -147,11 +127,11 @@ class WrenchObserverRunner:
         if t_torque is not None and abs(t - t_torque) > self.period * (1.0 + 1e-9):
             self.dropped += 1
             return self.last
-        f_f = self.f_accel._update(_floats(specific_force))
-        (T_f,) = self.f_thrust._update([float(thrust)])
-        w_f, wd_f = self.f_omega._update(_floats(omega))
+        f_f = self.f_accel.update(_floats(specific_force))
+        (T_f,) = self.f_thrust.update([float(thrust)])
+        w_f, wd_f = self.f_omega.update(_floats(omega))
         R = _R if _R is not None else rot_matrix(q_hat)
-        est = _wrench(R, f_f, T_f, w_f, wd_f, _floats(tau_b), self.vehicle.m, self._J)
+        est = wrench_observer(R, f_f, T_f, w_f, wd_f, _floats(tau_b), self.vehicle.m, self._J)
         est.t = t
         self.last = est
         return est

@@ -12,17 +12,12 @@ derivative is neglected; they are still re-evaluated every call). The
 thrust-axis scalar c = z_B . (a + g z_W) carries all altitude coupling of
 the amplified thrust, so its derivative needs no model approximation.
 
-Reference generation runs once per control tick and follows the
-simulator's arithmetic rule: elementwise work on Python floats, each dot
-and matrix-vector product with a genuine sum one ``ndarray.dot`` call on a
-float64 array of the same layout (BLAS rounds those as fused multiply-add
-chains that float sums would not reproduce; ``.dot`` reaches the same
-kernel as ``@`` at half the call cost). The exception is J'(h) of a
-diagonal inertia: its products are exact float products, 0.0 + j_i * w_i,
-which round as BLAS does because the other terms of each row are exact
-zeros (``InertiaOperator``). The public functions are array wrappers over
-the float bodies (``_thrust_attitude``, ``_rates``, ``_torque``), which
-``flat_reference`` and the controller call directly.
+Reference generation runs once per control tick on Python floats in
+``_thrust_attitude``, ``_rates`` and ``_torque`` (the model-torque law
+J'(h) w_dot + w x J'(h) w, which the controller also calls). ``flat_reference``
+chains them; ``reference_thrust_attitude`` and ``reference_rates`` return
+the first two as arrays.
+Their arithmetic follows the per-step rule stated in simulator.py's docstring.
 """
 
 from __future__ import annotations
@@ -292,9 +287,9 @@ def _rates(flat, R, d1, d2, gravity):
     omega = [w1, w2, w3]
 
     # derivative solve: same matrix, differentiated data on the right side
-    vdot_b = [a - b for a, b in zip(a_b, quat._cross(omega, v_b))]
-    adot_b = [a - b for a, b in zip(j_b, quat._cross(omega, a_b))]
-    jdot_b = [a - b for a, b in zip(s_b, quat._cross(omega, j_b))]
+    vdot_b = [a - b for a, b in zip(a_b, quat.cross(omega, v_b))]
+    adot_b = [a - b for a, b in zip(j_b, quat.cross(omega, a_b))]
+    jdot_b = [a - b for a, b in zip(s_b, quat.cross(omega, j_b))]
     cdot = w2 * float(x_b.dot(gz)) - w1 * float(y_b.dot(gz)) + float(z_b.dot(flat.j))
 
     da11 = cdot + d1 * vdot_b[2]
@@ -316,17 +311,13 @@ def _rates(flat, R, d1, d2, gravity):
     return omega, [wd1, wd2, wd3]
 
 
-def reference_torque(omega, omega_dot, h, thrust, vehicle: VehicleParams,
-                     ge: GroundEffectParams, gravity=GRAVITY):
-    """Body torque J'(h) w_dot + w x J'(h) w with the leveling-equivalent inertia."""
-    Jp = equivalent_inertia_operator(h, ge, vehicle, thrust=thrust, gravity=gravity)
-    return np.array(_torque(Jp, quat._floats(omega), quat._floats(omega_dot)))
-
-
 def _torque(J, omega, omega_dot):
-    """J w_dot + w x J w for an InertiaOperator J and two float triples, as a list."""
+    """Model torque J w_dot + w x J w; with J = J'(h) it absorbs the leveling torque.
+
+    J is an InertiaOperator, omega and omega_dot are float triples; returns a list.
+    """
     t0, t1, t2 = J.dot(omega_dot)
-    c0, c1, c2 = quat._cross(omega, J.dot(omega))
+    c0, c1, c2 = quat.cross(omega, J.dot(omega))
     return [t0 + c0, t1 + c1, t2 + c2]
 
 

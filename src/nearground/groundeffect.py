@@ -15,11 +15,7 @@ every step; the public vector functions are input checks in front of those
 same kernels. The drag table lookup is a bisect over Python floats that
 reproduces np.interp bit for bit.
 
-As in the simulator, elementwise arithmetic may run on Python floats, but
-each reduction (R^T v, -R (d * v_b), R^T l, l.l) stays a single BLAS call:
-BLAS computes it with fused multiply-adds that float arithmetic does not
-reproduce. The call is ``ndarray.dot``, not ``@``: the same kernel and the
-same bytes, at about half the cost per call on 3-vectors.
+The kernels follow the per-step arithmetic rule stated in simulator.py's docstring.
 """
 
 from __future__ import annotations

@@ -3,14 +3,9 @@
 A unit quaternion q = (w, x, y, z) here maps body-frame vectors into the
 world frame through rot_matrix(q).
 
-The per-step helpers work on Python floats (the underscore functions,
-``rot_rows`` and ``yaw_heading`` take and return plain sequences). Each dot
-product stays one BLAS call on a float64 array, as in the rest of the
-per-step path: BLAS evaluates it with fused multiply-adds that float
-arithmetic would not reproduce. The call is ``ndarray.dot``, not the ``@``
-operator: on these 3- and 4-element operands both reach the same BLAS
-kernel and give the same bytes, and ``.dot`` skips the ufunc dispatch,
-which costs about as much again as the product itself.
+The per-step helpers (``normalize``, ``multiply``, ``cross``, ``rot_rows``,
+``yaw_heading``) take and return sequences of Python floats.
+Their arithmetic follows the per-step rule stated in simulator.py's docstring.
 """
 
 from __future__ import annotations
@@ -23,11 +18,7 @@ from .errors import InputError
 
 
 def normalize(q):
-    return np.array(_normalized(np.asarray(q, dtype=float).tolist()))
-
-
-def _normalized(q):
-    """normalize of a sequence of Python floats, as a list."""
+    """q / |q| for a sequence of Python floats, as a list."""
     a = np.array(q)
     n = math.sqrt(float(a.dot(a)))
     if n == 0.0:
@@ -40,11 +31,7 @@ def _floats(v):
 
 
 def multiply(a, b):
-    """Hamilton product a ∘ b."""
-    return np.array(_multiply(_floats(a), _floats(b)))
-
-
-def _multiply(a, b):
+    """Hamilton product a ∘ b of two sequences of four Python floats, as a list."""
     aw, ax, ay, az = a
     bw, bx, by, bz = b
     return [
@@ -56,17 +43,12 @@ def _multiply(a, b):
 
 
 def cross(a, b):
-    """a x b for two float64 arrays of shape (3,).
+    """a x b for two sequences of three Python floats, as a list.
 
     The same multiply-then-subtract per component as numpy.cross, so the
     result is bit-identical, without numpy.cross's generic axis handling,
     which on 3-vectors costs an order of magnitude more than the arithmetic.
     """
-    return np.array(_cross(a.tolist(), b.tolist()))
-
-
-def _cross(a, b):
-    """cross of two sequences of three Python floats, as a list."""
     a0, a1, a2 = a
     b0, b1, b2 = b
     return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
@@ -105,7 +87,7 @@ def _from_rows(R):
         q = [(r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s]
     if q[0] < 0.0:
         q = [-v for v in q]
-    return _normalized(q)
+    return normalize(q)
 
 
 def from_axis_angle(axis, angle):
@@ -149,10 +131,10 @@ def _from_z_axis_yaw(z_b, y_c):
     if not n > 0.0:
         raise InputError("body z axis must be non-zero")
     z = [v / n for v in z_b.tolist()]
-    x_b = np.array(_cross(y_c, z))
+    x_b = np.array(cross(y_c, z))
     n = math.sqrt(float(x_b.dot(x_b)))
     if n < 1e-9:
         raise InputError("degenerate attitude: thrust axis parallel to yaw heading")
     x = [v / n for v in x_b.tolist()]
-    y = _cross(z, x)
+    y = cross(z, x)
     return _from_rows([[x[0], y[0], z[0]], [x[1], y[1], z[1]], [x[2], y[2], z[2]]])

@@ -243,12 +243,12 @@ class _Plant:
             if lever_t > 0.0:
                 a0, a1, a2 = axis
                 t0, t1, t2 = t0 + lever_t * a0, t1 + lever_t * a1, t2 + lever_t * a2
-            c0, c1, c2 = quat._cross(w, self.J.dot(w))
+            c0, c1, c2 = quat.cross(w, self.J.dot(w))
             return self.Jinv.dot([t0 - c0, t1 - c1, t2 - c2])
         added = added_inertia(lever_t, self.m, self.g)
         Jw = self.J.dot(w)
         Jpw = (Jw[0] + added * w[0], Jw[1] + added * w[1], Jw[2] + 0.0)
-        c0, c1, c2 = quat._cross(w, Jpw)
+        c0, c1, c2 = quat.cross(w, Jpw)
         return self.J.plus_roll_pitch(added).solve([t0 - c0, t1 - c1, t2 - c2])
 
     def motor_rate(self, n_cmd, n):

@@ -26,6 +26,7 @@ from nearground.flatness import flat_reference, hover_point, make_trajectory
 from nearground.groundeffect import (
     GroundEffectParams,
     equivalent_inertia,
+    equivalent_inertia_operator,
     thrust_factor,
     torque_lever_peak,
 )
@@ -116,8 +117,8 @@ def test_attitude_error_quarter_turn():
 @given(st.integers(min_value=0, max_value=10_000))
 def test_attitude_error_magnitude_matches_rotation_log(seed):
     rng = np.random.default_rng(seed)
-    qa = quat.normalize(rng.standard_normal(4))
-    qb = quat.normalize(rng.standard_normal(4))
+    qa = np.array(quat.normalize(rng.standard_normal(4).tolist()))
+    qb = np.array(quat.normalize(rng.standard_normal(4).tolist()))
     e = attitude_error_vector(qa, qb)
     # oracle: rotation angle from the trace of the relative rotation matrix
     R_rel = quat.rot_matrix(qa).T @ quat.rot_matrix(qb)
@@ -129,8 +130,8 @@ def test_attitude_error_magnitude_matches_rotation_log(seed):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_attitude_error_double_cover(seed):
     rng = np.random.default_rng(seed)
-    qa = quat.normalize(rng.standard_normal(4))
-    qb = quat.normalize(rng.standard_normal(4))
+    qa = np.array(quat.normalize(rng.standard_normal(4).tolist()))
+    qb = np.array(quat.normalize(rng.standard_normal(4).tolist()))
     assert np.allclose(
         attitude_error_vector(qa, qb), attitude_error_vector(-qa, qb), atol=1e-12
     )
@@ -140,8 +141,12 @@ def test_attitude_error_double_cover(seed):
 
 
 def test_attitude_error_rejects_non_unit():
-    with pytest.raises(InputError):
-        attitude_error_vector(np.array([1.1, 0, 0, 0]), np.array([1.0, 0, 0, 0]))
+    level = np.array([1.0, 0, 0, 0])
+    for q in ([1.1, 0, 0, 0], [math.nan, 0, 0, 0], [1.0, math.nan, 0, 0]):
+        with pytest.raises(InputError):
+            attitude_error_vector(np.array(q), level)
+        with pytest.raises(InputError):
+            attitude_error_vector(level, np.array(q))
 
 
 # -- body-rate command ------------------------------------------------------------
@@ -150,7 +155,9 @@ def test_bodyrate_zero_error_passthrough():
     gains = ControlGains()
     w_ref = np.array([0.1, -0.2, 0.3])
     wd_ref = np.array([0.5, 0.1, -0.1])
-    w_des, wd_des = bodyrate_command(np.zeros(3), w_ref, w_ref, wd_ref, gains)
+    w_des, wd_des = map(np.array, bodyrate_command(
+        [0.0] * 3, w_ref.tolist(), w_ref.tolist(), wd_ref.tolist(),
+        gains.kxi.tolist(), gains.komega.tolist()))
     assert np.allclose(w_des, w_ref)
     assert np.allclose(wd_des, wd_ref)
 
@@ -159,10 +166,12 @@ def test_bodyrate_gain_scaling_and_composition():
     g1 = ControlGains(kxi=[4.0, 4.0, 4.0], komega=[10.0, 10.0, 10.0])
     g2 = ControlGains(kxi=[8.0, 8.0, 8.0], komega=[10.0, 10.0, 10.0])
     e = np.array([0.1, 0.0, -0.05])
-    w1, _ = bodyrate_command(e, np.zeros(3), np.zeros(3), np.zeros(3), g1)
-    w2, _ = bodyrate_command(e, np.zeros(3), np.zeros(3), np.zeros(3), g2)
+    zero = [0.0] * 3
+    w1, wd = map(np.array, bodyrate_command(e.tolist(), zero, zero, zero,
+                                            g1.kxi.tolist(), g1.komega.tolist()))
+    w2, _ = map(np.array, bodyrate_command(e.tolist(), zero, zero, zero,
+                                           g2.kxi.tolist(), g2.komega.tolist()))
     assert np.allclose(w2, 2.0 * w1)
-    _, wd = bodyrate_command(e, np.zeros(3), np.zeros(3), np.zeros(3), g1)
     assert np.allclose(wd, g1.komega * g1.kxi * e)
 
 
@@ -177,6 +186,9 @@ def test_thrust_command_cases():
         VEH.m * GRAVITY * math.cos(math.radians(30.0)),
         rtol=1e-12,
     )
+    for axis in ([0.0, 0.0, 0.0], [math.nan, 0.0, 1.0]):
+        with pytest.raises(InputError):
+            thrust_command(GRAVITY * Z, np.array(axis), VEH.m)
 
 
 # -- torque commands ----------------------------------------------------------------
@@ -201,11 +213,12 @@ def test_torque_model_larger_near_lever_peak():
 
 def test_torque_indi_fixed_point_and_stale():
     tau_hat = np.array([0.01, -0.02, 0.005])
-    wd = np.array([1.0, 2.0, 3.0])
-    out = torque_command_indi(tau_hat, wd, wd, 0.2, 7.0, VEH, GE)
+    wd = [1.0, 2.0, 3.0]
+    J = equivalent_inertia_operator(0.2, GE, VEH, thrust=7.0)
+    out = np.array(torque_command_indi(tau_hat.tolist(), wd, wd, J, 0.0, 0.002))
     assert np.allclose(out, tau_hat)
     with pytest.raises(ControllerFault):
-        torque_command_indi(tau_hat, wd, wd, 0.2, 7.0, VEH, GE, age=0.02, period=0.002)
+        torque_command_indi(tau_hat.tolist(), wd, wd, J, 0.02, 0.002)
 
 
 # -- allocation ---------------------------------------------------------------------
@@ -362,7 +375,7 @@ class _ArrayCascade:
         thrust_des = thrust_command(self.f_cmd, R_hat[:, 2], veh.m)
         q_des = quat.from_z_axis_yaw(self.f_cmd, flat.yaw)
         hw, hx, hy, hz = meas.q
-        e = quat.multiply([hw, -hx, -hy, -hz], q_des)
+        e = np.array(quat.multiply([hw, -hx, -hy, -hz], q_des.tolist()))
         if e[0] < 0.0:
             e = -e
         w = min(e[0], 1.0)

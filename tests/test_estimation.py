@@ -34,7 +34,7 @@ from nearground.groundeffect import (
     torque_lever_peak,
 )
 from nearground.simulator import SimConfig, run_closed_loop
-from nearground.vehicle import GRAVITY, VehicleParams
+from nearground.vehicle import GRAVITY, VehicleParams, inertia_operator
 
 VEH = VehicleParams()
 GE = GroundEffectParams()
@@ -43,8 +43,8 @@ GE = GroundEffectParams()
 # -- filters -------------------------------------------------------------------
 
 def test_lowpass_dc_gain_unity():
-    lp = LowPass(10.0, 500.0, initial=0.0)
-    y = 0.0
+    lp = LowPass(10.0, 500.0)
+    y = lp.update([0.0])
     for _ in range(3000):
         y = lp.update([3.7])
     assert abs(float(y[0]) - 3.7) < 1e-9
@@ -53,27 +53,36 @@ def test_lowpass_dc_gain_unity():
 def test_lowpass_step_rise_time():
     # 63.2% of a unit step after one time constant 1/(2 pi fc), within 5%
     fc, rate = 5.0, 2000.0
-    lp = LowPass(fc, rate, initial=0.0)
+    lp = LowPass(fc, rate)
     tau = 1.0 / (2.0 * math.pi * fc)
     steps = int(round(tau * rate))
-    y = 0.0
+    y = lp.update([0.0])
     for _ in range(steps):
         y = lp.update([1.0])
     assert abs(float(y[0]) - 0.632) < 0.05 * 0.632
 
 
 def test_lowpass_zero_input():
-    lp = LowPass(10.0, 500.0, initial=0.0)
+    lp = LowPass(10.0, 500.0)
+    lp.update([0.0])
     for _ in range(100):
         y = lp.update([0.0])
     assert float(y[0]) == 0.0
 
 
 def test_lowpass_rejects_bad_cutoff():
-    with pytest.raises(ConfigError):
-        LowPass(300.0, 500.0)
-    with pytest.raises(ConfigError):
-        LowPass(0.0, 500.0)
+    # a NaN cutoff would make alpha NaN and every output after the first NaN
+    for cutoff, rate in ((300.0, 500.0), (0.0, 500.0), (math.nan, 500.0), (10.0, math.nan),
+                         (10.0, math.inf), (10.0, -500.0), (10.0, 0.0)):
+        with pytest.raises(ConfigError):
+            LowPass(cutoff, rate)
+
+
+def test_filters_reject_a_sample_of_another_size():
+    for filt in (LowPass(10.0, 500.0), FilteredDerivative(10.0, 500.0)):
+        filt.update([0.0, 1.0, 2.0])
+        with pytest.raises(InputError):
+            filt.update([0.0, 1.0])
 
 
 def test_filtered_derivative_tracks_ramp():
@@ -81,7 +90,7 @@ def test_filtered_derivative_tracks_ramp():
     lp = LowPass(40.0, 1000.0)
     out = 0.0
     for k in range(2000):
-        x = np.array([0.5 * k / 1000.0])
+        x = [0.5 * k / 1000.0]
         filtered, out = fd.update(x)
         # the value it differentiates is a plain low-pass of the signal, bit for bit
         assert np.array_equal(filtered, lp.update(x))
@@ -108,7 +117,8 @@ def test_observer_pure_function_identity():
     a_ext_true = np.array([0.3, -0.1, 1.2])
     a = a_ext_true - GRAVITY * np.array([0, 0, 1.0]) + R[:, 2] * 7.0 / VEH.m
     f_body = R.T @ (a + GRAVITY * np.array([0, 0, 1.0]))
-    est = wrench_observer(q, f_body, 7.0, np.zeros(3), np.zeros(3), np.zeros(3), VEH)
+    est = wrench_observer(R, f_body.tolist(), 7.0, [0.0] * 3, [0.0] * 3, [0.0] * 3, VEH.m,
+                          inertia_operator(VEH.inertia))
     assert np.max(np.abs(est.accel - a_ext_true)) < 1e-12
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearground import quaternions as quat
+from nearground.controller import torque_command_model
 from nearground.errors import InputError, ParameterError, ReferenceGenerationError
 from nearground.flatness import (
     FlatOutput,
@@ -18,7 +19,6 @@ from nearground.flatness import (
     make_trajectory,
     reference_rates,
     reference_thrust_attitude,
-    reference_torque,
 )
 from nearground.groundeffect import (
     GroundEffectParams,
@@ -207,7 +207,7 @@ def _fd_omega(traj, t, dt=5e-4):
     if np.dot(qp, q0) < 0:
         qp = -qp
     qdot = (qp - qm) / (2 * dt)
-    return 2.0 * quat.multiply(_conjugate(q0), qdot)[1:]
+    return 2.0 * np.array(quat.multiply(_conjugate(q0).tolist(), qdot.tolist()))[1:]
 
 
 def test_static_hover_rates_zero():
@@ -248,13 +248,13 @@ def test_omega_with_yaw_rate():
 # -- torque ------------------------------------------------------------------
 
 def test_reference_torque_zero_rates():
-    assert np.allclose(reference_torque(np.zeros(3), np.zeros(3), 0.2, 7.0, VEH, GE), 0.0)
+    assert np.allclose(torque_command_model(np.zeros(3), np.zeros(3), 0.2, 7.0, VEH, GE), 0.0)
 
 
 def test_reference_torque_far_field_plain_inertia():
     omega = np.array([0.3, -0.2, 0.5])
     omega_dot = np.array([0.1, 0.4, -0.3])
-    tau = reference_torque(omega, omega_dot, 50.0, 9.81, VEH, GE)
+    tau = torque_command_model(omega, omega_dot, 50.0, 9.81, VEH, GE)
     plain = VEH.inertia @ omega_dot + np.cross(omega, VEH.inertia @ omega)
     assert np.max(np.abs(tau - plain)) < 1e-9
 
@@ -263,11 +263,11 @@ def test_reference_torque_gyroscopic_term_componentwise():
     # hand-expanded cross product for a diagonal inertia
     omega = np.array([0.0, 0.0, 1.3])
     Jp = VEH.inertia
-    tau = reference_torque(omega, np.zeros(3), 50.0, 9.81, VEH, GE)
+    tau = torque_command_model(omega, np.zeros(3), 50.0, 9.81, VEH, GE)
     # J omega is parallel to omega for pure yaw with diagonal J: no gyro term
     assert np.allclose(tau, 0.0, atol=1e-12)
     omega = np.array([0.4, 0.7, -0.2])
-    tau = reference_torque(omega, np.zeros(3), 50.0, 9.81, VEH, GE)
+    tau = torque_command_model(omega, np.zeros(3), 50.0, 9.81, VEH, GE)
     jw = np.array([Jp[0, 0] * 0.4, Jp[1, 1] * 0.7, Jp[2, 2] * -0.2])
     hand = np.array(
         [
@@ -307,12 +307,12 @@ def _ref_from_z_axis_yaw(z_b, yaw):
     if not n > 0.0:
         raise InputError("body z axis must be non-zero")
     z = z_b / n
-    x_b = quat.cross(np.array([-np.sin(yaw), np.cos(yaw), 0.0]), z)
+    x_b = np.array(quat.cross([float(-np.sin(yaw)), float(np.cos(yaw)), 0.0], z.tolist()))
     n = math.sqrt(float(x_b @ x_b))
     if n < 1e-9:
         raise InputError("degenerate attitude: thrust axis parallel to yaw heading")
     x = x_b / n
-    y = quat.cross(z, x)
+    y = np.array(quat.cross(z.tolist(), x.tolist()))
     r00, r01, r02 = x[0], y[0], z[0]
     r10, r11, r12 = x[1], y[1], z[1]
     r20, r21, r22 = x[2], y[2], z[2]
@@ -404,9 +404,9 @@ def _ref_rates(flat, vehicle, ge, gravity=GRAVITY, attitude=None):
     w1 = -(j_b[1] + d2 * a_b[1] + (d1 - d2) * v_b[0] * w3) / den1
     omega = np.array([w1, w2, w3])
 
-    vdot_b = a_b - quat.cross(omega, v_b)
-    adot_b = j_b - quat.cross(omega, a_b)
-    jdot_b = s_b - quat.cross(omega, j_b)
+    vdot_b = a_b - np.array(quat.cross(omega.tolist(), v_b.tolist()))
+    adot_b = j_b - np.array(quat.cross(omega.tolist(), a_b.tolist()))
+    jdot_b = s_b - np.array(quat.cross(omega.tolist(), j_b.tolist()))
     cdot = w2 * float(x_b @ gz) - w1 * float(y_b @ gz) + float(z_b @ flat.j)
 
     da11 = cdot + d1 * vdot_b[2]
@@ -436,7 +436,8 @@ def _ref_rates(flat, vehicle, ge, gravity=GRAVITY, attitude=None):
 def _ref_torque(omega, omega_dot, h, thrust, vehicle, ge, gravity=GRAVITY):
     Jp = equivalent_inertia(h, ge, vehicle, thrust=thrust, gravity=gravity)
     omega = np.asarray(omega, dtype=float)
-    return Jp @ np.asarray(omega_dot, dtype=float) + quat.cross(omega, Jp @ omega)
+    return Jp @ np.asarray(omega_dot, dtype=float) + \
+        np.array(quat.cross(omega.tolist(), (Jp @ omega).tolist()))
 
 
 def _ref_flat_reference(flat, vehicle, ge, gravity=GRAVITY):
@@ -530,7 +531,7 @@ def test_float_reference_non_finite_like_array_code(flat, jerk_snap, ge):
        st.floats(0.0, 30.0), st.sampled_from(_VEHICLES), st.sampled_from(_MODELS))
 def test_float_torque_bit_identical_to_array_code(rates, h, thrust, vehicle, ge):
     args = (np.array(rates[:3]), np.array(rates[3:]), h, thrust, vehicle, ge)
-    assert _outcome(reference_torque, *args) == _outcome(_ref_torque, *args)
+    assert _outcome(torque_command_model, *args) == _outcome(_ref_torque, *args)
 
 
 def test_float_rates_divide_by_zero_like_array_code():

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -57,6 +58,32 @@ def _hover_scenario(name="hover_smoke", seed=7, duration=2.0, **kw):
         metrics_warmup=0.5,
         **kw,
     )
+
+
+def _warnings_uses(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == "warnings" for alias in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] == "warnings":
+                yield node.lineno
+        elif (isinstance(node, ast.Attribute) and node.attr == "warn"
+              and isinstance(node.value, ast.Name) and node.value.id == "warnings"):
+            yield node.lineno
+
+
+def test_package_issues_no_warnings():
+    # a warning reaches stderr only: what a run should say goes into its
+    # artifacts, a counter or an exception that maps to an exit code
+    pkg = os.path.dirname(cli.__file__)
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            found += [f"{name}:{line}" for line in _warnings_uses(tree)]
+    assert found == []
 
 
 def _fast(scenario):

@@ -227,8 +227,9 @@ def test_small_tilt_oscillates_about_level_near_torque_peak():
 ])
 def test_disturbance_forces_match_public_functions(tilt_deg, h, overrides):
     cfg = SimConfig(**overrides)
-    q = quat.multiply(quat.from_axis_angle([0.0, 0.0, 1.0], 0.7),
-                      quat.from_axis_angle([1.0, 2.0, 0.0], math.radians(tilt_deg)))
+    q = np.array(quat.multiply(
+        quat.from_axis_angle([0.0, 0.0, 1.0], 0.7).tolist(),
+        quat.from_axis_angle([1.0, 2.0, 0.0], math.radians(tilt_deg)).tolist()))
     x = _hover_state(0.3)
     x[2] = h
     x[3:6] = [0.8, -0.5, 0.3]
