@@ -289,6 +289,14 @@ PINNED_LOG_SHA256 = {
     # leaves the rotor-speed range, so the log is flagged infeasible)
     "descent_through_drag_table":
         "d62cb4367948a4961b2ed99dbf8386fde509d7f7dee5666f0d4525dafab91930",
+    # logged steps that are not control ticks (log_decimation not a multiple
+    # of the steps per tick); the feedforward case has ideal motors
+    "lemniscate_low_every_step":
+        "233a5e4b4e4fbc2732d47001759a5311db272ac838db2c1135ff396be600f385",
+    "lemniscate_feedforward_every_step":
+        "b2494ceb6d91e3f7d843e08082f8e0b8d607c1e9d3c4b3007f66c8d5e83bb279",
+    "hover_low_decimation_3":
+        "433b41c29ef0ad3e6571bae72da9578665a7d667e5bab62691506607e9ec2e82",
 }
 
 _OFFDIAG_INERTIA = [("vehicle.inertia_xy", "2e-4"), ("vehicle.inertia_xz", "-1e-4"),
@@ -311,6 +319,10 @@ _PINNED_LOG_CASES = {
     "ge_drag_off": ("lemniscate_low", [("sim.ge_drag", "false")]),
     "descent_through_drag_table": ("hover_descent_sweep", [
         ("traj.hold", "0"), ("traj.duration", "0.5"), ("metrics_warmup", "0.1")]),
+    "lemniscate_low_every_step": ("lemniscate_low", [("sim.log_decimation", "1")]),
+    "lemniscate_feedforward_every_step": (
+        "lemniscate_feedforward", [("sim.log_decimation", "1")]),
+    "hover_low_decimation_3": ("hover_low", [("sim.log_decimation", "3")]),
 }
 
 
