@@ -19,7 +19,7 @@ import numpy as np
 from . import quaternions as quat
 from .errors import ControllerFault, InputError, ParameterError
 from .estimation import FilteredDerivative, WrenchObserverRunner
-from .flatness import _torque, flat_reference
+from .flatness import flat_reference
 from .groundeffect import (
     GroundEffectParams,
     drag_matrix,
@@ -146,19 +146,22 @@ def bodyrate_command(xi_err, omega_ref, omega_f, omega_dot_ref, kxi, komega):
 
 
 def thrust_command(a_des_total, z_b_hat, mass):
-    """Thrust projecting the total desired specific force on the body axis."""
+    """Thrust projecting the desired specific force on the body axis; non-finite is a fault."""
     z = np.asarray(z_b_hat, float)
     norm = math.sqrt(float(z.dot(z)))
     if not norm > 0.0:
         raise InputError("body z axis must be non-zero and not NaN")
-    return max(0.0, mass * float(np.asarray(a_des_total, float).dot(z)) / norm)
+    thrust = mass * float(np.asarray(a_des_total, float).dot(z)) / norm
+    if not math.isfinite(thrust):
+        raise ControllerFault(f"non-finite thrust command {thrust}")
+    return max(0.0, thrust)
 
 
 def torque_command_model(omega_des, omega_dot_des, h, thrust_ref,
                          vehicle: VehicleParams, ge: GroundEffectParams):
     """Inverse rotational dynamics; J'(h) absorbs the leveling torque."""
     J = equivalent_inertia_operator(h, ge, vehicle, thrust=thrust_ref)
-    return np.array(_torque(J, quat._floats(omega_des), quat._floats(omega_dot_des)))
+    return np.array(J.torque(quat._floats(omega_des), quat._floats(omega_dot_des)))
 
 
 def torque_command_indi(tau_applied, omega_dot_des, omega_dot_f, J, age, period):
@@ -198,13 +201,17 @@ def allocate(thrust_des, torque_des, vehicle: VehicleParams):
 
     Unreachable commands degrade in order: scale yaw torque toward zero,
     then scale roll/pitch torque, then clamp the pure-thrust solution. The
-    returned command always satisfies 0 <= n <= n_max.
+    returned command always satisfies 0 <= n <= n_max. A non-finite thrust
+    or torque is a ControllerFault.
     """
     torque_des = np.asarray(torque_des, float).reshape(3)
-    thrust_des = max(0.0, float(thrust_des))
+    cmd = [float(thrust_des)] + torque_des.tolist()
+    if not all(map(math.isfinite, cmd)):
+        raise ControllerFault(f"non-finite command (thrust, torque) = {cmd}")
+    thrust_des = cmd[0] = max(0.0, cmd[0])
     Minv = mixing_matrix_inverse(vehicle)
     hi = vehicle.n_max**2
-    n_sq = Minv.dot(np.array([thrust_des] + torque_des.tolist()))
+    n_sq = Minv.dot(np.array(cmd))
     top = hi * (1.0 + 1e-12)
     values = n_sq.tolist()
     if all(-1e-9 <= v <= top for v in values):
@@ -290,7 +297,7 @@ class CascadeController:
         q = meas.q.tolist()
         R_hat = np.array(quat.rot_rows(q))
         self.last_wrench = self.observer.update(
-            t, meas.q, meas.specific_force, thrust_hat, meas.gyro, tau_hat, _R=R_hat
+            t, R_hat, meas.specific_force, thrust_hat, meas.gyro, tau_hat
         )
         if self._tick_count % self.ratio == 0:
             self._position_tick(t, meas)
@@ -307,7 +314,7 @@ class CascadeController:
             torque_des = torque_command_indi(tau_hat.tolist(), omega_dot_des, omega_dot_f,
                                              self._J_des, 0.0, self.attitude_period)
         else:
-            torque_des = _torque(self._J_des, omega_des, omega_dot_des)
+            torque_des = self._J_des.torque(omega_des, omega_dot_des)
         return allocate(thrust_des, torque_des, self.vehicle)
 
     def _position_tick(self, t, meas):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FitError, InputError
-from .quaternions import _floats, cross, rot_matrix
+from .quaternions import _floats, rot_matrix
 from .vehicle import VehicleParams, inertia_operator
 
 Z_W = np.array([0.0, 0.0, 1.0])
@@ -87,18 +87,17 @@ def wrench_observer(R, f, thrust, w, wd, tau_b, m, J):
     """External wrench from filtered measurements.
 
     accel: R f_imu - z_B T/m, the residual world acceleration not explained
-    by the rotors. torque: J w_dot + w x J w - tau_B. R is the attitude
-    matrix, J an InertiaOperator, m the mass, thrust a float and the rest
-    float triples.
+    by the rotors. torque: J w_dot + w x J w - tau_B (``J.torque``). R is
+    the attitude matrix, J an InertiaOperator, m the mass, thrust a float
+    and the rest float triples.
     """
     f0, f1, f2 = R.dot(np.array(f)).tolist()
     z0, z1, z2 = R[:, 2].tolist()
     k = thrust / m
     a_ext = [f0 - z0 * k, f1 - z1 * k, f2 - z2 * k]
-    j0, j1, j2 = J.dot(wd)
-    c0, c1, c2 = cross(w, J.dot(w))
+    t0, t1, t2 = J.torque(w, wd)
     b0, b1, b2 = tau_b
-    return WrenchEstimate(np.array(a_ext), np.array([j0 + c0 - b0, j1 + c1 - b1, j2 + c2 - b2]))
+    return WrenchEstimate(np.array(a_ext), np.array([t0 - b0, t1 - b1, t2 - b2]))
 
 
 class WrenchObserverRunner:
@@ -117,12 +116,11 @@ class WrenchObserverRunner:
         self.last = None
         self.dropped = 0
 
-    def update(self, t, q_hat, specific_force, thrust, omega, tau_b, t_torque=None, _R=None):
-        """Feed one synchronized sample; returns the current WrenchEstimate.
+    def update(self, t, R, specific_force, thrust, omega, tau_b, t_torque=None):
+        """Feed one synchronized sample at attitude matrix R; returns the current WrenchEstimate.
 
         A torque sample older than one period is a misalignment: the sample
         is dropped, counted in ``dropped``, and the previous estimate stands.
-        _R may be rot_matrix(q_hat), which this then does not build again.
         """
         if t_torque is not None and abs(t - t_torque) > self.period * (1.0 + 1e-9):
             self.dropped += 1
@@ -130,7 +128,6 @@ class WrenchObserverRunner:
         f_f = self.f_accel.update(_floats(specific_force))
         (T_f,) = self.f_thrust.update([float(thrust)])
         w_f, wd_f = self.f_omega.update(_floats(omega))
-        R = _R if _R is not None else rot_matrix(q_hat)
         est = wrench_observer(R, f_f, T_f, w_f, wd_f, _floats(tau_b), self.vehicle.m, self._J)
         est.t = t
         self.last = est
@@ -174,29 +171,27 @@ def spearman(x, y):
 
 # -- ground-effect measurements ------------------------------------------------
 
-def thrust_factor_from_platform(f_z, thrust, min_thrust=1e-6):
-    """Extra-thrust fraction from a force-platform reading: f_z/T - 1."""
-    if thrust <= min_thrust:
+def thrust_factor_from_platform(f_z, thrust):
+    """Extra-thrust fraction from a force-platform reading: f_z/T - 1 (T > 1e-6 N)."""
+    if thrust <= 1e-6:
         raise InputError("thrust too small to normalize a platform sample")
     return float(f_z) / float(thrust) - 1.0
 
 
-def thrust_factor_from_flight(a_ext, thrust, mass, min_thrust=1e-6):
-    """Extra-thrust fraction from the observer's external acceleration."""
-    if thrust <= min_thrust:
+def thrust_factor_from_flight(a_ext, thrust, mass):
+    """Extra-thrust fraction from the observer's external acceleration (T > 1e-6 N)."""
+    if thrust <= 1e-6:
         raise InputError("thrust too small to normalize a flight sample")
     a_ext = np.asarray(a_ext, dtype=float)
     return mass * float(Z_W @ a_ext) / float(thrust)
 
 
-def normalize_coefficient_curve(h, k, k_inf=None):
+def normalize_coefficient_curve(h, k):
     """k(h)/k(inf) - 1, with k(inf) the mean over the top altitude decile."""
     h = np.asarray(h, dtype=float)
     k = np.asarray(k, dtype=float)
-    if k_inf is None:
-        order = np.argsort(h)
-        n_top = max(1, len(h) // 10)
-        k_inf = float(np.mean(k[order[-n_top:]]))
+    n_top = max(1, len(h) // 10)
+    k_inf = float(np.mean(k[np.argsort(h)[-n_top:]]))
     if k_inf == 0.0:
         raise InputError("asymptotic coefficient is zero; cannot normalize")
     return k / k_inf - 1.0
@@ -246,23 +241,21 @@ def _numeric_jacobian(f, p):
     return J
 
 
-def levenberg_fit(residual, p0, names, max_iter=200, rel_step_tol=1e-10,
-                  cond_limit=1e12):
+def levenberg_fit(residual, p0, names):
     """Gauss-Newton with Levenberg damping on a residual function.
 
-    Converges when the relative parameter step drops below rel_step_tol;
-    raises FitError on non-convergence or rank-deficient normal equations.
+    Converges when the relative parameter step drops below 1e-10 within 200
+    iterations; raises FitError on non-convergence or on normal equations
+    with a condition number above 1e12 (rank-deficient).
     """
     p = np.asarray(p0, dtype=float).copy()
     r = residual(p)
     cost = float(r @ r)
     lam = 1e-3
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, 201):
         J = _numeric_jacobian(residual, p)
         JtJ = J.T @ J
-        if np.linalg.cond(JtJ) > cond_limit:
+        if np.linalg.cond(JtJ) > 1e12:
             raise FitError(
                 "normal equations rank-deficient: parameters unidentifiable "
                 f"(residual RMS {math.sqrt(cost / len(r)):.4g})"
@@ -292,12 +285,11 @@ def levenberg_fit(residual, p0, names, max_iter=200, rel_step_tol=1e-10,
                 f"damping exhausted after {iterations} iterations "
                 f"(residual RMS {math.sqrt(cost / len(r)):.4g})"
             )
-        if np.linalg.norm(delta) < rel_step_tol * (np.linalg.norm(p) + 1e-30):
-            converged = True
+        if np.linalg.norm(delta) < 1e-10 * (np.linalg.norm(p) + 1e-30):
             break
-    if not converged:
+    else:
         raise FitError(
-            f"no convergence in {max_iter} iterations "
+            f"no convergence in {iterations} iterations "
             f"(residual RMS {math.sqrt(cost / len(r)):.4g})"
         )
     # linearized covariance for the confidence intervals
@@ -305,7 +297,7 @@ def levenberg_fit(residual, p0, names, max_iter=200, rel_step_tol=1e-10,
     dof = max(len(r) - len(p), 1)
     sigma_sq = cost / dof
     JtJ = J.T @ J
-    if np.linalg.cond(JtJ) > cond_limit:
+    if np.linalg.cond(JtJ) > 1e12:
         ci = np.full(len(p), np.inf)
     else:
         ci = 1.96 * np.sqrt(np.maximum(np.diag(sigma_sq * np.linalg.inv(JtJ)), 0.0))
@@ -334,14 +326,14 @@ def fit_thrust_factor(h, f_measured):
     return levenberg_fit(residual, [g1_0, g2_0], ["g1", "g2"])
 
 
-def fit_torque_lever(h, tilt, thrust, torque_mag, max_tilt_deg=10.0):
-    """Identify (g3, g4, g5) of lever(h) from |torque| = lever * T * sin(tilt)."""
+def fit_torque_lever(h, tilt, thrust, torque_mag):
+    """Identify (g3, g4, g5) of lever(h) from |torque| = lever * T * sin(tilt), tilt <= 10 deg."""
     h = np.asarray(h, dtype=float)
     tilt = np.asarray(tilt, dtype=float)
     thrust = np.asarray(thrust, dtype=float)
     torque_mag = np.asarray(torque_mag, dtype=float)
-    if np.any(np.degrees(tilt) > max_tilt_deg + 1e-9):
-        raise FitError(f"samples beyond the {max_tilt_deg} deg linear regime")
+    if np.any(np.degrees(tilt) > 10.0 + 1e-9):
+        raise FitError("samples beyond the 10.0 deg linear regime")
     lever_obs = torque_mag / (thrust * np.sin(tilt))
 
     def residual(p):
@@ -374,22 +366,23 @@ def _slope_with_stderr(x, y):
     return float(coef[0]), math.sqrt(sigma_sq / sxx)
 
 
-def fit_drag_coefficients(v_body, a_ext_body, mass, min_speed=0.3):
+def fit_drag_coefficients(v_body, a_ext_body, mass):
     """Drag coefficients (kg/s) from body-frame velocity and external accel.
 
     Regresses each in-plane acceleration component on the matching velocity
-    component; the drag coefficient is mass times the slope magnitude.
+    component; the drag coefficient is mass times the slope magnitude. Each
+    in-plane velocity component must reach 0.3 m/s somewhere.
     """
     v_body = np.asarray(v_body, dtype=float)
     a_ext_body = np.asarray(a_ext_body, dtype=float)
-    if np.max(np.abs(v_body[:, 0])) < min_speed or np.max(np.abs(v_body[:, 1])) < min_speed:
-        raise FitError(f"insufficient velocity excitation (< {min_speed} m/s)")
+    if np.max(np.abs(v_body[:, 0])) < 0.3 or np.max(np.abs(v_body[:, 1])) < 0.3:
+        raise FitError("insufficient velocity excitation (< 0.3 m/s)")
     sx, ex = _slope_with_stderr(v_body[:, 0], a_ext_body[:, 0])
     sy, ey = _slope_with_stderr(v_body[:, 1], a_ext_body[:, 1])
     return DragFit(abs(sx) * mass, abs(sy) * mass, ex * mass, ey * mass, len(v_body))
 
 
-def fit_drag_from_log(log, vehicle: VehicleParams, min_speed=0.3):
+def fit_drag_from_log(log, vehicle: VehicleParams):
     """Drag fit over a trajectory-log segment flown at roughly fixed altitude."""
     q = log.cols(["qw", "qx", "qy", "qz"])
     v = log.cols(["vx", "vy", "vz"])
@@ -400,4 +393,4 @@ def fit_drag_from_log(log, vehicle: VehicleParams, min_speed=0.3):
         R = rot_matrix(q[i])
         v_body[i] = R.T @ v[i]
         a_body[i] = R.T @ a_ext[i]
-    return fit_drag_coefficients(v_body[:, :2], a_body[:, :2], vehicle.m, min_speed)
+    return fit_drag_coefficients(v_body[:, :2], a_body[:, :2], vehicle.m)

@@ -13,10 +13,11 @@ thrust-axis scalar c = z_B . (a + g z_W) carries all altitude coupling of
 the amplified thrust, so its derivative needs no model approximation.
 
 Reference generation runs once per control tick on Python floats in
-``_thrust_attitude``, ``_rates`` and ``_torque`` (the model-torque law
-J'(h) w_dot + w x J'(h) w, which the controller also calls). ``flat_reference``
-chains them; ``reference_thrust_attitude`` and ``reference_rates`` return
-the first two as arrays.
+``_thrust_attitude`` and ``_rates``; ``flat_reference`` chains them with the
+model torque J'(h) w_dot + w x J'(h) w (``InertiaOperator.torque`` in
+vehicle.py, which the controller and the wrench observer also call).
+``reference_thrust_attitude`` and ``reference_rates`` return the first two
+as arrays.
 Their arithmetic follows the per-step rule stated in simulator.py's docstring.
 """
 
@@ -182,21 +183,20 @@ def _altitude_drag(flat: FlatOutput, vehicle: VehicleParams, ge: GroundEffectPar
 
 
 def reference_thrust_attitude(flat: FlatOutput, vehicle: VehicleParams,
-                              ge: GroundEffectParams, gravity=GRAVITY,
-                              tol=1e-10, max_iter=20):
+                              ge: GroundEffectParams, gravity=GRAVITY, max_iter=20):
     """(T_ref, attitude) solving the drag-coupled thrust-axis fixed point.
 
-    Iterates z_B ~ a + g z_W + drag-restoring terms until the axis settles,
-    completes the attitude from yaw, and evaluates the thrust with the
-    ground amplification removed from the required specific force.
+    Iterates z_B ~ a + g z_W + drag-restoring terms until the axis moves
+    less than 1e-10 in one iteration, completes the attitude from yaw, and
+    evaluates the thrust with the ground amplification removed from the
+    required specific force.
     """
     h, d1, d2 = _altitude_drag(flat, vehicle, ge)
-    thrust, q, iterations = _thrust_attitude(flat, h, d1, d2, vehicle, ge, gravity,
-                                             tol, max_iter)
+    thrust, q, iterations = _thrust_attitude(flat, h, d1, d2, vehicle, ge, gravity, max_iter)
     return thrust, np.array(q), iterations
 
 
-def _thrust_attitude(flat, h, d1, d2, vehicle, ge, gravity, tol=1e-10, max_iter=20):
+def _thrust_attitude(flat, h, d1, d2, vehicle, ge, gravity, max_iter=20):
     """reference_thrust_attitude at altitude h with the drag over mass d1, d2.
 
     Returns (thrust, attitude as a list of floats, iterations).
@@ -224,7 +224,7 @@ def _thrust_attitude(flat, h, d1, d2, vehicle, ge, gravity, tol=1e-10, max_iter=
         step = np.array([a - b for a, b in zip(z_new, z)])
         delta = math.sqrt(float(step.dot(step)))
         z, z_b = z_new, np.array(z_new)
-        if delta < tol:
+        if delta < 1e-10:
             break
     else:
         raise ReferenceGenerationError(
@@ -311,16 +311,6 @@ def _rates(flat, R, d1, d2, gravity):
     return omega, [wd1, wd2, wd3]
 
 
-def _torque(J, omega, omega_dot):
-    """Model torque J w_dot + w x J w; with J = J'(h) it absorbs the leveling torque.
-
-    J is an InertiaOperator, omega and omega_dot are float triples; returns a list.
-    """
-    t0, t1, t2 = J.dot(omega_dot)
-    c0, c1, c2 = quat.cross(omega, J.dot(omega))
-    return [t0 + c0, t1 + c1, t2 + c2]
-
-
 def flat_reference(flat: FlatOutput, vehicle: VehicleParams, ge: GroundEffectParams,
                    gravity=GRAVITY):
     """Full reference tuple for one flat-output sample.
@@ -333,7 +323,7 @@ def flat_reference(flat: FlatOutput, vehicle: VehicleParams, ge: GroundEffectPar
     thrust, q, iterations = _thrust_attitude(flat, h, d1, d2, vehicle, ge, gravity)
     omega, omega_dot = _rates(flat, np.array(quat.rot_rows(q)), d1, d2, gravity)
     Jp = equivalent_inertia_operator(h, ge, vehicle, thrust=thrust, gravity=gravity)
-    torque = _torque(Jp, omega, omega_dot)
+    torque = Jp.torque(omega, omega_dot)
     n_sq = mixing_matrix_inverse(vehicle).dot(np.array([thrust] + torque)).tolist()
     top = vehicle.n_max**2 + 1e-9
     feasible = all(-1e-9 <= v <= top for v in n_sq)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -124,15 +124,7 @@ class GroundEffectParams:
         """Copy with all model magnitudes multiplied (controller mismatch knob)."""
         table = self.drag_table.copy()
         table[:, 1:] *= factor
-        return GroundEffectParams(
-            g1=self.g1,
-            g2=self.g2 * factor,
-            g3=self.g3,
-            g4=self.g4,
-            g5=self.g5 * factor,
-            drag_table=table,
-            tilt_saturation_deg=self.tilt_saturation_deg,
-        )
+        return replace(self, g2=self.g2 * factor, g5=self.g5 * factor, drag_table=table)
 
 
 def _check_h(h):
@@ -167,9 +159,9 @@ def torque_lever(h, params: GroundEffectParams):
     return _lever(_check_h(h), params)
 
 
-def torque_lever_peak(params: GroundEffectParams, h_max=2.0, n=4001):
-    """(h*, lever(h*)) over a dense grid; the lever is unimodal on h >= 0."""
-    grid = np.linspace(1e-4, h_max, n)
+def torque_lever_peak(params: GroundEffectParams):
+    """(h*, lever(h*)) over 4001 points of (0, 2] m; the lever is unimodal on h >= 0."""
+    grid = np.linspace(1e-4, 2.0, 4001)
     vals = _lever(grid, params)
     i = int(np.argmax(vals))
     return float(grid[i]), float(vals[i])

@@ -223,12 +223,12 @@ def compute_metrics(log: TrajectoryLog, scenario: Scenario):
     )
 
 
-def angle_error_profile(log: TrajectoryLog, half_width=0.02, step=None, min_samples=10):
+def angle_error_profile(log: TrajectoryLog, half_width=0.02, step=None):
     """Attitude-error RMS binned by altitude.
 
     E(h0) is the RMS rotation angle between true and commanded attitude over
-    rows with h within half_width of h0; windows with fewer than min_samples
-    rows are dropped. Returns an (n, 2) array of (h0, E).
+    rows with h within half_width of h0; windows with fewer than 10 rows are
+    dropped. Returns an (n, 2) array of (h0, E).
     """
     if len(log) == 0:
         raise InputError("empty log")
@@ -240,7 +240,7 @@ def angle_error_profile(log: TrajectoryLog, half_width=0.02, step=None, min_samp
     out = []
     for h0 in grid:
         mask = (h >= h0 - half_width) & (h <= h0 + half_width)
-        if int(mask.sum()) >= min_samples:
+        if int(mask.sum()) >= 10:
             out.append((float(h0), math.sqrt(float(np.mean(ang[mask] ** 2)))))
     return np.array(out).reshape(-1, 2)
 

@@ -103,9 +103,10 @@ def geodesic_angle(qa, qb):
     return 2.0 * np.arccos(min(d, 1.0))
 
 
-def check_rotation(R, tol=1e-6):
+def check_rotation(R):
+    """R as a float array; an InputError unless R^T R is within 1e-6 of I."""
     R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3) or np.max(np.abs(R.T.dot(R) - np.eye(3))) > tol:
+    if R.shape != (3, 3) or np.max(np.abs(R.T.dot(R) - np.eye(3))) > 1e-6:
         raise InputError("matrix is not orthonormal within tolerance")
     return R
 

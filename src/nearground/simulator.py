@@ -30,10 +30,11 @@ vehicle.py): its rows sum one product with exact zeros from an
 accumulator at +0.0, so the float 0.0 + j_i * w_i has BLAS's bytes for
 finite operands, and a non-finite result is recomputed by the call.
 
-A tick evaluates the geometry of its state once: ``_Plant.derivative``
-returns the state's frame (unit quaternion, R, world drag, leveling
-axis), which ``imu_sample`` and ``disturbance_forces`` reuse; called
-without it, as on a logged step that is not a tick, they evaluate it.
+The run loop evaluates ``_Plant.derivative`` once on every step that ticks
+or logs. It returns the state's frame (unit quaternion, R, world drag,
+leveling axis), which ``imu_sample`` and ``disturbance_forces`` take as an
+argument, and with a motor lag the derivative, with the command's dn/dt,
+is the RK4 step's first stage.
 
 All randomness flows from one seeded generator per run; identical config
 and seed reproduce logs bit for bit.
@@ -46,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import flatness
 from . import quaternions as quat
 from .errors import ConfigError, InputError, SimulationFault
 from .groundeffect import (
@@ -158,12 +160,11 @@ def _rk4(f, x, t, dt, k1=None):
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _unit_rows(q):
-    """(q / |q| as floats, rotation rows, rotation matrix) of a quaternion array."""
-    s = math.sqrt(float(q.dot(q)))
-    qn = [v / s for v in q.tolist()]
-    rows = quat.rot_rows(qn)
-    return qn, rows, np.array(rows)
+def _check_finite(y, t):
+    """SimulationFault unless every entry of the state array y (at time t) is finite."""
+    # a finite sum means finite entries; only an overflowing sum needs the full test
+    if not math.isfinite(sum(y.tolist())) and not np.isfinite(y).all():
+        raise SimulationFault(f"non-finite state at t={t:.6f}: {y}")
 
 
 _ZERO3 = (0.0, 0.0, 0.0)
@@ -173,7 +174,7 @@ class _Plant:
     """One vehicle under one SimConfig, with the constants of its derivative."""
 
     __slots__ = (
-        "M", "J", "Jinv", "m", "g", "offset", "ge",
+        "M", "J", "Jinv", "m", "k_t", "g", "offset", "ge",
         "ge_force", "ge_torque", "ge_drag", "equivalent", "motor_tau",
         "ext_force", "ext_torque", "ext_on", "ext_off", "weight_z",
     )
@@ -183,6 +184,7 @@ class _Plant:
         self.J = inertia_operator(vehicle.inertia)
         self.Jinv = inertia_operator(np.linalg.inv(vehicle.inertia))
         self.m = vehicle.m
+        self.k_t = vehicle.k_t
         self.g = cfg.gravity
         self.offset = vehicle.rotor_plane_offset
         self.ge = ge
@@ -205,7 +207,11 @@ class _Plant:
         axis as floats where the explicit form applies a leveling torque
         (at h > 0), else None. None of it depends on the rotor speeds.
         """
-        qn, rows, R = _unit_rows(x[_Q])
+        q = x[_Q]
+        s = math.sqrt(float(q.dot(q)))
+        qn = [v / s for v in q.tolist()]
+        rows = quat.rot_rows(qn)
+        R = np.array(rows)
         if not h > 0.0:
             return qn, rows, R, _ZERO3, None
         f_drag = world_drag(R, x[_V], h, self.ge).tolist() if self.ge_drag else _ZERO3
@@ -252,21 +258,16 @@ class _Plant:
         return self.J.plus_roll_pitch(added).solve([t0 - c0, t1 - c1, t2 - c2])
 
     def motor_rate(self, n_cmd, n):
-        """dn/dt of the first-order motor lag toward n_cmd, as a float list.
-
-        n is a list of floats; n_cmd an array, or a list of floats.
-        """
+        """dn/dt of the first-order motor lag toward n_cmd, both lists of floats, as a list."""
         if not self.motor_tau > 0.0:
             return [0.0, 0.0, 0.0, 0.0]
         tau = self.motor_tau
-        if type(n_cmd) is not list:
-            n_cmd = np.asarray(n_cmd, dtype=float).tolist()
         c0, c1, c2, c3 = n_cmd
         n0, n1, n2, n3 = n
         return [(c0 - n0) / tau, (c1 - n1) / tau, (c2 - n2) / tau, (c3 - n3) / tau]
 
     def derivative(self, x, n_cmd, t):
-        """(dx/dt as an array, the frame of x)."""
+        """(dx/dt as an array, the frame of x) under the rotor command n_cmd, a float list."""
         xs = x.tolist()
         vx, vy, vz = xs[3:6]
         h = xs[2] + self.offset
@@ -293,32 +294,27 @@ class _Plant:
         return xdot, frame
 
     def rk4(self, x, n_cmd, dt, t, k1=None):
-        """One RK4 step; k1 may be derivative(x, n_cmd, t)[0] if already at hand."""
+        """One RK4 step under the float-list n_cmd; k1 may be derivative(x, n_cmd, t)[0]."""
         if self.motor_tau <= 0.0:
             x = x.copy()
             x[_N] = n_cmd
-        cmd = np.asarray(n_cmd, dtype=float).tolist()
-        out = _rk4(lambda y, s: self.derivative(y, cmd, s)[0], x, t, dt, k1)
+        out = _rk4(lambda y, s: self.derivative(y, n_cmd, s)[0], x, t, dt, k1)
         out[_Q] /= math.sqrt(float(out[_Q].dot(out[_Q])))
-        # a finite sum means finite entries; only an overflowing sum needs the full test
-        if not math.isfinite(sum(out.tolist())) and not np.isfinite(out).all():
-            raise SimulationFault(f"non-finite state at t={t:.6f}: {out}")
+        _check_finite(out, t)
         return out
 
 
-def disturbance_forces(x, vehicle: VehicleParams, ge: GroundEffectParams, cfg: SimConfig,
-                       _plant=None, _frame=None):
-    """(f_ge, f_drag, tau_level) acting on the state, honoring the toggles.
+def disturbance_forces(plant: _Plant, x, frame):
+    """(f_ge, f_drag, tau_level) of the plant at state x, honoring the toggles.
 
-    The thrust is k_t * sum(n^2). tau_level is zero in the equivalent
-    formulation, where the plant carries the torque in J'(h). _frame may be
-    the plant's frame of x, which this then does not evaluate again.
+    frame is the plant's frame of x (``_Plant.frame``). The thrust is
+    k_t * sum(n^2). tau_level is zero in the equivalent formulation, where
+    the plant carries the torque in J'(h).
     """
-    plant = _plant if _plant is not None else _Plant(vehicle, ge, cfg)
-    h = float(x[2]) + vehicle.rotor_plane_offset
-    _, rows, _, f_drag, axis = _frame if _frame is not None else plant.frame(x, h)
+    h = float(x[2]) + plant.offset
+    _, rows, _, f_drag, axis = frame
     n = x[_N]
-    f_ge, lever_t = plant.ground(rows, h, vehicle.k_t * float(n.dot(n)))
+    f_ge, lever_t = plant.ground(rows, h, plant.k_t * float(n.dot(n)))
     tau_level = np.zeros(3) if axis is None else np.array([lever_t * a for a in axis])
     return np.array(f_ge), np.array(f_drag), tau_level
 
@@ -326,18 +322,16 @@ def disturbance_forces(x, vehicle: VehicleParams, ge: GroundEffectParams, cfg: S
 def step(x, n_cmd, dt, vehicle: VehicleParams, ge: GroundEffectParams, cfg: SimConfig,
          t=0.0):
     """One RK4 step; renormalizes the quaternion, checks for non-finite states."""
-    return _Plant(vehicle, ge, cfg).rk4(np.asarray(x, float), n_cmd, dt, t)
+    return _Plant(vehicle, ge, cfg).rk4(np.asarray(x, float), quat._floats(n_cmd), dt, t)
 
 
-def imu_sample(x, xdot, cfg: SimConfig, rng, _frame=None):
-    """(body specific force, body rates), Gaussian noise from the run generator.
+def imu_sample(x, xdot, R, cfg: SimConfig, rng):
+    """(body specific force, body rates) at attitude matrix R, noise from the run generator.
 
     The accelerometer reading is R^T(a + g z_W): at rest it reports +g along
     body z, and rotating it into the world frame makes the disturbance
-    observer identity exact at zero noise. _frame may be the plant's frame
-    of x, whose R this then uses.
+    observer identity exact at zero noise.
     """
-    R = _frame[2] if _frame is not None else _unit_rows(x[_Q])[2]
     a0, a1, a2 = xdot[_V].tolist()
     g = cfg.gravity
     f_body = R.T.dot(np.array([a0 + g * 0.0, a1 + g * 0.0, a2 + g]))   # a + g z_W
@@ -437,10 +431,8 @@ class TrajectoryLog:
 def hover_initial_state(trajectory, vehicle: VehicleParams, ge: GroundEffectParams,
                         gravity=GRAVITY):
     """Packed state matching the trajectory reference at t = 0."""
-    from .flatness import flat_reference
-
     flat = trajectory(0.0)
-    ref = flat_reference(flat, vehicle, ge, gravity)
+    ref = flatness.flat_reference(flat, vehicle, ge, gravity)
     x = np.empty(STATE_SIZE)
     x[_P] = flat.p
     x[_V] = flat.v
@@ -451,7 +443,7 @@ def hover_initial_state(trajectory, vehicle: VehicleParams, ge: GroundEffectPara
 
 
 def run_closed_loop(controller, vehicle: VehicleParams, ge: GroundEffectParams,
-                    cfg: SimConfig, duration, seed=0, x0=None):
+                    cfg: SimConfig, duration, seed=0):
     """Step physics at dt, call the controller at its rate, record the log.
 
     The controller object must provide tick(t, Measurement) -> command with
@@ -460,9 +452,7 @@ def run_closed_loop(controller, vehicle: VehicleParams, ge: GroundEffectParams,
     or None) for logging. Ground contact truncates the log and flags it.
     """
     rng = np.random.default_rng(seed)
-    if x0 is None:
-        x0 = hover_initial_state(controller.trajectory, vehicle, ge, cfg.gravity)
-    x = x0.copy()
+    x = hover_initial_state(controller.trajectory, vehicle, ge, cfg.gravity)
     plant = _Plant(vehicle, ge, cfg)
     steps = int(round(duration / cfg.dt))
     per_tick = cfg.steps_per_attitude_tick()
@@ -472,29 +462,31 @@ def run_closed_loop(controller, vehicle: VehicleParams, ge: GroundEffectParams,
     crashed = False
     infeasible = False
     command = None
+    n_cmd = x[_N].tolist()   # the rotor command as floats, set once per tick
 
     for k in range(steps + 1):
         t = k * cfg.dt
-        k1 = frame = None
-        if k % per_tick == 0:
-            n_cmd = command.rotor_speeds if command is not None else x[_N]
+        tick, logged = k % per_tick == 0, k % decim == 0
+        k1 = None
+        if tick or logged:
             xdot, frame = plant.derivative(x, n_cmd, t)
-            f_imu, gyro = imu_sample(x, xdot, cfg, rng, _frame=frame)
+        if tick:
+            f_imu, gyro = imu_sample(x, xdot, frame[2], cfg, rng)
             meas = Measurement(t, x[_P].copy(), x[_V].copy(), x[_Q].copy(),
                                gyro, f_imu, x[_N].copy())
             command = controller.tick(t, meas)
             if controller.last_reference is not None and not controller.last_reference.feasible:
                 infeasible = True
-            if plant.motor_tau > 0.0:
-                # only dn/dt depends on the command, so this is the RK4 step's k1
-                xdot[_N] = plant.motor_rate(command.rotor_speeds, x[_N].tolist())
-                k1 = xdot
-        if k % decim == 0:
-            _log_row(rows[n_rows], t, x, command, controller, plant, frame, vehicle, ge, cfg)
+            n_cmd = quat._floats(command.rotor_speeds)
+            xdot[_N] = plant.motor_rate(n_cmd, x[_N].tolist())   # only dn/dt sees n_cmd
+        if (tick or logged) and plant.motor_tau > 0.0:
+            k1 = xdot   # the RK4 step's first stage (ideal motors jump to n_cmd before it)
+        if logged:
+            _log_row(rows[n_rows], t, x, command, controller, plant, frame)
             n_rows += 1
         if k == steps:
             break
-        x = plant.rk4(x, command.rotor_speeds, cfg.dt, t, k1)
+        x = plant.rk4(x, n_cmd, cfg.dt, t, k1)
         pz, qx, qy = x[2].item(), x[7].item(), x[8].item()
         h = pz + vehicle.rotor_plane_offset
         z_bz = 1.0 - 2.0 * (qx ** 2 + qy ** 2)  # z_B . z_W from quaternion
@@ -506,11 +498,11 @@ def run_closed_loop(controller, vehicle: VehicleParams, ge: GroundEffectParams,
     return TrajectoryLog(rows[:n_rows], crashed=crashed, infeasible=infeasible, seed=seed)
 
 
-def _log_row(row, t, x, command, controller, plant, frame, vehicle, ge, cfg):
-    """Fill one zero-initialised log row; frame is the plant's frame of x, or None."""
+def _log_row(row, t, x, command, controller, plant, frame):
+    """Fill one zero-initialised log row; frame is the plant's frame of x."""
     row[0] = t
     row[1:18] = x
-    row[18] = x[2] + vehicle.rotor_plane_offset
+    row[18] = x[2] + plant.offset
     flat = controller.last_flat
     ref = controller.last_reference
     if ref is not None:
@@ -532,7 +524,7 @@ def _log_row(row, t, x, command, controller, plant, frame, vehicle, ge, cfg):
     if est is not None:
         row[49:52] = est.accel
         row[52:55] = est.torque
-    f_ge, f_drag, tau_level = disturbance_forces(x, vehicle, ge, cfg, _plant=plant, _frame=frame)
+    f_ge, f_drag, tau_level = disturbance_forces(plant, x, frame)
     row[55:58] = f_ge
     row[58:61] = f_drag
     row[61:64] = tau_level
@@ -568,5 +560,6 @@ def simulate_attitude(q0, omega0, torque_fn, vehicle: VehicleParams,
     for k in range(steps):
         y = _rk4(deriv, states[k], k * dt, dt)
         y[:4] /= math.sqrt(float(y[:4].dot(y[:4])))
+        _check_finite(y, k * dt)
         states[k + 1] = y
     return np.arange(steps + 1) * dt, states[:, :4], states[:, 4:]

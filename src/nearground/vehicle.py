@@ -16,6 +16,7 @@ import numpy as np
 
 from .config import KeyValueConfig, read_section, write_section
 from .errors import ParameterError
+from .quaternions import cross
 
 GRAVITY = 9.81
 
@@ -162,6 +163,15 @@ class InertiaOperator:
         d0, d1, d2 = self.diag
         v0, v1, v2 = v
         return [v0 / d0, v1 / d1, v2 / d2]
+
+    def torque(self, omega, omega_dot):
+        """M w_dot + w x M w for float triples, as a list: the one rotational law.
+
+        M = J'(h) gives the reference and model torque, M = J the observer's.
+        """
+        t0, t1, t2 = self.dot(omega_dot)
+        c0, c1, c2 = cross(omega, self.dot(omega))
+        return [t0 + c0, t1 + c1, t2 + c2]
 
     def plus_roll_pitch(self, added):
         """The operator of M + diag(added, added, 0), summed as equivalent_inertia sums it."""

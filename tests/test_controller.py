@@ -191,6 +191,24 @@ def test_thrust_command_cases():
             thrust_command(GRAVITY * Z, np.array(axis), VEH.m)
 
 
+@pytest.mark.parametrize("a_des", [[0.0, 0.0, math.nan], [0.0, 0.0, math.inf],
+                                   [0.0, 0.0, -math.inf], [math.nan, 0.0, GRAVITY]])
+def test_thrust_command_rejects_non_finite_command(a_des):
+    # max(0.0, nan) is 0.0: without the check a NaN command became zero thrust
+    with pytest.raises(ControllerFault):
+        thrust_command(a_des, [0.0, 0.0, 1.0], 1.0)
+
+
+@pytest.mark.parametrize("thrust, torque", [
+    (math.nan, [0.0, 0.0, 0.0]), (5.0, [math.nan, 0.0, 0.0]), (math.inf, [0.0, 0.0, 0.0]),
+    (5.0, [0.0, 0.0, -math.inf]), (-math.inf, [0.0, 0.0, 0.0]),
+])
+def test_allocate_rejects_non_finite_command(thrust, torque):
+    # a NaN thrust used to give zero speeds marked unsaturated, a NaN torque NaN speeds
+    with pytest.raises(ControllerFault):
+        allocate(thrust, torque, VEH)
+
+
 # -- torque commands ----------------------------------------------------------------
 
 def test_torque_model_zero_and_far_field():

@@ -101,12 +101,12 @@ def test_filtered_derivative_tracks_ramp():
 
 def test_observer_zero_at_exact_hover():
     runner = WrenchObserverRunner(VEH, 500.0, cutoff_hz=20.0)
-    q = np.array([1.0, 0.0, 0.0, 0.0])
+    R = np.eye(3)
     f_body = np.array([0.0, 0.0, GRAVITY])
     thrust = VEH.m * GRAVITY
     est = None
     for k in range(500):
-        est = runner.update(k * 0.002, q, f_body, thrust, np.zeros(3), np.zeros(3))
+        est = runner.update(k * 0.002, R, f_body, thrust, np.zeros(3), np.zeros(3))
     assert np.max(np.abs(est.accel)) < 1e-9
     assert np.max(np.abs(est.torque)) < 1e-9
 
@@ -124,20 +124,20 @@ def test_observer_pure_function_identity():
 
 def test_observer_misaligned_sample_dropped():
     runner = WrenchObserverRunner(VEH, 500.0)
-    q = np.array([1.0, 0.0, 0.0, 0.0])
+    R = np.eye(3)
     f = np.array([0.0, 0.0, GRAVITY])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        first = runner.update(0.0, q, f, VEH.m * GRAVITY, np.zeros(3), np.zeros(3))
+        first = runner.update(0.0, R, f, VEH.m * GRAVITY, np.zeros(3), np.zeros(3))
         # a torque sample two periods late is dropped, counted, and not warned about
         second = runner.update(
-            0.004, q, f, VEH.m * GRAVITY, np.zeros(3), np.zeros(3), t_torque=0.0
+            0.004, R, f, VEH.m * GRAVITY, np.zeros(3), np.zeros(3), t_torque=0.0
         )
         assert second is first
         assert runner.dropped == 1
         # one period late is still aligned
         third = runner.update(
-            0.006, q, f, VEH.m * GRAVITY, np.zeros(3), np.zeros(3), t_torque=0.004
+            0.006, R, f, VEH.m * GRAVITY, np.zeros(3), np.zeros(3), t_torque=0.004
         )
     assert third is not first and third.t == 0.006
     assert runner.dropped == 1

@@ -73,16 +73,36 @@ def _warnings_uses(tree):
             yield node.lineno
 
 
-def test_package_issues_no_warnings():
-    # a warning reaches stderr only: what a run should say goes into its
-    # artifacts, a counter or an exception that maps to an exit code
+def _package_trees():
+    """(file name, parsed module) of every source file of the package."""
     pkg = os.path.dirname(cli.__file__)
-    found = []
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
             with open(os.path.join(pkg, name), encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), filename=name)
-            found += [f"{name}:{line}" for line in _warnings_uses(tree)]
+                yield name, ast.parse(fh.read(), filename=name)
+
+
+def test_package_issues_no_warnings():
+    # a warning reaches stderr only: what a run should say goes into its
+    # artifacts, a counter or an exception that maps to an exit code
+    found = []
+    for name, tree in _package_trees():
+        found += [f"{name}:{line}" for line in _warnings_uses(tree)]
+    assert found == []
+
+
+def test_no_function_takes_a_private_parameter():
+    # a parameter named _x is a second code path that only internal callers
+    # take; each helper takes what it needs as an ordinary argument
+    found = []
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [
+                    p for p in (a.vararg, a.kwarg) if p is not None]
+                found += [f"{name}:{node.lineno} {p.arg}" for p in params
+                          if p.arg.startswith("_")]
     assert found == []
 
 

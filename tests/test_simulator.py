@@ -36,7 +36,7 @@ GE = GroundEffectParams()
 
 def _derivative(x, cfg, t=0.0):
     """Plant time derivative of the packed state, rotor commands equal to the speeds."""
-    return _Plant(VEH, GE, cfg).derivative(x, x[13:17], t)[0]
+    return _Plant(VEH, GE, cfg).derivative(x, x[13:17].tolist(), t)[0]
 
 
 def _hover_state(h, ge=GE, level=True):
@@ -185,11 +185,12 @@ def test_imu_hover_convention_and_determinism():
     x = _hover_state(0.4)
     xdot = _derivative(x, cfg)
     clean = SimConfig()
-    f, w = imu_sample(x, xdot, clean, np.random.default_rng(0))
+    R = quat.rot_matrix(x[6:10])
+    f, w = imu_sample(x, xdot, R, clean, np.random.default_rng(0))
     assert np.allclose(f, [0.0, 0.0, GRAVITY], atol=1e-10)
     assert np.allclose(w, 0.0)
-    fa, wa = imu_sample(x, xdot, cfg, np.random.default_rng(7))
-    fb, wb = imu_sample(x, xdot, cfg, np.random.default_rng(7))
+    fa, wa = imu_sample(x, xdot, R, cfg, np.random.default_rng(7))
+    fb, wb = imu_sample(x, xdot, R, cfg, np.random.default_rng(7))
     assert np.array_equal(fa, fb) and np.array_equal(wa, wb)
 
 
@@ -215,6 +216,13 @@ def test_small_tilt_oscillates_about_level_near_torque_peak():
     assert np.mean(tilt) < 0.8 * np.mean(tilt0)
 
 
+def test_simulate_attitude_rejects_non_finite_torque():
+    nan_torque = lambda t, q, w: [math.nan, 0.0, 0.0] if t > 0.01 else [0.0, 0.0, 0.0]
+    with pytest.raises(SimulationFault, match="non-finite state"):
+        simulate_attitude([1.0, 0.0, 0.0, 0.0], np.zeros(3), nan_torque, VEH, GE,
+                          0.2, 7.0, 5e-4, 0.1)
+
+
 @pytest.mark.parametrize("tilt_deg, h, overrides", [
     (4.0, 0.15, {}),
     (25.0, 0.15, {}),                       # past tilt_saturation_deg
@@ -237,7 +245,8 @@ def test_disturbance_forces_match_public_functions(tilt_deg, h, overrides):
     x[13:17] *= [1.0, 1.1, 0.9, 1.05]
     R = quat.rot_matrix(q)
     T = VEH.k_t * float(x[13:17] @ x[13:17])
-    f_ge, f_drag, tau = disturbance_forces(x, VEH, GE, cfg)
+    plant = _Plant(VEH, GE, cfg)
+    f_ge, f_drag, tau = disturbance_forces(plant, x, plant.frame(x, h))
     zero = np.zeros(3)
     on = h > 0.0
     want_ge = added_thrust_force(R, T, h, GE) if on and cfg.ge_force else zero
