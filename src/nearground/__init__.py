@@ -94,11 +94,6 @@ from .simulator import (
     simulate_attitude,
     step,
 )
-from .vehicle import (
-    GRAVITY,
-    VehicleParams,
-    build_mixing_matrix,
-    mixing_matrix_inverse,
-)
+from .vehicle import GRAVITY, VehicleParams
 
 __version__ = "0.1.0"

@@ -39,7 +39,7 @@ from .groundeffect import (
     torque_lever,
 )
 from .harness import MetricsReport, Scenario, compare, run, sweep
-from .simulator import TrajectoryLog
+from .simulator import TrajectoryLog, csv_rows
 from .vehicle import VehicleParams
 
 EXIT_OK = 0
@@ -87,16 +87,18 @@ def _cmd_sweep(args):
     return worst
 
 
-def _load_samples_csv(path):
-    """Numeric CSV with an optional header line."""
+def _load_samples_csv(path, columns):
+    """Rows of a numeric CSV with an optional header line, each with at least the named columns."""
     with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
         try:
-            [float(v) for v in first.strip().split(",")]
-            skip = 0
+            [float(v) for v in fh.readline().strip().split(",")]
+            fh.seek(0)
         except ValueError:
-            skip = 1
-    return np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+            pass
+        data = csv_rows(fh, path, "sample row")
+    if data.shape[1] < len(columns):   # also a file with no rows: its shape is (0, 0)
+        raise ConfigError(f"{path}: samples need rows of columns: {', '.join(columns)}")
+    return data
 
 
 def _is_trajectory_log(path):
@@ -121,9 +123,7 @@ def _cmd_identify(args):
         result = json.dumps(asdict(fit), indent=2, sort_keys=True)
     else:
         if args.op == "mg":
-            data = _load_samples_csv(args.input)
-            if data.shape[1] < 4:
-                raise ConfigError("mg samples need columns: h, tilt_rad, thrust, torque")
+            data = _load_samples_csv(args.input, ("h", "tilt_rad", "thrust", "torque"))
             report = fit_torque_lever(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
         elif _is_trajectory_log(args.input):
             log = TrajectoryLog.from_csv(args.input)
@@ -136,7 +136,7 @@ def _cmd_identify(args):
             samples = vehicle.m * a_ext_z[ok] / thrust[ok]
             report = fit_thrust_factor(h[ok], samples)
         else:
-            data = _load_samples_csv(args.input)
+            data = _load_samples_csv(args.input, ("h", "factor"))
             report = fit_thrust_factor(data[:, 0], data[:, 1])
         print(report.to_text())
         result = report.to_json()

@@ -23,17 +23,11 @@ from .flatness import flat_reference
 from .groundeffect import (
     GroundEffectParams,
     drag_matrix,
-    equivalent_inertia_operator,
+    equivalent_inertia_op,
     thrust_factor,
 )
 from .simulator import SimConfig
-from .vehicle import (
-    GRAVITY,
-    VehicleParams,
-    build_mixing_matrix,
-    inertia_operator,
-    mixing_matrix_inverse,
-)
+from .vehicle import GRAVITY, VehicleParams
 
 Z_W = np.array([0.0, 0.0, 1.0])
 
@@ -160,7 +154,7 @@ def thrust_command(a_des_total, z_b_hat, mass):
 def torque_command_model(omega_des, omega_dot_des, h, thrust_ref,
                          vehicle: VehicleParams, ge: GroundEffectParams):
     """Inverse rotational dynamics; J'(h) absorbs the leveling torque."""
-    J = equivalent_inertia_operator(h, ge, vehicle, thrust=thrust_ref)
+    J = equivalent_inertia_op(h, ge, vehicle, thrust=thrust_ref)
     return np.array(J.torque(quat._floats(omega_des), quat._floats(omega_dot_des)))
 
 
@@ -204,52 +198,49 @@ def allocate(thrust_des, torque_des, vehicle: VehicleParams):
     returned command always satisfies 0 <= n <= n_max. A non-finite thrust
     or torque is a ControllerFault.
     """
-    torque_des = np.asarray(torque_des, float).reshape(3)
-    cmd = [float(thrust_des)] + torque_des.tolist()
+    cmd = [float(thrust_des)] + np.asarray(torque_des, float).reshape(3).tolist()
     if not all(map(math.isfinite, cmd)):
         raise ControllerFault(f"non-finite command (thrust, torque) = {cmd}")
     thrust_des = cmd[0] = max(0.0, cmd[0])
-    Minv = mixing_matrix_inverse(vehicle)
+    Minv = vehicle.mixing_inverse
     hi = vehicle.n_max**2
-    n_sq = Minv.dot(np.array(cmd))
+    values = Minv.dot(np.array(cmd)).tolist()
     top = hi * (1.0 + 1e-12)
-    values = n_sq.tolist()
-    if all(-1e-9 <= v <= top for v in values):
-        # np.sqrt(np.clip(n_sq, 0.0, hi)) on floats; like np.clip it keeps a -0.0
-        n = np.array([math.sqrt(hi if v > hi else 0.0 if v < 0.0 else v) for v in values])
-        tau = build_mixing_matrix(vehicle).dot(n * n)
-        return ControlCommand(thrust_des, tau[1:4], n)
-
+    saturated = not all(-1e-9 <= v <= top for v in values)
     yaw_shed = rp_shed = thrust_clipped = False
-    base = Minv.dot(np.array([thrust_des, torque_des[0], torque_des[1], 0.0]))
-    ycol = Minv.dot(np.array([0.0, 0.0, 0.0, torque_des[2]]))
-    frac = _max_feasible_fraction(base, ycol, hi)
-    if frac is not None:
-        n_sq = base + frac * ycol
+    if saturated:
         yaw_shed = True
-    else:
-        yaw_shed = True
-        rp_shed = True
-        tcol = Minv.dot(np.array([thrust_des, 0.0, 0.0, 0.0]))
-        rpcol = Minv.dot(np.array([0.0, torque_des[0], torque_des[1], 0.0]))
-        frac = _max_feasible_fraction(tcol, rpcol, hi)
+        base = Minv.dot(np.array([thrust_des, cmd[1], cmd[2], 0.0]))
+        ycol = Minv.dot(np.array([0.0, 0.0, 0.0, cmd[3]]))
+        frac = _max_feasible_fraction(base, ycol, hi)
         if frac is not None:
-            n_sq = tcol + frac * rpcol
+            n_sq = base + frac * ycol
         else:
-            n_sq = np.clip(tcol, 0.0, hi)
-            thrust_clipped = True
-    n = np.sqrt(np.clip(n_sq, 0.0, hi))
-    wrench = build_mixing_matrix(vehicle).dot(n * n)
-    return ControlCommand(
-        wrench[0], wrench[1:4], n,
-        saturated=True, yaw_shed=yaw_shed, rp_shed=rp_shed, thrust_clipped=thrust_clipped,
-    )
+            rp_shed = True
+            tcol = Minv.dot(np.array([thrust_des, 0.0, 0.0, 0.0]))
+            rpcol = Minv.dot(np.array([0.0, cmd[1], cmd[2], 0.0]))
+            frac = _max_feasible_fraction(tcol, rpcol, hi)
+            if frac is not None:
+                n_sq = tcol + frac * rpcol
+            else:
+                n_sq = np.clip(tcol, 0.0, hi)
+                thrust_clipped = True
+        values = n_sq.tolist()
+    n = np.array(_sqrt_clip(values, hi))
+    wrench = vehicle.mixing.dot(n * n)
+    return ControlCommand(wrench[0] if saturated else thrust_des, wrench[1:4], n,
+                          saturated, yaw_shed, rp_shed, thrust_clipped)
+
+
+def _sqrt_clip(values, hi):
+    """np.sqrt(np.clip(values, 0.0, hi)) on floats, as a list; like np.clip it keeps a -0.0."""
+    return [math.sqrt(hi if v > hi else 0.0 if v < 0.0 else v) for v in values]
 
 
 def applied_torque(rotor_speeds, vehicle: VehicleParams):
     """Body torque currently produced by the given rotor speeds."""
     n = np.asarray(rotor_speeds, float)
-    return build_mixing_matrix(vehicle).dot(n * n)[1:4]
+    return vehicle.mixing.dot(n * n)[1:4]
 
 
 # -- closed-loop controllers ----------------------------------------------------
@@ -261,8 +252,9 @@ class CascadeController:
     copy of the ground-effect parameters may carry a multiplicative
     mismatch relative to the simulated truth. The gains are read once, at
     construction. Everything that depends only on outer-loop values (the
-    attitude target, the reference rates and J'(h_des)) is computed once
-    per position tick; the inner tick runs on Python floats.
+    attitude target, the reference rates and J'(h_des), the operator the
+    reference's torque used) is computed once per position tick; the inner
+    tick runs on Python floats.
     """
 
     def __init__(self, trajectory, vehicle: VehicleParams, ge: GroundEffectParams,
@@ -288,7 +280,7 @@ class CascadeController:
         self._f_cmd = None
         self._q_des = None          # the attitude target as floats
         self._rates_ref = None      # (omega, omega_dot) of the reference, as floats
-        self._J_des = inertia_operator(vehicle.inertia)   # J, or J'(h_des) when _use_equivalent
+        self._J_des = vehicle.inertia_op   # J, or J'(h_des) when _use_equivalent
 
     def tick(self, t, meas):
         omega_f, omega_dot_f = self._gyro_filter.update(meas.gyro.tolist())
@@ -330,8 +322,7 @@ class CascadeController:
         self._q_des = q_des.tolist()
         self._rates_ref = ref.omega.tolist(), ref.omega_dot.tolist()
         if self._use_equivalent:
-            self._J_des = equivalent_inertia_operator(flat.p[2] + self.vehicle.rotor_plane_offset,
-                                                      self.ge, self.vehicle, thrust=ref.thrust)
+            self._J_des = ref.inertia
         self.last_attitude_target = q_des
         self.last_flat = flat
         self.last_reference = ref

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, FitError, InputError
 from .quaternions import _floats, rot_matrix
-from .vehicle import VehicleParams, inertia_operator
+from .vehicle import VehicleParams
 
 Z_W = np.array([0.0, 0.0, 1.0])
 
@@ -112,7 +112,7 @@ class WrenchObserverRunner:
         self.f_accel = LowPass(cutoff_hz, sample_rate_hz)
         self.f_thrust = LowPass(cutoff_hz, sample_rate_hz)
         self.f_omega = FilteredDerivative(cutoff_hz, sample_rate_hz)
-        self._J = inertia_operator(vehicle.inertia)
+        self._J = vehicle.inertia_op
         self.last = None
         self.dropped = 0
 

@@ -33,10 +33,10 @@ from .errors import ParameterError, ReferenceGenerationError
 from .groundeffect import (
     GroundEffectParams,
     drag_coefficients,
-    equivalent_inertia_operator,
+    equivalent_inertia_op,
     thrust_factor,
 )
-from .vehicle import GRAVITY, VehicleParams, mixing_matrix_inverse
+from .vehicle import GRAVITY, InertiaOperator, VehicleParams
 
 @dataclass
 class FlatOutput:
@@ -68,6 +68,7 @@ class FlatReference:
     rotor_speeds: np.ndarray  # rpm
     feasible: bool
     iterations: int
+    inertia: InertiaOperator  # J'(h) at the reference, the torque's operator
 
 
 # -- trajectory generators ---------------------------------------------------
@@ -322,13 +323,13 @@ def flat_reference(flat: FlatOutput, vehicle: VehicleParams, ge: GroundEffectPar
     h, d1, d2 = _altitude_drag(flat, vehicle, ge)
     thrust, q, iterations = _thrust_attitude(flat, h, d1, d2, vehicle, ge, gravity)
     omega, omega_dot = _rates(flat, np.array(quat.rot_rows(q)), d1, d2, gravity)
-    Jp = equivalent_inertia_operator(h, ge, vehicle, thrust=thrust, gravity=gravity)
+    Jp = equivalent_inertia_op(h, ge, vehicle, thrust=thrust, gravity=gravity)
     torque = Jp.torque(omega, omega_dot)
-    n_sq = mixing_matrix_inverse(vehicle).dot(np.array([thrust] + torque)).tolist()
+    n_sq = vehicle.mixing_inverse.dot(np.array([thrust] + torque)).tolist()
     top = vehicle.n_max**2 + 1e-9
     feasible = all(-1e-9 <= v <= top for v in n_sq)
     # np.sqrt(np.clip(n_sq, 0.0, None)) on floats: with no upper bound np.clip
     # is np.maximum, which turns a -0.0 into +0.0 (and keeps NaN)
     n_ref = np.array([math.sqrt(0.0 if v <= 0.0 else v) for v in n_sq])
     return FlatReference(thrust, np.array(q), np.array(omega), np.array(omega_dot),
-                         np.array(torque), n_ref, feasible, iterations)
+                         np.array(torque), n_ref, feasible, iterations, Jp)

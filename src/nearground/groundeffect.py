@@ -13,7 +13,10 @@ This module holds the only copy of each formula. The unchecked kernels
 curves ``_factor`` and ``_lever`` are what the simulator's plant evaluates
 every step; the public vector functions are input checks in front of those
 same kernels. The drag table lookup is a bisect over Python floats that
-reproduces np.interp bit for bit.
+reproduces np.interp bit for bit; the knots it searches are derived once per
+parameter object (``GroundEffectParams.drag_knots``, set by ``__post_init__``
+as vehicle.py's derived constants are), which is an immutable value varied
+with ``dataclasses.replace``.
 
 The kernels follow the per-step arithmetic rule stated in simulator.py's docstring.
 """
@@ -29,7 +32,7 @@ import numpy as np
 from .config import KeyValueConfig, read_section, write_section
 from .errors import ConfigError, InputError, ParameterError
 from .quaternions import check_rotation
-from .vehicle import GRAVITY, InertiaOperator, VehicleParams, inertia_operator
+from .vehicle import GRAVITY, InertiaOperator, VehicleParams, read_only
 
 # Default drag table: force-unit coefficients (kg/s), increasing with h.
 # The 0.10 m rows are exactly 0.5963 (x) and 0.6179 (y) times the 2.0 m rows.
@@ -47,7 +50,7 @@ _DEFAULT_DRAG_TABLE = np.array(
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroundEffectParams:
     """Parameters of the ground-effect force, torque, and drag models.
 
@@ -55,7 +58,9 @@ class GroundEffectParams:
     torque lever g5*h/(h^2+g3*h+g4)^2. The drag table rows are (h, d_x, d_y)
     with coefficients in kg/s. With the defaults the torque parameters are
     tied to the thrust curve (g3=0, g4=g1, g5=b^2*g2/4 for b=0.30 m) so the
-    lever equals -(b^2/8) * dF/dh identically.
+    lever equals -(b^2/8) * dF/dh identically. ``drag_table`` is a read-only
+    copy of the table given; ``drag_knots``, derived once, holds its altitudes
+    and its (d_x, d_y) columns as lists of floats.
     """
 
     g1: float = 0.08          # m^2
@@ -67,15 +72,8 @@ class GroundEffectParams:
     tilt_saturation_deg: float = 10.0   # torque stops growing past this tilt; <=0 disables
 
     def __post_init__(self):
-        if self.drag_table is None:
-            self.drag_table = _DEFAULT_DRAG_TABLE
-        # a read-only copy, so the column lists cached from it cannot go stale
-        self.drag_table = np.array(self.drag_table, dtype=float)
-        self.drag_table.setflags(write=False)
-        self._drag_columns = None
-        self.validate()
-
-    def validate(self):
+        table = _DEFAULT_DRAG_TABLE if self.drag_table is None else self.drag_table
+        object.__setattr__(self, "drag_table", read_only(np.array(table, dtype=float)))
         # "not x > 0" style comparisons also reject NaN
         if not (self.g1 > 0.0 and self.g2 >= 0.0):
             raise ParameterError(f"need g1 > 0 and g2 >= 0, got g1={self.g1}, g2={self.g2}")
@@ -96,6 +94,7 @@ class GroundEffectParams:
             raise ConfigError("drag table altitudes must be strictly increasing")
         if not np.all(t[:, 1:] >= 0.0):
             raise ConfigError("drag coefficients must be non-negative")
+        object.__setattr__(self, "drag_knots", (t[:, 0].tolist(), t[:, 1:].T.tolist()))
 
     @classmethod
     def from_config(cls, cfg: KeyValueConfig):
@@ -230,12 +229,8 @@ def added_thrust_force(R, thrust, h, params: GroundEffectParams):
 
 def drag_coefficients(h, params: GroundEffectParams):
     """(d_x, d_y) in kg/s at altitude h, linear interpolation, end-clamped."""
-    h = _check_h(h)
-    cached = params._drag_columns
-    if cached is None or cached[0] is not params.drag_table:
-        t = params.drag_table
-        cached = params._drag_columns = (t, t[:, 0].tolist(), t[:, 1:].T.tolist())
-    dx, dy = _interp(h, cached[1], cached[2])
+    altitudes, columns = params.drag_knots
+    dx, dy = _interp(_check_h(h), altitudes, columns)
     return dx, dy
 
 
@@ -302,11 +297,11 @@ def equivalent_inertia(h, params: GroundEffectParams, vehicle: VehicleParams,
     return InertiaOperator(None, vehicle.inertia).plus_roll_pitch(added).matrix
 
 
-def equivalent_inertia_operator(h, params: GroundEffectParams, vehicle: VehicleParams,
-                                thrust=None, gravity=GRAVITY):
+def equivalent_inertia_op(h, params: GroundEffectParams, vehicle: VehicleParams,
+                          thrust=None, gravity=GRAVITY):
     """equivalent_inertia as an InertiaOperator: its products, byte for byte."""
     added = _equivalent_added(h, params, vehicle, thrust, gravity)
-    return inertia_operator(vehicle.inertia).plus_roll_pitch(added)
+    return vehicle.inertia_op.plus_roll_pitch(added)
 
 
 def _equivalent_added(h, params, vehicle, thrust, gravity):

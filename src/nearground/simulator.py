@@ -59,7 +59,7 @@ from .groundeffect import (
     torque_lever,
     world_drag,
 )
-from .vehicle import GRAVITY, VehicleParams, build_mixing_matrix, inertia_operator
+from .vehicle import GRAVITY, VehicleParams, inertia_operator
 
 # state vector layout
 _P = slice(0, 3)
@@ -180,8 +180,8 @@ class _Plant:
     )
 
     def __init__(self, vehicle: VehicleParams, ge: GroundEffectParams, cfg: SimConfig):
-        self.M = build_mixing_matrix(vehicle)
-        self.J = inertia_operator(vehicle.inertia)
+        self.M = vehicle.mixing
+        self.J = vehicle.inertia_op
         self.Jinv = inertia_operator(np.linalg.inv(vehicle.inertia))
         self.m = vehicle.m
         self.k_t = vehicle.k_t
@@ -412,10 +412,7 @@ class TrajectoryLog:
             header = fh.readline().strip().split(",")
             if header != LOG_COLUMNS:
                 raise ConfigError(f"{path}: unexpected log columns")
-            try:
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
-            except ValueError as err:
-                raise ConfigError(f"{path}: malformed log row: {err}") from None
+            data = csv_rows(fh, path, "log row")
         if data.size and data.shape[1] != len(LOG_COLUMNS):
             raise ConfigError(f"{path}: log rows have {data.shape[1]} cells, "
                               f"the header {len(LOG_COLUMNS)}")
@@ -426,6 +423,21 @@ class TrajectoryLog:
         except ValueError:
             raise ConfigError(f"{path}: cannot parse the log's first line {meta!r}") from None
         return cls(data, crashed=bool(crashed), infeasible=bool(infeasible), seed=seed)
+
+
+def csv_rows(fh, path, what):
+    """The comma-separated rows left in fh as a 2-D float array; none (blank lines only) is (0, 0).
+
+    A row that does not parse, or whose cell count differs, is a ConfigError naming path.
+    """
+    start = fh.tell()
+    if all(map(str.isspace, iter(fh.readline, ""))):   # np.loadtxt warns on no data
+        return np.empty((0, 0))
+    fh.seek(start)
+    try:
+        return np.loadtxt(fh, delimiter=",", ndmin=2)
+    except ValueError as err:
+        raise ConfigError(f"{path}: malformed {what}: {err}") from None
 
 
 def hover_initial_state(trajectory, vehicle: VehicleParams, ge: GroundEffectParams,

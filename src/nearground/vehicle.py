@@ -4,13 +4,19 @@ Rotor speeds are in rpm throughout; the thrust/torque coefficients carry
 rpm^-2 units so no angular-rate conversion appears anywhere. The fixed
 sign matrix below defines the rotor numbering and spin directions; any
 consistent assignment to physical arms is acceptable.
+
+``VehicleParams`` is an immutable value: vary it with ``dataclasses.replace``.
+Its derived constants (the mixing matrix, its inverse and the inertia's
+``InertiaOperator``) are built once, by ``__post_init__``. They are plain
+attributes, not ``functools.cached_property``: that writes the instance
+``__dict__``, after which CPython reads every attribute of the object
+through a slower lookup, and the plant reads parameters on every step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,14 +37,26 @@ SIGN_MATRIX = np.array(
 )
 
 
+def read_only(a):
+    """The array a, its write flag cleared."""
+    a.setflags(write=False)
+    return a
+
+
 # config keys of the inertia matrix entries: the one field with six keys
 INERTIA_KEYS = {"inertia_xx": (0, 0), "inertia_yy": (1, 1), "inertia_zz": (2, 2),
                 "inertia_xy": (0, 1), "inertia_xz": (0, 2), "inertia_yz": (1, 2)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class VehicleParams:
-    """Mass, inertia, geometry and mixing coefficients of a quadrotor."""
+    """Mass, inertia, geometry and mixing coefficients of a quadrotor.
+
+    ``inertia`` is a read-only copy of the matrix given. Derived once:
+    ``mixing``, the read-only 4x4 map from squared rotor speeds to
+    (T, tau_x, tau_y, tau_z), its inverse ``mixing_inverse``, and
+    ``inertia_op``, the InertiaOperator of ``inertia``.
+    """
 
     m: float = field(default=1.0, metadata={"key": "mass"})             # kg
     inertia: np.ndarray = None          # 3x3, kg m^2
@@ -51,12 +69,9 @@ class VehicleParams:
     rotor_plane_offset: float = 0.0     # rotor plane height above origin, m
 
     def __post_init__(self):
-        if self.inertia is None:
-            self.inertia = np.diag([5.0e-3, 5.0e-3, 9.0e-3])
-        self.inertia = np.asarray(self.inertia, dtype=float)
-        self.validate()
-
-    def validate(self):
+        J = np.diag([5.0e-3, 5.0e-3, 9.0e-3]) if self.inertia is None else self.inertia
+        J = read_only(np.array(J, dtype=float))
+        object.__setattr__(self, "inertia", J)
         # "not x > 0" style comparisons also reject NaN
         if not self.m > 0.0:
             raise ParameterError(f"mass must be positive, got {self.m}")
@@ -67,20 +82,23 @@ class VehicleParams:
                 raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
         if np.isnan(self.rotor_plane_offset):
             raise ParameterError("rotor_plane_offset must not be NaN")
-        J = self.inertia
         if J.shape != (3, 3) or not np.max(np.abs(J - J.T)) <= 1e-12:
             raise ParameterError("inertia must be a symmetric 3x3 matrix")
         if not np.all(np.linalg.eigvalsh(J) > 0.0):
             raise ParameterError("inertia must be positive definite")
-
-    def hover_thrust(self):
-        return self.m * GRAVITY
+        arm = np.sqrt(2.0) * self.b / 4.0
+        gains = np.array([self.k_t, arm * self.k_tx, arm * self.k_ty, self.k_i])
+        object.__setattr__(self, "mixing", read_only(gains[:, None] * SIGN_MATRIX))
+        # SIGN_MATRIX has orthogonal rows of squared norm 4: S^-1 = S^T / 4.
+        object.__setattr__(self, "mixing_inverse",
+                           read_only((SIGN_MATRIX.T / 4.0) / gains[None, :]))
+        object.__setattr__(self, "inertia_op", inertia_operator(J))
 
     @classmethod
     def from_config(cls, cfg: KeyValueConfig):
         """Parameters from a vehicle section; inertia_* keys set entries of the default matrix."""
         kwargs = read_section(cls, cfg, extra=INERTIA_KEYS)
-        J = cls().inertia
+        J = np.array(cls().inertia)
         for key, (i, j) in INERTIA_KEYS.items():
             if key in cfg:
                 J[i, j] = J[j, i] = cfg.parse(key, "float")
@@ -95,35 +113,6 @@ class VehicleParams:
         J = self.inertia
         return write_section(self) + [f"{key} = {float(J[i, j])!r}"
                                       for key, (i, j) in INERTIA_KEYS.items()]
-
-
-def _mixing_key(params: VehicleParams):
-    return (params.b, params.k_t, params.k_tx, params.k_ty, params.k_i)
-
-
-@lru_cache(maxsize=32)
-def _mixing_pair(b, k_t, k_tx, k_ty, k_i):
-    arm = np.sqrt(2.0) * b / 4.0
-    gains = np.array([k_t, arm * k_tx, arm * k_ty, k_i])
-    M = gains[:, None] * SIGN_MATRIX
-    # SIGN_MATRIX has orthogonal rows of squared norm 4: S^-1 = S^T / 4.
-    Minv = (SIGN_MATRIX.T / 4.0) / gains[None, :]
-    M.setflags(write=False)
-    Minv.setflags(write=False)
-    return M, Minv
-
-
-def build_mixing_matrix(params: VehicleParams):
-    """4x4 map from squared rotor speeds to (T, tau_x, tau_y, tau_z).
-
-    Cached on (b, k_t, k_tx, k_ty, k_i) and read-only; copy it to modify it.
-    """
-    return _mixing_pair(*_mixing_key(params))[0]
-
-
-def mixing_matrix_inverse(params: VehicleParams):
-    """Inverse of build_mixing_matrix, cached and read-only the same way."""
-    return _mixing_pair(*_mixing_key(params))[1]
 
 
 class InertiaOperator:
@@ -185,13 +174,8 @@ class InertiaOperator:
 
 
 def inertia_operator(M):
-    """InertiaOperator of a 3x3 matrix, cached on its bytes."""
-    return _inertia_operator(np.asarray(M, dtype=float).tobytes())
-
-
-@lru_cache(maxsize=32)
-def _inertia_operator(key):
-    M = np.frombuffer(key).reshape(3, 3)   # read-only
+    """InertiaOperator of a 3x3 matrix, from a read-only C-ordered copy of it."""
+    M = read_only(np.array(M, dtype=float, order="C"))
     d = np.diag(M).tolist()
     if np.count_nonzero(M - np.diag(d)):
         return InertiaOperator(None, M)

@@ -10,6 +10,7 @@ from nearground import quaternions as quat
 from nearground.config import KeyValueConfig
 from nearground.controller import (
     CascadeController,
+    _sqrt_clip,
     ControlGains,
     FeedforwardController,
     acceleration_command,
@@ -26,18 +27,13 @@ from nearground.flatness import flat_reference, hover_point, make_trajectory
 from nearground.groundeffect import (
     GroundEffectParams,
     equivalent_inertia,
-    equivalent_inertia_operator,
+    equivalent_inertia_op,
     thrust_factor,
     torque_lever_peak,
 )
 from nearground.harness import Scenario
 from nearground.simulator import SimConfig, run_closed_loop
-from nearground.vehicle import (
-    GRAVITY,
-    VehicleParams,
-    build_mixing_matrix,
-    mixing_matrix_inverse,
-)
+from nearground.vehicle import GRAVITY, VehicleParams
 
 VEH = VehicleParams()
 GE = GroundEffectParams()
@@ -232,7 +228,7 @@ def test_torque_model_larger_near_lever_peak():
 def test_torque_indi_fixed_point_and_stale():
     tau_hat = np.array([0.01, -0.02, 0.005])
     wd = [1.0, 2.0, 3.0]
-    J = equivalent_inertia_operator(0.2, GE, VEH, thrust=7.0)
+    J = equivalent_inertia_op(0.2, GE, VEH, thrust=7.0)
     out = np.array(torque_command_indi(tau_hat.tolist(), wd, wd, J, 0.0, 0.002))
     assert np.allclose(out, tau_hat)
     with pytest.raises(ControllerFault):
@@ -253,7 +249,7 @@ def test_allocate_round_trip_unsaturated():
     T = 8.0
     tau = np.array([0.05, -0.04, 0.01])
     cmd = allocate(T, tau, VEH)
-    wrench = build_mixing_matrix(VEH) @ (cmd.rotor_speeds**2)
+    wrench = VEH.mixing @ (cmd.rotor_speeds**2)
     assert abs(wrench[0] - T) < 1e-9
     assert np.max(np.abs(wrench[1:4] - tau)) < 1e-9
     assert not cmd.saturated
@@ -266,7 +262,7 @@ def test_allocate_sheds_yaw_first():
     cmd = allocate(T, tau, VEH)
     assert cmd.saturated and cmd.yaw_shed and not cmd.rp_shed
     assert np.all(cmd.rotor_speeds <= VEH.n_max + 1e-9)
-    wrench = build_mixing_matrix(VEH) @ (cmd.rotor_speeds**2)
+    wrench = VEH.mixing @ (cmd.rotor_speeds**2)
     assert np.isclose(wrench[0], T, rtol=1e-9)
     assert np.isclose(wrench[1], tau[0], rtol=1e-6)
     assert np.isclose(wrench[2], tau[1], rtol=1e-6)
@@ -281,10 +277,28 @@ def test_allocate_negative_squared_clamped():
     assert np.all(cmd.rotor_speeds <= VEH.n_max + 1e-9)
 
 
+@st.composite
+def _squares_and_bound(draw):
+    """(n^2 values, hi): finite or infinite floats, with +-0, subnormals, hi and just above it."""
+    hi = draw(st.one_of(st.just(VEH.n_max**2), st.floats(0.0, 1e300)))
+    special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                               hi, math.nextafter(hi, math.inf), 2.0 * hi + 1.0])
+    value = st.one_of(special, st.floats(allow_nan=False))
+    return draw(st.lists(value, min_size=4, max_size=4)), hi
+
+
+@settings(max_examples=500)
+@given(_squares_and_bound())
+def test_allocate_sqrt_clip_is_numpys(case):
+    values, hi = case
+    want = np.sqrt(np.clip(np.array(values), 0.0, hi))
+    assert np.array(_sqrt_clip(values, hi)).tobytes() == want.tobytes()
+
+
 def test_applied_torque_matches_mixing():
     n = np.array([8000.0, 9000.0, 10000.0, 11000.0])
     tau = applied_torque(n, VEH)
-    assert np.allclose(tau, (build_mixing_matrix(VEH) @ (n * n))[1:4])
+    assert np.allclose(tau, (VEH.mixing @ (n * n))[1:4])
 
 
 # -- closed loop ----------------------------------------------------------------------
@@ -317,6 +331,27 @@ def test_feedforward_controller_protocol():
     cmd = ff.tick(0.0, None)
     assert np.isclose(cmd.thrust, VEH.m * GRAVITY / (1.0 + thrust_factor(1.0, GE)), rtol=1e-9)
     assert ff.last_reference is not None and ff.last_attitude_target is not None
+
+
+@pytest.mark.parametrize("torque", ["model", "hybrid"])
+def test_position_tick_inertia_uses_the_simulated_gravity(torque):
+    # J'(h_des) is the operator flat_reference built with the run's gravity, not 9.81
+    overrides = [("duration", "0.05"), ("sim.gravity", "9.0"), ("ctrl.torque_comp", torque)]
+    scenario = Scenario.from_file(
+        os.path.join(os.path.dirname(__file__), "..", "configs", "scenarios",
+                     "lemniscate_low.cfg"),
+        overrides=KeyValueConfig([(k, v, 0) for k, v in overrides], source="<test>"))
+    _, ctrl = scenario.build()
+    veh = scenario.vehicle
+    log = run_closed_loop(ctrl, veh, scenario.ge, scenario.sim, scenario.duration,
+                          seed=scenario.seed)
+    assert not log.crashed
+    flat, ref = ctrl.last_flat, ctrl.last_reference
+    h = flat.p[2] + veh.rotor_plane_offset
+    want = equivalent_inertia_op(h, ctrl.ge, veh, thrust=ref.thrust, gravity=9.0)
+    wrong = equivalent_inertia_op(h, ctrl.ge, veh, thrust=ref.thrust)
+    assert ctrl._J_des.diag == want.diag != wrong.diag
+    assert ctrl._J_des.diag == flat_reference(flat, veh, ctrl.ge, 9.0).inertia.diag
 
 
 # -- the float tick against the array code it replaced ---------------------------------
@@ -379,7 +414,7 @@ class _ArrayCascade:
         c, veh = self.c, self.c.vehicle
         omega_f, omega_dot_f = self.gyro.update(meas.gyro)
         n = meas.rotor_speeds
-        tau_hat = build_mixing_matrix(veh).dot(n * n)[1:4]
+        tau_hat = veh.mixing.dot(n * n)[1:4]
         self.wrench = self._observer(meas, veh.k_t * float(n.dot(n)), tau_hat)
         if self.count % c.ratio == 0:
             self.flat = c.trajectory(t)
@@ -403,7 +438,8 @@ class _ArrayCascade:
         mode = c.gains.torque_comp
         J = veh.inertia
         if mode in ("model", "hybrid"):
-            J = equivalent_inertia(flat.p[2] + veh.rotor_plane_offset, c.ge, veh, thrust=ref.thrust)
+            J = equivalent_inertia(flat.p[2] + veh.rotor_plane_offset, c.ge, veh, thrust=ref.thrust,
+                                   gravity=c.gravity)
         if mode in ("none", "model"):
             torque = J.dot(omega_dot_des) + np.cross(omega_des, J.dot(omega_des))
         else:

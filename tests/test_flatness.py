@@ -26,7 +26,7 @@ from nearground.groundeffect import (
     equivalent_inertia,
     thrust_factor,
 )
-from nearground.vehicle import GRAVITY, VehicleParams, mixing_matrix_inverse
+from nearground.vehicle import GRAVITY, VehicleParams, inertia_operator
 
 VEH = VehicleParams()
 GE = GroundEffectParams()
@@ -445,11 +445,12 @@ def _ref_flat_reference(flat, vehicle, ge, gravity=GRAVITY):
     omega, omega_dot = _ref_rates(flat, vehicle, ge, gravity, attitude=attitude)
     h = flat.p[2] + vehicle.rotor_plane_offset
     torque = _ref_torque(omega, omega_dot, h, thrust, vehicle, ge, gravity)
-    n_sq = mixing_matrix_inverse(vehicle) @ np.concatenate(([thrust], torque))
+    n_sq = vehicle.mixing_inverse @ np.concatenate(([thrust], torque))
     feasible = bool(np.all(n_sq >= -1e-9) and np.all(n_sq <= vehicle.n_max**2 + 1e-9))
     n_ref = np.sqrt(np.clip(n_sq, 0.0, None))
+    Jp = inertia_operator(equivalent_inertia(h, ge, vehicle, thrust=thrust, gravity=gravity))
     return FlatReference(thrust, attitude, omega, omega_dot, torque, n_ref,
-                         feasible, iterations)
+                         feasible, iterations, Jp)
 
 
 _REFERENCE_FIELDS = ("thrust", "attitude", "omega", "omega_dot", "torque", "rotor_speeds",

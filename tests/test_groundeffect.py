@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -389,5 +390,11 @@ def test_drag_table_is_read_only_and_copied():
     assert drag_coefficients(0.1, p) == (0.2, 0.1)
     with pytest.raises(ValueError):
         p.drag_table[0, 1] = 9.0
-    p.drag_table = np.array([[0.1, 0.5, 0.4], [1.0, 0.6, 0.5]])
-    assert drag_coefficients(0.1, p) == (0.5, 0.4)
+    with pytest.raises(FrozenInstanceError):
+        p.drag_table = np.array([[0.1, 0.5, 0.4], [1.0, 0.6, 0.5]])
+    # the knots are derived once: every access returns the same object
+    assert p.drag_knots is p.drag_knots
+    assert p.drag_knots == ([0.1, 1.0], [[0.2, 0.3], [0.1, 0.25]])
+    other = replace(p, drag_table=[[0.1, 0.5, 0.4], [1.0, 0.6, 0.5]])
+    assert drag_coefficients(0.1, other) == (0.5, 0.4)
+    assert drag_coefficients(0.1, p) == (0.2, 0.1)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,21 @@ def test_no_function_takes_a_private_parameter():
                     p for p in (a.vararg, a.kwarg) if p is not None]
                 found += [f"{name}:{node.lineno} {p.arg}" for p in params
                           if p.arg.startswith("_")]
+    assert found == []
+
+
+def test_package_holds_no_memoizing_cache():
+    # parameters are immutable values that carry their derived constants;
+    # a cache keyed on their fields would be a second copy of that state
+    banned = {"lru_cache", "cache"}
+    found = []
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [f"{name}:{node.lineno} {a.name}" for a in node.names if a.name in banned]
+            elif (isinstance(node, ast.Attribute) and node.attr in banned
+                  and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+                found.append(f"{name}:{node.lineno} functools.{node.attr}")
     assert found == []
 
 
@@ -672,6 +688,24 @@ def test_cli_identify_rejects_malformed_log_row(tmp_path, capsys, op, rows, mess
     head = path.read_text().splitlines(keepends=True)[:2]
     path.write_text("".join(head) + "\n".join(rows) + "\n")
     assert main(["identify", op, str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err
+
+
+@pytest.mark.parametrize("op, header", [("fg", "h,factor"), ("mg", "h,tilt_rad,thrust,torque")])
+@pytest.mark.parametrize("body, message", [
+    (["0.1", "0.2"], "samples need rows of columns"),
+    ([], "samples need rows of columns"),
+    (["0.1,abc,1.0,1.0"], "malformed sample row"),
+], ids=["one_column", "header_only", "non_numeric_cell"])
+def test_cli_identify_rejects_malformed_samples(tmp_path, capsys, op, header, body, message):
+    path = tmp_path / "samples.csv"
+    width = header.count(",") + 1
+    rows = [",".join(row.split(",")[:width]) for row in body]
+    path.write_text("\n".join([header] + rows) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["identify", op, str(path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert str(path) in err and message in err
 

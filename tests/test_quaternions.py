@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 import nearground
 from nearground import quaternions as quat
 from nearground.errors import InputError
-from nearground.vehicle import VehicleParams, build_mixing_matrix, mixing_matrix_inverse
+from nearground.vehicle import VehicleParams
 
 # Defaults include +-0.0, subnormals and magnitudes whose products overflow.
 finite_vec3 = arrays(np.float64, 3, elements=st.floats(allow_nan=False, allow_infinity=False))
@@ -80,8 +80,8 @@ def test_dot_bit_identical_to_matmul(R, S, a, b, p, r, i, j):
         (R[:, i], a), (a, R[:, i]), (R[:, i], R[:, j]),  # strided columns
         (R, a), (R.T, a), (-R, a),                    # matrix-vector, both layouts
         (R, S), (R, np.diag(S.diagonal())),           # 3x3 products (model drag)
-        (mixing_matrix_inverse(vehicle), p),          # cached read-only 4x4
-        (build_mixing_matrix(vehicle), p),
+        (vehicle.mixing_inverse, p),                  # read-only 4x4, derived once
+        (vehicle.mixing, p),
     ]
     with np.errstate(all="ignore"):
         for x, y in pairs:

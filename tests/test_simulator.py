@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -331,6 +332,17 @@ def test_log_csv_round_trip(tmp_path):
     assert back.crashed == log.crashed
     assert back.seed == log.seed
     assert list(LOG_COLUMNS) == TrajectoryLog.columns
+
+
+def test_empty_log_round_trips_silently(tmp_path):
+    # a header-only file is what to_csv writes for a log with no rows
+    path = tmp_path / "log.csv"
+    TrajectoryLog(np.empty((0, len(LOG_COLUMNS))), crashed=True, seed=4).to_csv(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = TrajectoryLog.from_csv(path)
+    assert back.data.shape == (0, len(LOG_COLUMNS))
+    assert back.crashed and not back.infeasible and back.seed == 4
 
 
 def test_log_csv_text_of_special_values(tmp_path):

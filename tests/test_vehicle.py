@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,15 +9,9 @@ from nearground.errors import ConfigError, ParameterError
 from nearground.groundeffect import (
     GroundEffectParams,
     equivalent_inertia,
-    equivalent_inertia_operator,
+    equivalent_inertia_op,
 )
-from nearground.vehicle import (
-    SIGN_MATRIX,
-    VehicleParams,
-    build_mixing_matrix,
-    inertia_operator,
-    mixing_matrix_inverse,
-)
+from nearground.vehicle import SIGN_MATRIX, VehicleParams, inertia_operator
 
 
 def test_sign_matrix_pattern():
@@ -34,15 +30,15 @@ def test_sign_matrix_pattern():
 def test_unit_coefficients_give_sign_matrix():
     # arm factor sqrt(2)*b/4 collapses to 1 when b = 4/sqrt(2)
     p = VehicleParams(k_t=1.0, k_tx=1.0, k_ty=1.0, k_i=1.0, b=4.0 / np.sqrt(2.0))
-    assert np.allclose(build_mixing_matrix(p), SIGN_MATRIX, atol=1e-15)
+    assert np.allclose(p.mixing, SIGN_MATRIX, atol=1e-15)
 
 
 def test_mixing_matrix_invertible():
     p = VehicleParams()
-    M = build_mixing_matrix(p)
+    M = p.mixing
     assert abs(np.linalg.det(M)) > 0.0
     assert np.max(np.abs(M @ np.linalg.inv(M) - np.eye(4))) < 1e-12
-    assert np.max(np.abs(M @ mixing_matrix_inverse(p) - np.eye(4))) < 1e-12
+    assert np.max(np.abs(M @ p.mixing_inverse - np.eye(4))) < 1e-12
 
 
 def test_nonpositive_coefficient_rejected():
@@ -73,10 +69,10 @@ def test_allocation_round_trip(scales, b_scale):
         k_i=2.8e-10 * scales[3],
         b=0.3 * b_scale,
     )
-    M = build_mixing_matrix(p)
+    M = p.mixing
     rng = np.random.default_rng(int(sum(scales) * 1000))
     w = np.array([8.0, 0.1, -0.1, 0.02]) * rng.uniform(0.5, 1.5, 4)
-    back = M @ (mixing_matrix_inverse(p) @ w)
+    back = M @ (p.mixing_inverse @ w)
     assert np.max(np.abs(back - w)) < 1e-9 * max(1.0, np.max(np.abs(w)))
 
 
@@ -84,13 +80,13 @@ def test_wrench_round_trip_through_speeds():
     p = VehicleParams()
     rng = np.random.default_rng(3)
     n = rng.uniform(3000.0, 15000.0, 4)
-    wrench = build_mixing_matrix(p) @ (n * n)
-    assert np.allclose(mixing_matrix_inverse(p) @ wrench, n * n, rtol=1e-12)
+    wrench = p.mixing @ (n * n)
+    assert np.allclose(p.mixing_inverse @ wrench, n * n, rtol=1e-12)
 
 
 def _thrust(n, p):
     """Total thrust: the first row of the mixing matrix applied to the squared speeds."""
-    return float(build_mixing_matrix(p)[0] @ (n * n))
+    return float(p.mixing[0] @ (n * n))
 
 
 def test_thrust_zero_and_symmetric():
@@ -114,7 +110,7 @@ def test_composite_speeds_symmetry_and_zero():
     # equal speeds give thrust and no torque; zero speeds give no wrench
     p = VehicleParams()
     n0 = 8000.0
-    M = build_mixing_matrix(p)
+    M = p.mixing
     assert np.allclose(M @ np.full(4, n0 * n0), [4.0 * p.k_t * n0 * n0, 0.0, 0.0, 0.0],
                        atol=1e-12)
     assert np.array_equal(M @ np.zeros(4), np.zeros(4))
@@ -125,9 +121,9 @@ def test_composite_speeds_pure_roll():
     # the thrust and roll channels
     p = VehicleParams()
     w = np.array([8.0, 0.05, 0.0, 0.0])
-    n2 = mixing_matrix_inverse(p) @ w
+    n2 = p.mixing_inverse @ w
     assert np.all(n2 > 0.0)
-    back = build_mixing_matrix(p) @ n2
+    back = p.mixing @ n2
     assert abs(back[0]) > 0.0 and abs(back[1]) > 0.0
     assert abs(back[2]) < 1e-9 * abs(back[0])
     assert abs(back[3]) < 1e-9 * abs(back[0])
@@ -163,20 +159,28 @@ def test_config_error_reports_key_and_line(tmp_path):
 
 
 def test_mixing_matrices_cached_read_only_and_exact():
-    from nearground.vehicle import _mixing_pair
-
-    p = VehicleParams(b=0.25, k_tx=1.5e-8)
-    M, Minv = build_mixing_matrix(p), mixing_matrix_inverse(p)
-    assert build_mixing_matrix(VehicleParams(b=0.25, k_tx=1.5e-8)) is M
-    fresh_M, fresh_Minv = _mixing_pair.__wrapped__(p.b, p.k_t, p.k_tx, p.k_ty, p.k_i)
-    for cached, fresh in ((M, fresh_M), (Minv, fresh_Minv)):
-        assert not cached.flags.writeable
-        assert cached.tobytes(order="A") == fresh.tobytes(order="A")
-        assert cached.strides == fresh.strides
+    J = np.diag([4e-3, 5e-3, 8e-3])
+    p = VehicleParams(b=0.25, k_tx=1.5e-8, inertia=J)
+    arm = np.sqrt(2.0) * p.b / 4.0
+    gains = np.array([p.k_t, arm * p.k_tx, arm * p.k_ty, p.k_i])
+    fresh_M = gains[:, None] * SIGN_MATRIX
+    fresh_Minv = (SIGN_MATRIX.T / 4.0) / gains[None, :]
+    J[0, 0] = 1.0           # the caller's array is not the one the parameters hold
+    for derived, fresh in ((p.mixing, fresh_M), (p.mixing_inverse, fresh_Minv),
+                           (p.inertia, np.diag([4e-3, 5e-3, 8e-3]))):
+        assert not derived.flags.writeable
+        assert derived.tobytes(order="A") == fresh.tobytes(order="A")
+        assert derived.strides == fresh.strides
         with pytest.raises(ValueError):
-            cached[0, 0] = 1.0
-    other = build_mixing_matrix(VehicleParams(b=0.30, k_tx=1.5e-8))
-    assert other is not M and not np.array_equal(other, M)
+            derived[0, 0] = 1.0
+    # each derived constant is built once: every access returns the same object
+    for name in ("mixing", "mixing_inverse", "inertia_op"):
+        assert getattr(p, name) is getattr(p, name)
+    assert p.inertia_op.diag == [4e-3, 5e-3, 8e-3]
+    with pytest.raises(FrozenInstanceError):
+        p.b = 0.30
+    other = replace(p, b=0.30)
+    assert not np.array_equal(other.mixing, p.mixing)
 
 
 # every finite double: both zeros, subnormals, and magnitudes whose products overflow
@@ -204,7 +208,7 @@ def test_inertia_operator_products_are_the_blas_products(diag, v, h, thrust, off
         cases = [
             (inertia_operator(J), J),
             (inertia_operator(Jinv), Jinv),
-            (equivalent_inertia_operator(h, GroundEffectParams(), vehicle, thrust=thrust), Jp),
+            (equivalent_inertia_op(h, GroundEffectParams(), vehicle, thrust=thrust), Jp),
         ]
         for op, M in cases:
             assert (op.diag is None) == offdiag
