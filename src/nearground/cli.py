@@ -53,38 +53,34 @@ EXIT_REFERENCE = 7
 EXIT_CONTROLLER = 8
 
 
-def _cmd_run(args):
-    overrides = KeyValueConfig(
-        [("seed", str(args.seed), 0)] if args.seed is not None else [], source="<cli>"
-    )
-    scenario = Scenario.from_file(args.scenario, overrides=overrides)
-    out_dir = os.path.join(args.out, scenario.name) if args.out else None
-    log, metrics = run(scenario, out_dir=out_dir)
-    print(metrics.to_json())
-    if log.crashed:
-        print("run crashed: log truncated", file=sys.stderr)
+def _exit_code(reports):
+    """The exit code of a set of runs: any crash ranks before any infeasible reference."""
+    if any(report.crashed for report in reports):
         return EXIT_CRASH
-    if log.infeasible:
+    return EXIT_INFEASIBLE if any(report.infeasible for report in reports) else EXIT_OK
+
+
+def _cmd_run(args):
+    seed = [] if args.seed is None else [("seed", str(args.seed), 0)]
+    scenario = Scenario.from_file(args.scenario, overrides=KeyValueConfig(seed, source="<cli>"))
+    out_dir = os.path.join(args.out, scenario.name) if args.out else None
+    _, metrics = run(scenario, out_dir=out_dir)
+    print(metrics.to_json())
+    code = _exit_code([metrics])
+    if code == EXIT_CRASH:
+        print("run crashed: log truncated", file=sys.stderr)
+    elif code == EXIT_INFEASIBLE:
         print("reference infeasible for the actuator limits", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    return code
 
 
 def _cmd_sweep(args):
     values = [v for chunk in args.values for v in chunk.split(",") if v]
-    reports = sweep(
-        args.scenario, args.param, values,
-        out_root=args.out, jobs=args.jobs, seed=args.seed,
-    )
-    worst = EXIT_OK
+    reports = sweep(args.scenario, args.param, values, out_root=args.out, seed=args.seed)
     for value, report in zip(values, reports):
         print(f"{args.param}={value}: rmse_all={report.rmse_all_cm:.3f} cm "
               f"crashed={report.crashed}")
-        if report.crashed:
-            worst = max(worst, EXIT_CRASH)
-        elif report.infeasible:
-            worst = max(worst, EXIT_INFEASIBLE)
-    return worst
+    return _exit_code(reports)
 
 
 def _load_samples_csv(path, columns):
@@ -246,7 +242,6 @@ def build_parser():
                          help="comma- or space-separated values")
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_id = sub.add_parser("identify", help="fit model parameters from a CSV")

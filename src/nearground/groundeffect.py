@@ -32,7 +32,7 @@ import numpy as np
 from .config import KeyValueConfig, read_section, write_section
 from .errors import ConfigError, InputError, ParameterError
 from .quaternions import check_rotation
-from .vehicle import GRAVITY, InertiaOperator, VehicleParams, read_only
+from .vehicle import GRAVITY, FrozenParams, InertiaOperator, VehicleParams, read_only
 
 # Default drag table: force-unit coefficients (kg/s), increasing with h.
 # The 0.10 m rows are exactly 0.5963 (x) and 0.6179 (y) times the 2.0 m rows.
@@ -50,8 +50,8 @@ _DEFAULT_DRAG_TABLE = np.array(
 )
 
 
-@dataclass(frozen=True)
-class GroundEffectParams:
+@dataclass(frozen=True, eq=False)
+class GroundEffectParams(FrozenParams):
     """Parameters of the ground-effect force, torque, and drag models.
 
     g1, g2 shape the extra-thrust curve g2/(h^2+g1); g3, g4, g5 shape the
@@ -109,10 +109,6 @@ class GroundEffectParams:
             except ValueError:
                 raise ConfigError(f"{where}: drag_sample: cannot parse {value!r}") from None
         return cls(drag_table=rows or None, **read_section(cls, cfg, extra=("drag_sample",)))
-
-    @classmethod
-    def from_file(cls, path):
-        return cls.from_config(KeyValueConfig.from_path(path))
 
     def config_lines(self):
         """The section as 'key = value' lines that from_config reads back."""

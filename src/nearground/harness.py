@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -266,37 +265,21 @@ def run(scenario: Scenario, out_dir=None):
     return log, metrics
 
 
-def _sweep_worker(args):
-    path, overrides_entries, out_dir = args
-    overrides = KeyValueConfig(overrides_entries, source="<sweep>")
-    scenario = Scenario.from_file(path, overrides=overrides)
-    _, metrics = run(scenario, out_dir=out_dir)
-    return metrics
+def sweep(scenario_path, param, values, out_root=None, seed=None):
+    """Run one scenario once per parameter value, in order, in this process.
 
-
-def sweep(scenario_path, param, values, out_root=None, jobs=1, seed=None):
-    """Run one scenario once per parameter value; independent runs may use workers.
-
-    The scenario is parsed with every value before anything runs, so an
+    Each value is parsed into its scenario before anything runs, so an
     unknown param or a bad value fails at once with a ConfigError.
     """
-    for value in values:
-        Scenario.from_file(scenario_path,
-                           overrides=KeyValueConfig([(param, str(value), 0)], source="--param"))
-    tasks = []
-    for value in values:
-        entries = [(param, str(value), 0)]
-        if seed is not None:
-            entries.append(("seed", str(seed), 0))
-        out_dir = None
-        if out_root is not None:
-            safe = str(value).replace("/", "_")
-            out_dir = os.path.join(out_root, f"{param.replace('.', '_')}={safe}")
-        tasks.append((scenario_path, entries, out_dir))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_sweep_worker, tasks))
-    return [_sweep_worker(task) for task in tasks]
+    seeded = [] if seed is None else [("seed", str(seed), 0)]
+    scenarios = [Scenario.from_file(scenario_path, overrides=KeyValueConfig(
+        [(param, str(value), 0)] + seeded, source="--param")) for value in values]
+    reports = []
+    for value, scenario in zip(values, scenarios):
+        out_dir = None if out_root is None else os.path.join(
+            out_root, f"{param.replace('.', '_')}={str(value).replace('/', '_')}")
+        reports.append(run(scenario, out_dir=out_dir)[1])
+    return reports
 
 
 # the compared metrics: (MetricsReport field, column title, text column width)

@@ -460,8 +460,9 @@ def run_closed_loop(controller, vehicle: VehicleParams, ge: GroundEffectParams,
 
     The controller object must provide tick(t, Measurement) -> command with
     fields thrust, torque, rotor_speeds, saturated, plus last_reference
-    (FlatReference), last_flat (FlatOutput) and last_wrench (WrenchEstimate
-    or None) for logging. Ground contact truncates the log and flags it.
+    (FlatReference), last_flat (FlatOutput), last_attitude_target (the
+    commanded quaternion) and last_wrench (WrenchEstimate), each None until
+    set, for logging. Ground contact truncates the log and flags it.
     """
     rng = np.random.default_rng(seed)
     x = hover_initial_state(controller.trajectory, vehicle, ge, cfg.gravity)
@@ -529,7 +530,7 @@ def _log_row(row, t, x, command, controller, plant, frame):
         row[37:40] = command.torque
         row[40:44] = command.rotor_speeds
         row[44] = float(command.saturated)
-    q_des = getattr(controller, "last_attitude_target", None)
+    q_des = controller.last_attitude_target
     if q_des is not None:
         row[45:49] = q_des
     est = controller.last_wrench

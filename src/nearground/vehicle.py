@@ -16,7 +16,7 @@ through a slower lookup, and the plant reads parameters on every step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -43,13 +43,38 @@ def read_only(a):
     return a
 
 
+class FrozenParams:
+    """Value semantics of a frozen parameter dataclass, over its fields.
+
+    Equality and hash compare arrays by value. Copies and pickles are rebuilt
+    from the fields through ``__post_init__``, read-only arrays and all.
+    """
+
+    @classmethod
+    def from_file(cls, path):
+        return cls.from_config(KeyValueConfig.from_path(path))
+
+    def _key(self):
+        return tuple((v.shape, *v.ravel().tolist()) if isinstance(v, np.ndarray) else v
+                     for v in self.__reduce__()[1])
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f.name) for f in fields(self))
+
+
 # config keys of the inertia matrix entries: the one field with six keys
 INERTIA_KEYS = {"inertia_xx": (0, 0), "inertia_yy": (1, 1), "inertia_zz": (2, 2),
                 "inertia_xy": (0, 1), "inertia_xz": (0, 2), "inertia_yz": (1, 2)}
 
 
-@dataclass(frozen=True)
-class VehicleParams:
+@dataclass(frozen=True, eq=False)
+class VehicleParams(FrozenParams):
     """Mass, inertia, geometry and mixing coefficients of a quadrotor.
 
     ``inertia`` is a read-only copy of the matrix given. Derived once:
@@ -103,10 +128,6 @@ class VehicleParams:
             if key in cfg:
                 J[i, j] = J[j, i] = cfg.parse(key, "float")
         return cls(inertia=J, **kwargs)
-
-    @classmethod
-    def from_file(cls, path):
-        return cls.from_config(KeyValueConfig.from_path(path))
 
     def config_lines(self):
         """The vehicle section as 'key = value' lines that from_config reads back."""

@@ -277,6 +277,26 @@ def test_allocate_negative_squared_clamped():
     assert np.all(cmd.rotor_speeds <= VEH.n_max + 1e-9)
 
 
+def test_allocate_clamps_pure_thrust_last():
+    # thrust beyond four rotors at n_max: no yaw or roll/pitch fraction helps
+    cmd = allocate(40.0, [0.0, 0.0, 0.0], VEH)
+    assert cmd.rotor_speeds.tolist() == [VEH.n_max] * 4
+    assert cmd.thrust == pytest.approx(4.0 * VEH.k_t * VEH.n_max**2, rel=1e-12)
+    assert cmd.thrust == pytest.approx(27.2, rel=1e-12)
+    assert cmd.saturated and cmd.yaw_shed and cmd.rp_shed and cmd.thrust_clipped
+
+
+def test_allocate_sheds_roll_pitch_when_yaw_column_is_zero():
+    # no yaw to shed (a zero yaw column) and a pitch torque beyond reach at low thrust
+    cmd = allocate(5.0, [0.0, -1.0, 0.0], VEH)
+    assert cmd.saturated and cmd.yaw_shed and cmd.rp_shed and not cmd.thrust_clipped
+    assert cmd.thrust == pytest.approx(5.0, rel=1e-9)
+    assert cmd.torque[0] == pytest.approx(0.0, abs=1e-12)
+    assert cmd.torque[2] == pytest.approx(0.0, abs=1e-12)
+    assert -1.0 < cmd.torque[1] < 0.0
+    assert min(cmd.rotor_speeds) == 0.0 and max(cmd.rotor_speeds) <= VEH.n_max
+
+
 @st.composite
 def _squares_and_bound(draw):
     """(n^2 values, hi): finite or infinite floats, with +-0, subnormals, hi and just above it."""

@@ -1,9 +1,11 @@
+import copy
 import math
+import pickle
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nearground import quaternions as quat
@@ -377,6 +379,10 @@ def _table_and_x(draw):
 
 @settings(max_examples=500)
 @given(_table_and_x())
+# numpy's retry from the right knot: x - x0 overflows; inf - inf in the slope; in the value
+@example(([-1e308, 1e308], [0.0, 1.0], 9e307))
+@example(([0.0, 1.0], [math.inf, math.inf], 0.5))
+@example(([0.0, 1.0], [-math.inf, math.inf], 0.5))
 def test_interp_kernel_bit_identical_to_np_interp(case):
     xp, fp, x = case
     (got,) = _interp(x, xp, [fp])
@@ -398,3 +404,21 @@ def test_drag_table_is_read_only_and_copied():
     other = replace(p, drag_table=[[0.1, 0.5, 0.4], [1.0, 0.6, 0.5]])
     assert drag_coefficients(0.1, other) == (0.5, 0.4)
     assert drag_coefficients(0.1, p) == (0.2, 0.1)
+
+
+@pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy,
+                                     lambda p: pickle.loads(pickle.dumps(p))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_ground_effect_params_are_values(copy_of):
+    table = [[0.1, 0.2, 0.1], [1.0, 0.3, 0.25]]
+    p = GroundEffectParams(g2=0.05, drag_table=table)
+    assert p == GroundEffectParams(g2=0.05, drag_table=np.array(table)) and p != P
+    assert p != replace(p, drag_table=[[0.1, 0.2, 0.1], [1.0, 0.3, 0.26]]) and p != VEH
+    assert p != replace(p, drag_table=[[0.1, 0.2, 0.1], [1.0, 0.3, 0.25], [2.0, 0.3, 0.25]])
+    assert hash(p) == hash(GroundEffectParams(g2=0.05, drag_table=table))
+    assert len({p, replace(p), P, P.scaled(1.0)}) == 2
+    other = copy_of(p)
+    assert other == p and other.drag_table is not p.drag_table
+    assert not other.drag_table.flags.writeable
+    assert other.drag_table.tobytes() == p.drag_table.tobytes()
+    assert other.drag_knots == p.drag_knots

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -120,6 +122,17 @@ def test_package_holds_no_memoizing_cache():
                   and isinstance(node.value, ast.Name) and node.value.id == "functools"):
                 found.append(f"{name}:{node.lineno} functools.{node.attr}")
     assert found == []
+
+
+def test_package_import_loads_no_process_pool():
+    # runs happen in this process; in a subprocess because pytest may load these itself
+    code = ("import sys, nearground; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def _fast(scenario):
@@ -396,6 +409,22 @@ def test_sweep_runs_each_value(tmp_path):
     assert (tmp_path / "sw" / "sim_noise_gyro=0.0" / "metrics.json").exists()
 
 
+def test_sweep_parses_each_value_once(tmp_path, monkeypatch):
+    path = _write_scenario(tmp_path)
+    parsed = []
+
+    def from_file(path, overrides=None):
+        parsed.append([(key, value) for key, value, _ in overrides.entries])
+        return original(path, overrides=overrides)
+
+    original = Scenario.from_file
+    monkeypatch.setattr(Scenario, "from_file", staticmethod(from_file))
+    reports = sweep(path, "sim.noise_gyro", ["0.0", "0.004"], seed=11)
+    assert parsed == [[("sim.noise_gyro", "0.0"), ("seed", "11")],
+                      [("sim.noise_gyro", "0.004"), ("seed", "11")]]
+    assert [r.seed for r in reports] == [11, 11]
+
+
 def test_write_series_csv(tmp_path):
     path = tmp_path / "series.csv"
     h = np.linspace(0.05, 1.0, 20)
@@ -491,6 +520,45 @@ def test_cli_sweep_checks_param_before_running(tmp_path, capsys, param, values, 
     assert not out.exists()
 
 
+def test_cli_sweep_rejects_a_seed_set_twice(tmp_path, capsys):
+    out = tmp_path / "sw"
+    assert main(["sweep", _write_scenario(tmp_path), "--param", "seed", "--values", "1,2",
+                 "--seed", "5", "--out", str(out)]) == EXIT_CONFIG
+    assert "key 'seed' is set again" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# n_max = 11000 rpm is short of the hover reference's rotor speed (an infeasible
+# reference the vehicle survives for a second); 8000 rpm drops it to the ground
+@pytest.mark.parametrize("values, code", [
+    ("20000", EXIT_OK),
+    ("20000,11000", EXIT_INFEASIBLE),
+    ("11000,8000", EXIT_CRASH),       # a crash ranks before an infeasible reference
+])
+def test_cli_sweep_prints_each_value_and_exit_code(tmp_path, capsys, values, code):
+    out = tmp_path / "sw"
+    assert main(["sweep", _write_scenario(tmp_path), "--param", "vehicle.n_max",
+                 "--values", values, "--seed", "9", "--out", str(out)]) == code
+    lines = []
+    for value in values.split(","):
+        with open(out / f"vehicle_n_max={value}" / "metrics.json", encoding="utf-8") as fh:
+            record = json.load(fh)
+        assert record["seed"] == 9
+        assert record["crashed"] == (value == "8000")
+        assert record["infeasible"] == (value != "20000")
+        lines.append(f"vehicle.n_max={value}: rmse_all={record['rmse_all_cm']:.3f} cm "
+                     f"crashed={record['crashed']}")
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_cli_run_infeasible_exit_code(tmp_path, capsys):
+    path = _write_scenario(tmp_path, extra="vehicle.n_max = 11000\n")
+    assert main(["run", path]) == EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["infeasible"]
+    assert captured.err == "reference infeasible for the actuator limits\n"
+
+
 def test_cli_reference_generation_exit_code(tmp_path, capsys):
     # a hover reference below the ground
     assert main(["run", _write_scenario(tmp_path, height=-0.5)]) == EXIT_REFERENCE
@@ -551,6 +619,23 @@ def test_cli_identify_fit_failure_exit_code(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("\n".join(rows) + "\n")
     assert main(["identify", "fg", str(path)]) == EXIT_FIT
+
+
+def test_cli_identify_drag_writes_its_fit(tmp_path, capsys):
+    path = tmp_path / "lemniscate.cfg"
+    path.write_text("seed = 3\nduration = 1.5\ntrajectory = lemniscate\ntraj.speed = 1.0\n"
+                    "traj.height = 0.5\nsim.dt = 1e-3\nsim.log_decimation = 4\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    capsys.readouterr()
+    log_path = str(tmp_path / "out" / "lemniscate" / "log.csv")
+    assert main(["identify", "drag", log_path, "--out", str(tmp_path / "fit")]) == EXIT_OK
+    text = (tmp_path / "fit" / "fit_drag.json").read_text()
+    assert text == capsys.readouterr().out
+    fit = json.loads(text)
+    assert set(fit) == {"d_x", "d_y", "stderr_x", "stderr_y", "n_samples"}
+    table = GroundEffectParams().drag_table   # the lemniscate flies at h = 0.5 m
+    assert fit["d_x"] == pytest.approx(np.interp(0.5, table[:, 0], table[:, 1]), rel=0.05)
+    assert fit["d_y"] == pytest.approx(np.interp(0.5, table[:, 0], table[:, 2]), rel=0.05)
 
 
 def test_cli_identify_fits_with_flown_vehicle(tmp_path, capsys, monkeypatch):
@@ -740,3 +825,15 @@ def test_cli_oracle_all(capsys):
     assert main(["oracle", "all"]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.count("PASS") == 3
+
+
+def test_cli_oracle_one_check(capsys):
+    assert main(["oracle", "lever-identity"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("lever vs -(b^2/8) dF/dh:") and out.endswith("\nlever-identity: PASS\n")
+
+
+def test_cli_oracle_unknown_check(capsys):
+    assert main(["oracle", "lever"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unknown oracle check 'lever'" in captured.err

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -181,6 +183,24 @@ def test_mixing_matrices_cached_read_only_and_exact():
         p.b = 0.30
     other = replace(p, b=0.30)
     assert not np.array_equal(other.mixing, p.mixing)
+
+
+@pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy,
+                                     lambda p: pickle.loads(pickle.dumps(p))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_vehicle_params_are_values(copy_of):
+    J = np.diag([4e-3, 5e-3, 8e-3])
+    p = VehicleParams(b=0.25, inertia=J)
+    assert p == VehicleParams(b=0.25, inertia=J.copy()) and p != VehicleParams(inertia=J)
+    assert p != replace(p, inertia=np.diag([4e-3, 5e-3, 9e-3])) and p != "p"
+    assert hash(p) == hash(VehicleParams(b=0.25, inertia=J.tolist()))
+    assert len({p, replace(p), VehicleParams()}) == 2
+    other = copy_of(p)
+    assert other == p and other.inertia is not p.inertia
+    for name in ("inertia", "mixing", "mixing_inverse"):
+        assert not getattr(other, name).flags.writeable
+        assert getattr(other, name).tobytes() == getattr(p, name).tobytes()
+    assert other.inertia_op.diag == p.inertia_op.diag
 
 
 # every finite double: both zeros, subnormals, and magnitudes whose products overflow
