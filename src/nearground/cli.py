@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 failed oracle check, 2 vehicle crashed,
 3 infeasible reference, 4 configuration error, 5 identification failure,
 6 simulation fault (non-finite state), 7 reference generation failed,
-8 controller fault.
+8 controller fault. An input error (an argument outside a command's domain,
+such as an unknown --baseline) exits 4 like a configuration error.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .errors import (
     ConfigError,
     ControllerFault,
     FitError,
+    InputError,
     ParameterError,
     ReferenceGenerationError,
     SimulationFault,
@@ -60,18 +62,22 @@ def _exit_code(reports):
     return EXIT_INFEASIBLE if any(report.infeasible for report in reports) else EXIT_OK
 
 
+def _print_failure(report, prefix=""):
+    """Say on stderr why a run does not exit 0: a crash, else an infeasible reference."""
+    if report.crashed:
+        print(f"{prefix}run crashed: log truncated", file=sys.stderr)
+    elif report.infeasible:
+        print(f"{prefix}reference infeasible for the actuator limits", file=sys.stderr)
+
+
 def _cmd_run(args):
     seed = [] if args.seed is None else [("seed", str(args.seed), 0)]
     scenario = Scenario.from_file(args.scenario, overrides=KeyValueConfig(seed, source="<cli>"))
     out_dir = os.path.join(args.out, scenario.name) if args.out else None
     _, metrics = run(scenario, out_dir=out_dir)
     print(metrics.to_json())
-    code = _exit_code([metrics])
-    if code == EXIT_CRASH:
-        print("run crashed: log truncated", file=sys.stderr)
-    elif code == EXIT_INFEASIBLE:
-        print("reference infeasible for the actuator limits", file=sys.stderr)
-    return code
+    _print_failure(metrics)
+    return _exit_code([metrics])
 
 
 def _cmd_sweep(args):
@@ -79,7 +85,8 @@ def _cmd_sweep(args):
     reports = sweep(args.scenario, args.param, values, out_root=args.out, seed=args.seed)
     for value, report in zip(values, reports):
         print(f"{args.param}={value}: rmse_all={report.rmse_all_cm:.3f} cm "
-              f"crashed={report.crashed}")
+              f"crashed={report.crashed} infeasible={report.infeasible}")
+        _print_failure(report, f"{args.param}={value}: ")
     return _exit_code(reports)
 
 
@@ -263,8 +270,15 @@ def build_parser():
     return parser
 
 
-def _one_line(err):
-    return " ".join(str(err).split())
+# (exception types, exit code, stderr label) of the errors a command may raise
+_ERRORS = (
+    ((ConfigError, ParameterError, InputError, FileNotFoundError), EXIT_CONFIG, "config error"),
+    ((FitError,), EXIT_FIT, "identification failed"),
+    ((SimulationFault,), EXIT_SIM_FAULT, "simulation fault"),
+    ((ReferenceGenerationError,), EXIT_REFERENCE, "reference generation failed"),
+    ((ControllerFault,), EXIT_CONTROLLER, "controller fault"),
+)
+_HANDLED = tuple(kind for kinds, _, _ in _ERRORS for kind in kinds)
 
 
 def main(argv=None):
@@ -272,24 +286,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParameterError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FitError as err:
-        print(f"identification failed: {err}", file=sys.stderr)
-        return EXIT_FIT
-    except FileNotFoundError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SimulationFault as err:
-        print(f"simulation fault: {_one_line(err)}", file=sys.stderr)
-        return EXIT_SIM_FAULT
-    except ReferenceGenerationError as err:
-        print(f"reference generation failed: {_one_line(err)}", file=sys.stderr)
-        return EXIT_REFERENCE
-    except ControllerFault as err:
-        print(f"controller fault: {_one_line(err)}", file=sys.stderr)
-        return EXIT_CONTROLLER
+    except _HANDLED as err:
+        code, label = next((code, label) for kinds, code, label in _ERRORS
+                           if isinstance(err, kinds))
+        print(f"{label}: {' '.join(str(err).split())}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

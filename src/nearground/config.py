@@ -141,8 +141,8 @@ class KeyValueConfig:
                               sources=[src for _, src in picked])
 
     def merged_with(self, other):
-        """Config with other's entries appended (later entries win lookups)."""
-        return KeyValueConfig(self.entries + other.entries, source=other.source,
+        """Config with other's entries appended (later entries win lookups) and this source."""
+        return KeyValueConfig(self.entries + other.entries, source=self.source,
                               sources=self._sources + other._sources)
 
     def __contains__(self, key):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -43,8 +44,8 @@ class ControlGains:
     komega: np.ndarray = (60.0, 60.0, 40.0)  # body rate, 1/s
     accel_comp: str = "model"
     torque_comp: str = "hybrid"
-    gyro_cutoff: float = 40.0       # Hz, rate loop filters
-    observer_cutoff: float = 20.0   # Hz, wrench observer filters
+    gyro_cutoff: ClassVar[float] = 40.0       # Hz, rate loop filters
+    observer_cutoff: ClassVar[float] = 20.0   # Hz, wrench observer filters
 
     def __post_init__(self):
         # "not x > 0" style comparisons also reject NaN
@@ -53,9 +54,6 @@ class ControlGains:
             if not np.all(value >= 0.0):
                 raise ParameterError(f"gain {name} must be non-negative, got {value}")
             setattr(self, name, value)
-        for name in ("gyro_cutoff", "observer_cutoff"):
-            if not getattr(self, name) > 0.0:
-                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
         if self.accel_comp not in ACCEL_MODES:
             raise ParameterError(f"accel_comp must be one of {ACCEL_MODES}")
         if self.torque_comp not in TORQUE_MODES:
@@ -258,18 +256,18 @@ class CascadeController:
     """
 
     def __init__(self, trajectory, vehicle: VehicleParams, ge: GroundEffectParams,
-                 gains: ControlGains, attitude_rate=SimConfig.attitude_rate,
-                 position_rate=SimConfig.position_rate, gravity=GRAVITY, model_mismatch=1.0):
+                 gains: ControlGains, gravity=GRAVITY, model_mismatch=1.0):
         self.trajectory = trajectory
         self.vehicle = vehicle
         self.ge = ge if model_mismatch == 1.0 else ge.scaled(model_mismatch)
         self.gains = gains
         self.gravity = gravity
-        self.attitude_period = 1.0 / attitude_rate
-        self.ratio = int(round(attitude_rate / position_rate))
+        self.attitude_period = 1.0 / SimConfig.attitude_rate
+        self.ratio = int(round(SimConfig.attitude_rate / SimConfig.position_rate))
         self._tick_count = 0
-        self._gyro_filter = FilteredDerivative(gains.gyro_cutoff, attitude_rate)
-        self.observer = WrenchObserverRunner(vehicle, attitude_rate, gains.observer_cutoff)
+        self._gyro_filter = FilteredDerivative(gains.gyro_cutoff, SimConfig.attitude_rate)
+        self.observer = WrenchObserverRunner(vehicle, SimConfig.attitude_rate,
+                                             gains.observer_cutoff)
         self._kxi, self._komega = gains.kxi.tolist(), gains.komega.tolist()
         self._incremental = gains.torque_comp in ("indi", "hybrid")
         self._use_equivalent = gains.torque_comp in ("model", "hybrid")

@@ -53,6 +53,9 @@ class Scenario:
                 raise ConfigError(f"{key} must be non-negative, got {getattr(self, key)}")
         if not 0.0 < self.duration < math.inf:
             raise ConfigError(f"duration must be positive and finite, got {self.duration}")
+        if self.metrics_warmup > self.duration:
+            raise ConfigError(f"metrics_warmup must not exceed duration={self.duration}, "
+                              f"got {self.metrics_warmup}")
 
     def trajectory_spec(self):
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.trajectory_params.items()))
@@ -68,8 +71,6 @@ class Scenario:
         elif self.controller_kind == "cascade":
             controller = CascadeController(
                 trajectory, self.vehicle, self.ge, self.gains,
-                attitude_rate=self.sim.attitude_rate,
-                position_rate=self.sim.position_rate,
                 gravity=self.sim.gravity,
                 model_mismatch=self.mismatch,
             )
@@ -83,7 +84,7 @@ class Scenario:
     def from_file(cls, path, overrides=None):
         # a file that sets no name is named after itself
         name = os.path.splitext(os.path.basename(path))[0]
-        cfg = KeyValueConfig([("name", name, 0)], source="<file name>")
+        cfg = KeyValueConfig([("name", name, 0)], source=str(path), sources=["<file name>"])
         cfg = cfg.merged_with(KeyValueConfig.from_path(path))
         if overrides:
             cfg = cfg.merged_with(overrides)

@@ -53,7 +53,8 @@ def test_tracer_sees_every_layer(scenario, spans, mode):
     try:
         harness.run(harness.Scenario.from_file(
             os.path.join(SCENARIOS, scenario + ".cfg"),
-            overrides=KeyValueConfig([("duration", "0.2", 0)], source="<test>")))
+            overrides=KeyValueConfig([("duration", "0.2", 0), ("metrics_warmup", "0.0", 0)],
+                                     source="<test>")))
     finally:
         tracer.remove()
     assert originals == (simulator.disturbance_forces, simulator.imu_sample,

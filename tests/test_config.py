@@ -33,17 +33,16 @@ def _write(path, text):
 
 # -- random valid scenarios ----------------------------------------------------
 
-# str keys take one of a few words; every other key is drawn by its type
+# str keys take one of a few words, and sim.dt divides the 2 ms control period;
+# every other key is drawn by its type
 _WORDS = {
     "name": st.text("abcdefghijklmnopqrstuvwxyz0123456789_-", min_size=1, max_size=12),
     "controller": st.sampled_from(["cascade", "feedforward"]),
     "ctrl.accel_comp": st.sampled_from(ACCEL_MODES),
     "ctrl.torque_comp": st.sampled_from(TORQUE_MODES),
     "sim.torque_formulation": st.sampled_from(["explicit", "equivalent"]),
+    "sim.dt": st.sampled_from([2e-3, 1e-3, 5e-4, 4e-4, 2.5e-4]),
 }
-# dt and the two control rates must nest, so they are drawn together
-_RATES = [(5e-4, 500.0, 100.0), (1e-3, 500.0, 50.0), (1e-3, 250.0, 250.0), (2e-3, 100.0, 20.0)]
-_RATE_KEYS = ("sim.dt", "sim.attitude_rate", "sim.position_rate")
 # positive and finite: inside every range check
 _FLOAT = st.floats(min_value=1e-6, max_value=1e6)
 
@@ -71,13 +70,14 @@ def _scenario_lines(draw):
     for prefix, section in tables.items():
         for key, (_, default, key_type) in key_table(section).items():
             key = prefix + key
-            if key in values or key in _RATE_KEYS:
+            if key in values:
                 continue
             if default is not MISSING and not draw(st.booleans()):   # required keys always
                 continue
             values[key] = draw(_WORDS[key] if key in _WORDS else _by_type(key_type, default))
-    if draw(st.booleans()):
-        values.update(zip(_RATE_KEYS, draw(st.sampled_from(_RATES))))
+    # the warm-up may not outlast the run
+    if values.get("metrics_warmup", Scenario.metrics_warmup) > values["duration"]:
+        values["metrics_warmup"] = draw(st.floats(0.0, values["duration"]))
     for key, (i, j) in INERTIA_KEYS.items():
         if draw(st.booleans()):   # diagonally dominant: positive definite
             values["vehicle." + key] = draw(st.floats(1e-3, 1e-2) if i == j
@@ -107,7 +107,8 @@ def test_resolved_text_is_a_fixed_point_for_random_scenarios(tmp_path, lines):
 
 
 def test_rerun_from_resolved_gives_identical_artifacts(tmp_path):
-    overrides = KeyValueConfig([("duration", "0.3", 0), ("vehicle.inertia_xy", "2e-4", 0),
+    overrides = KeyValueConfig([("duration", "0.3", 0), ("metrics_warmup", "0.1", 0),
+                                ("vehicle.inertia_xy", "2e-4", 0),
                                 ("sim.ext_force", "0.1, 0.0, -0.05", 0)], source="<test>")
     first = Scenario.from_file(os.path.join(SCENARIO_DIR, "lemniscate_low.cfg"),
                                overrides=overrides)
@@ -123,7 +124,7 @@ def test_rerun_from_resolved_gives_identical_artifacts(tmp_path):
 @pytest.mark.parametrize("key, value", [
     ("seed", "-1"), ("duration", "nan"), ("duration", "0"), ("duration", "inf"),
     ("mismatch", "nan"), ("mismatch", "-0.5"),
-    ("metrics_warmup", "nan"), ("metrics_warmup", "-1"),
+    ("metrics_warmup", "nan"), ("metrics_warmup", "-1"), ("metrics_warmup", "1.5"),
     ("sim.ground_clearance", "nan"),
     ("sim.ext_force", "nan, 0, 0"), ("sim.ext_torque", "0, inf, 0"),
 ])

@@ -47,10 +47,8 @@ def test_gain_validation():
         ControlGains(accel_comp="magic")
     with pytest.raises(ParameterError):
         ControlGains(torque_comp="magic")
-    for kwargs in ({"gyro_cutoff": -5.0}, {"gyro_cutoff": 0.0}, {"observer_cutoff": math.nan},
-                   {"kv": [4.0, math.nan, 5.0]}):
-        with pytest.raises(ParameterError):
-            ControlGains(**kwargs)
+    with pytest.raises(ParameterError):
+        ControlGains(kv=[4.0, math.nan, 5.0])
 
 
 # -- acceleration command ------------------------------------------------------
@@ -356,7 +354,8 @@ def test_feedforward_controller_protocol():
 @pytest.mark.parametrize("torque", ["model", "hybrid"])
 def test_position_tick_inertia_uses_the_simulated_gravity(torque):
     # J'(h_des) is the operator flat_reference built with the run's gravity, not 9.81
-    overrides = [("duration", "0.05"), ("sim.gravity", "9.0"), ("ctrl.torque_comp", torque)]
+    overrides = [("duration", "0.05"), ("metrics_warmup", "0.0"), ("sim.gravity", "9.0"),
+                 ("ctrl.torque_comp", torque)]
     scenario = Scenario.from_file(
         os.path.join(os.path.dirname(__file__), "..", "configs", "scenarios",
                      "lemniscate_low.cfg"),
@@ -499,7 +498,8 @@ class _Twin:
                                            ("indi", "indi"), ("model", "hybrid")])
 @pytest.mark.parametrize("offdiag", [False, True], ids=["diagonal", "offdiag_inertia_offset"])
 def test_float_tick_bit_identical_to_array_code(accel, torque, offdiag):
-    overrides = [("duration", "0.3"), ("ctrl.accel_comp", accel), ("ctrl.torque_comp", torque)]
+    overrides = [("duration", "0.3"), ("metrics_warmup", "0.0"), ("ctrl.accel_comp", accel),
+                 ("ctrl.torque_comp", torque)]
     if offdiag:
         overrides += [("vehicle.inertia_xy", "2e-4"), ("vehicle.inertia_yz", "1.5e-4"),
                       ("vehicle.rotor_plane_offset", "0.02")]

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nearground.cli as cli
+from nearground import errors
 from nearground.cli import (
     EXIT_CONFIG,
     EXIT_CONTROLLER,
@@ -33,6 +34,7 @@ from nearground.errors import (
     FitError,
     InputError,
     ParameterError,
+    ReferenceGenerationError,
     SimulationFault,
 )
 from nearground.flatness import make_trajectory
@@ -378,23 +380,28 @@ _PINNED_LOG_CASES = {
 @pytest.mark.parametrize("name", sorted(PINNED_LOG_SHA256))
 def test_log_digest_pinned(tmp_path, name):
     base, overrides = _PINNED_LOG_CASES.get(name, (name, []))
+    # a warm-up may not outlast the 0.5 s run; the log does not depend on it
+    overrides = {"duration": "0.5", "metrics_warmup": "0.0", **dict(overrides)}
     scenario = Scenario.from_file(
         os.path.join(SCENARIO_DIR, base + ".cfg"),
-        overrides=KeyValueConfig([("duration", "0.5", 0)] + [(k, v, 0) for k, v in overrides],
-                                 source="<test>"),
+        overrides=KeyValueConfig([(k, v, 0) for k, v in overrides.items()], source="<test>"),
     )
     run(scenario, out_dir=str(tmp_path))
     digest = hashlib.sha256((tmp_path / "log.csv").read_bytes()).hexdigest()
     assert digest == PINNED_LOG_SHA256[name]
 
 
-def test_scenario_requires_seed(tmp_path):
+def test_scenario_requires_seed(tmp_path, capsys):
     path = tmp_path / "scn.cfg"
     path.write_text("duration = 1.0\ntrajectory = hover\n")
-    from nearground.errors import ConfigError
-
-    with pytest.raises(ConfigError):
+    message = f"{path}: missing required key 'seed'"
+    with pytest.raises(ConfigError, match=re.escape(message)):
         Scenario.from_file(str(path))
+    # the file is named, not the command line's overrides
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert main(["sweep", str(path), "--param", "sim.noise_gyro", "--values", "0"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_sweep_runs_each_value(tmp_path):
@@ -473,6 +480,7 @@ def test_cli_run_config_error(tmp_path):
     ("sim.motor_tua", "0.01"),
     ("traj.half_width", "0.5"),       # a lemniscate parameter on a hover
     ("vehicle.masss", "1.2"),
+    ("sim.attitude_rate", "500"),     # a retired key, as old scenario.resolved files hold
 ])
 def test_unknown_key_rejected_with_source_and_line(tmp_path, key, value):
     path = tmp_path / "scn.cfg"
@@ -547,8 +555,14 @@ def test_cli_sweep_prints_each_value_and_exit_code(tmp_path, capsys, values, cod
         assert record["crashed"] == (value == "8000")
         assert record["infeasible"] == (value != "20000")
         lines.append(f"vehicle.n_max={value}: rmse_all={record['rmse_all_cm']:.3f} cm "
-                     f"crashed={record['crashed']}")
-    assert capsys.readouterr().out.splitlines() == lines
+                     f"crashed={record['crashed']} infeasible={record['infeasible']}")
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == lines
+    # what run says of a failed run, once per failed value
+    failures = {"11000": "reference infeasible for the actuator limits",
+                "8000": "run crashed: log truncated"}
+    assert captured.err.splitlines() == [f"vehicle.n_max={value}: {failures[value]}"
+                                         for value in values.split(",") if value in failures]
 
 
 def test_cli_run_infeasible_exit_code(tmp_path, capsys):
@@ -566,9 +580,18 @@ def test_cli_reference_generation_exit_code(tmp_path, capsys):
     assert err.startswith("reference generation failed:") and err.count("\n") == 1
 
 
+# the exit code the README gives each exception class of nearground.errors
+_ERROR_EXIT_CODES = {
+    ConfigError: EXIT_CONFIG, ParameterError: EXIT_CONFIG, InputError: EXIT_CONFIG,
+    FitError: EXIT_FIT, SimulationFault: EXIT_SIM_FAULT,
+    ReferenceGenerationError: EXIT_REFERENCE, ControllerFault: EXIT_CONTROLLER,
+}
+
+
+# every class of the module, so that a new error type without an exit code fails here
 @pytest.mark.parametrize("fault, code", [
-    (SimulationFault, EXIT_SIM_FAULT),
-    (ControllerFault, EXIT_CONTROLLER),
+    (kind, _ERROR_EXIT_CODES.get(kind)) for kind in vars(errors).values()
+    if isinstance(kind, type) and kind.__module__ == errors.__name__
 ])
 def test_cli_fault_exit_codes(tmp_path, capsys, monkeypatch, fault, code):
     def failing_run(scenario, out_dir=None):
@@ -741,6 +764,15 @@ def test_cli_compare_rejects_malformed_record(tmp_path, capsys, text, message):
     assert main(["compare", str(good), str(bad)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert str(bad) in err and message in err
+
+
+def test_cli_compare_unknown_baseline(tmp_path, capsys):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(_RECORD))
+    assert main(["compare", str(path), "--baseline", "nosuch"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: baseline 'nosuch' not among the reports\n"
 
 
 @pytest.mark.parametrize("op, meta", [

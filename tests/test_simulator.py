@@ -120,7 +120,7 @@ def test_ballistic_free_fall_matches_parabola():
 def test_step_halving_convergence():
     # order-4 integrator: halving dt changes a 1 s trajectory below 1e-6
     def run(dt):
-        cfg = SimConfig(dt=dt, attitude_rate=500.0, position_rate=100.0)
+        cfg = SimConfig(dt=dt)
         x = _hover_state(0.3)
         x[10:13] = [0.4, -0.3, 0.2]
         x[3:6] = [0.5, 0.2, 0.0]
@@ -264,15 +264,11 @@ def test_disturbance_forces_match_public_functions(tilt_deg, h, overrides):
 
 def test_sim_config_validation():
     with pytest.raises(ConfigError):
-        SimConfig(dt=1e-3, attitude_rate=300.0)  # period not a multiple of dt
-    with pytest.raises(ConfigError):
-        SimConfig(attitude_rate=500.0, position_rate=300.0)
+        SimConfig(dt=3e-4)  # the 2 ms control period is not a multiple of dt
     with pytest.raises(ConfigError):
         SimConfig(torque_formulation="magic")
     bad = [
-        {"attitude_rate": 0.0}, {"attitude_rate": -500.0},
-        {"position_rate": 0.0}, {"position_rate": -100.0},
-        {"dt": math.nan}, {"dt": 0.0},
+        {"dt": 4e-3}, {"dt": math.nan}, {"dt": 0.0},
         {"motor_tau": -0.01}, {"noise_accel": -0.1}, {"noise_gyro": -0.1},
         {"motor_tau": math.nan},
         {"log_decimation": 0}, {"log_decimation": -2}, {"log_decimation": 2.5},
