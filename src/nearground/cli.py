@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 failed oracle check, 2 vehicle crashed,
 3 infeasible reference, 4 configuration error, 5 identification failure,
 6 simulation fault (non-finite state), 7 reference generation failed,
-8 controller fault. An input error (an argument outside a command's domain,
-such as an unknown --baseline) exits 4 like a configuration error.
+8 controller fault, 9 I/O error (an unreadable input or a failed write).
+An input error (an argument outside a command's domain, such as an unknown
+--baseline) exits 4 like a configuration error.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ EXIT_FIT = 5
 EXIT_SIM_FAULT = 6
 EXIT_REFERENCE = 7
 EXIT_CONTROLLER = 8
+EXIT_IO = 9
 
 
 def _exit_code(reports):
@@ -273,6 +275,7 @@ def build_parser():
 # (exception types, exit code, stderr label) of the errors a command may raise
 _ERRORS = (
     ((ConfigError, ParameterError, InputError, FileNotFoundError), EXIT_CONFIG, "config error"),
+    ((OSError,), EXIT_IO, "I/O error"),   # below exit 4: FileNotFoundError is an OSError
     ((FitError,), EXIT_FIT, "identification failed"),
     ((SimulationFault,), EXIT_SIM_FAULT, "simulation fault"),
     ((ReferenceGenerationError,), EXIT_REFERENCE, "reference generation failed"),

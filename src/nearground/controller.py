@@ -5,22 +5,23 @@ body-rate loop, torque by model inversion with the altitude-dependent
 inertia or by incremental inversion from the measured rotor torque, and
 rotor-speed allocation with thrust-priority saturation handling.
 
-A controller instance owns filter state and the signals of its last tick;
-it is stepped by one scenario runner and is not safe for concurrent callers.
+A controller instance owns filter state; each tick returns the command
+together with the signals its log row records. It is stepped by one
+scenario runner and is not safe for concurrent callers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
 from . import quaternions as quat
 from .errors import ControllerFault, InputError, ParameterError
-from .estimation import FilteredDerivative, WrenchObserverRunner
-from .flatness import flat_reference
+from .estimation import Z_W, FilteredDerivative, WrenchEstimate, WrenchObserverRunner
+from .flatness import FlatOutput, FlatReference, flat_reference
 from .groundeffect import (
     GroundEffectParams,
     drag_matrix,
@@ -29,8 +30,6 @@ from .groundeffect import (
 )
 from .simulator import SimConfig
 from .vehicle import GRAVITY, VehicleParams
-
-Z_W = np.array([0.0, 0.0, 1.0])
 
 ACCEL_MODES = ("none", "indi", "model")
 TORQUE_MODES = ("none", "model", "indi", "hybrid")
@@ -62,6 +61,7 @@ class ControlGains:
 
 @dataclass
 class ControlCommand:
+    """One tick's record: allocate fills the command, tick the signals behind it for the log."""
     thrust: float
     torque: np.ndarray
     rotor_speeds: np.ndarray
@@ -69,6 +69,10 @@ class ControlCommand:
     yaw_shed: bool = False
     rp_shed: bool = False
     thrust_clipped: bool = False
+    flat: FlatOutput | None = field(default=None, init=False)
+    reference: FlatReference | None = field(default=None, init=False)
+    attitude_target: list | np.ndarray | None = field(default=None, init=False)
+    wrench: WrenchEstimate | None = field(default=None, init=False)
 
 
 # -- cascade stages ------------------------------------------------------------
@@ -156,16 +160,12 @@ def torque_command_model(omega_des, omega_dot_des, h, thrust_ref,
     return np.array(J.torque(quat._floats(omega_des), quat._floats(omega_dot_des)))
 
 
-def torque_command_indi(tau_applied, omega_dot_des, omega_dot_f, J, age, period):
+def torque_command_indi(tau_applied, omega_dot_des, omega_dot_f, J):
     """Incremental inversion: applied torque plus inertia-scaled rate-accel error.
 
-    Float triples in, a list out, for the InertiaOperator J. A torque
-    estimate older than two control periods is a ControllerFault.
+    Float triples in, a list out, for the InertiaOperator J. The applied
+    torque comes from the rotor speeds measured at the same tick.
     """
-    if age > 2.0 * period + 1e-12:
-        raise ControllerFault(
-            f"applied-torque estimate is stale ({age:.4f}s > 2 control periods)"
-        )
     j0, j1, j2 = J.dot([a - b for a, b in zip(omega_dot_des, omega_dot_f)])
     t0, t1, t2 = tau_applied
     return [t0 + j0, t1 + j1, t2 + j2]
@@ -235,12 +235,6 @@ def _sqrt_clip(values, hi):
     return [math.sqrt(hi if v > hi else 0.0 if v < 0.0 else v) for v in values]
 
 
-def applied_torque(rotor_speeds, vehicle: VehicleParams):
-    """Body torque currently produced by the given rotor speeds."""
-    n = np.asarray(rotor_speeds, float)
-    return vehicle.mixing.dot(n * n)[1:4]
-
-
 # -- closed-loop controllers ----------------------------------------------------
 
 class CascadeController:
@@ -262,7 +256,6 @@ class CascadeController:
         self.ge = ge if model_mismatch == 1.0 else ge.scaled(model_mismatch)
         self.gains = gains
         self.gravity = gravity
-        self.attitude_period = 1.0 / SimConfig.attitude_rate
         self.ratio = int(round(SimConfig.attitude_rate / SimConfig.position_rate))
         self._tick_count = 0
         self._gyro_filter = FilteredDerivative(gains.gyro_cutoff, SimConfig.attitude_rate)
@@ -271,10 +264,7 @@ class CascadeController:
         self._kxi, self._komega = gains.kxi.tolist(), gains.komega.tolist()
         self._incremental = gains.torque_comp in ("indi", "hybrid")
         self._use_equivalent = gains.torque_comp in ("model", "hybrid")
-        self.last_flat = None
-        self.last_reference = None
-        self.last_wrench = None
-        self.last_attitude_target = None
+        self._flat = self._ref = None   # of the last position tick
         self._f_cmd = None
         self._q_des = None          # the attitude target as floats
         self._rates_ref = None      # (omega, omega_dot) of the reference, as floats
@@ -282,15 +272,14 @@ class CascadeController:
 
     def tick(self, t, meas):
         omega_f, omega_dot_f = self._gyro_filter.update(meas.gyro.tolist())
-        tau_hat = applied_torque(meas.rotor_speeds, self.vehicle)
-        thrust_hat = self.vehicle.k_t * float(meas.rotor_speeds.dot(meas.rotor_speeds))
+        n = meas.rotor_speeds
+        tau_hat = self.vehicle.mixing.dot(n * n)[1:4]
+        thrust_hat = self.vehicle.k_t * float(n.dot(n))
         q = meas.q.tolist()
         R_hat = np.array(quat.rot_rows(q))
-        self.last_wrench = self.observer.update(
-            t, R_hat, meas.specific_force, thrust_hat, meas.gyro, tau_hat
-        )
+        wrench = self.observer.update(R_hat, meas.specific_force, thrust_hat, meas.gyro, tau_hat)
         if self._tick_count % self.ratio == 0:
-            self._position_tick(t, meas)
+            self._position_tick(t, meas, wrench)
         self._tick_count += 1
 
         _check_unit(meas.q)
@@ -302,17 +291,20 @@ class CascadeController:
         )
         if self._incremental:
             torque_des = torque_command_indi(tau_hat.tolist(), omega_dot_des, omega_dot_f,
-                                             self._J_des, 0.0, self.attitude_period)
+                                             self._J_des)
         else:
             torque_des = self._J_des.torque(omega_des, omega_dot_des)
-        return allocate(thrust_des, torque_des, self.vehicle)
+        command = allocate(thrust_des, torque_des, self.vehicle)
+        command.flat, command.reference = self._flat, self._ref
+        command.attitude_target, command.wrench = self._q_des, wrench
+        return command
 
-    def _position_tick(self, t, meas):
+    def _position_tick(self, t, meas, wrench):
         flat = self.trajectory(t)
         ref = flat_reference(flat, self.vehicle, self.ge, self.gravity)
         a_des = acceleration_command(
             flat, ref, meas.p, meas.v, self.gains, self.vehicle, self.ge,
-            a_ext_est=self.last_wrench.accel if self.last_wrench else None,
+            a_ext_est=wrench.accel,
         )
         self._f_cmd = a_des + self.gravity * Z_W
         q_des = quat.from_z_axis_yaw(self._f_cmd, flat.yaw)
@@ -321,9 +313,7 @@ class CascadeController:
         self._rates_ref = ref.omega.tolist(), ref.omega_dot.tolist()
         if self._use_equivalent:
             self._J_des = ref.inertia
-        self.last_attitude_target = q_des
-        self.last_flat = flat
-        self.last_reference = ref
+        self._flat, self._ref = flat, ref
 
 
 class FeedforwardController:
@@ -341,17 +331,11 @@ class FeedforwardController:
         self.ge = ge
         self.gravity = gravity
         self.command_lead = command_lead
-        self.last_flat = None
-        self.last_reference = None
-        self.last_wrench = None
-        self.last_attitude_target = None
 
     def tick(self, t, meas):
         del meas
         flat = self.trajectory(t + self.command_lead)
         ref = flat_reference(flat, self.vehicle, self.ge, self.gravity)
         command = allocate(ref.thrust, ref.torque, self.vehicle)
-        self.last_flat = flat
-        self.last_reference = ref
-        self.last_attitude_target = ref.attitude
+        command.flat, command.reference, command.attitude_target = flat, ref, ref.attitude
         return command

@@ -18,7 +18,7 @@ class ReferenceGenerationError(RuntimeError):
 
 
 class ControllerFault(RuntimeError):
-    """Controller internal consistency violation (stale torque feedback, ...)."""
+    """Controller internal consistency violation (a non-finite thrust or torque command)."""
 
 
 class SimulationFault(RuntimeError):

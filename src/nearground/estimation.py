@@ -80,7 +80,6 @@ class FilteredDerivative:
 class WrenchEstimate:
     accel: np.ndarray     # external specific force, world frame, m/s^2
     torque: np.ndarray    # external torque, body frame, N m
-    t: float = 0.0
 
 
 def wrench_observer(R, f, thrust, w, wd, tau_b, m, J):
@@ -101,37 +100,21 @@ def wrench_observer(R, f, thrust, w, wd, tau_b, m, J):
 
 
 class WrenchObserverRunner:
-    """Stateful observer: owns the input filters, guards time alignment.
-
-    ``dropped`` counts the samples rejected as misaligned.
-    """
+    """Stateful observer: owns the input filters."""
 
     def __init__(self, vehicle: VehicleParams, sample_rate_hz, cutoff_hz=20.0):
         self.vehicle = vehicle
-        self.period = 1.0 / sample_rate_hz
         self.f_accel = LowPass(cutoff_hz, sample_rate_hz)
         self.f_thrust = LowPass(cutoff_hz, sample_rate_hz)
         self.f_omega = FilteredDerivative(cutoff_hz, sample_rate_hz)
         self._J = vehicle.inertia_op
-        self.last = None
-        self.dropped = 0
 
-    def update(self, t, R, specific_force, thrust, omega, tau_b, t_torque=None):
-        """Feed one synchronized sample at attitude matrix R; returns the current WrenchEstimate.
-
-        A torque sample older than one period is a misalignment: the sample
-        is dropped, counted in ``dropped``, and the previous estimate stands.
-        """
-        if t_torque is not None and abs(t - t_torque) > self.period * (1.0 + 1e-9):
-            self.dropped += 1
-            return self.last
+    def update(self, R, specific_force, thrust, omega, tau_b):
+        """Feed one synchronized sample at attitude matrix R; returns the current WrenchEstimate."""
         f_f = self.f_accel.update(_floats(specific_force))
         (T_f,) = self.f_thrust.update([float(thrust)])
         w_f, wd_f = self.f_omega.update(_floats(omega))
-        est = wrench_observer(R, f_f, T_f, w_f, wd_f, _floats(tau_b), self.vehicle.m, self._J)
-        est.t = t
-        self.last = est
-        return est
+        return wrench_observer(R, f_f, T_f, w_f, wd_f, _floats(tau_b), self.vehicle.m, self._J)
 
 
 # -- rank correlation ---------------------------------------------------------

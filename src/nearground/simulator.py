@@ -451,11 +451,12 @@ def run_closed_loop(controller, vehicle: VehicleParams, ge: GroundEffectParams,
                     cfg: SimConfig, duration, seed=0):
     """Step physics at dt, call the controller at its rate, record the log.
 
-    The controller object must provide tick(t, Measurement) -> command with
-    fields thrust, torque, rotor_speeds, saturated, plus last_reference
-    (FlatReference), last_flat (FlatOutput), last_attitude_target (the
-    commanded quaternion) and last_wrench (WrenchEstimate), each None until
-    set, for logging. Ground contact truncates the log and flags it.
+    The controller provides ``trajectory`` (the flat output as a function of
+    time, which sets the hover start) and ``tick(t, Measurement)``, which
+    returns a ControlCommand with its flat, reference and attitude_target
+    set and its wrench a WrenchEstimate or None; the log rows and the
+    infeasible flag read that record. Step 0 ticks before it logs. Ground
+    contact truncates the log and flags it.
     """
     rng = np.random.default_rng(seed)
     x = hover_initial_state(controller.trajectory, vehicle, ge, cfg.gravity)
@@ -467,7 +468,6 @@ def run_closed_loop(controller, vehicle: VehicleParams, ge: GroundEffectParams,
     n_rows = 0
     crashed = False
     infeasible = False
-    command = None
     n_cmd = x[_N].tolist()   # the rotor command as floats, set once per tick
 
     for k in range(steps + 1):
@@ -481,14 +481,14 @@ def run_closed_loop(controller, vehicle: VehicleParams, ge: GroundEffectParams,
             meas = Measurement(t, x[_P].copy(), x[_V].copy(), x[_Q].copy(),
                                gyro, f_imu, x[_N].copy())
             command = controller.tick(t, meas)
-            if controller.last_reference is not None and not controller.last_reference.feasible:
+            if not command.reference.feasible:
                 infeasible = True
             n_cmd = quat._floats(command.rotor_speeds)
             xdot[_N] = plant.motor_rate(n_cmd, x[_N].tolist())   # only dn/dt sees n_cmd
         if (tick or logged) and plant.motor_tau > 0.0:
             k1 = xdot   # the RK4 step's first stage (ideal motors jump to n_cmd before it)
         if logged:
-            _log_row(rows[n_rows], t, x, command, controller, plant, frame)
+            _log_row(rows[n_rows], t, x, command, plant, frame)
             n_rows += 1
         if k == steps:
             break
@@ -504,29 +504,24 @@ def run_closed_loop(controller, vehicle: VehicleParams, ge: GroundEffectParams,
     return TrajectoryLog(rows[:n_rows], crashed=crashed, infeasible=infeasible, seed=seed)
 
 
-def _log_row(row, t, x, command, controller, plant, frame):
-    """Fill one zero-initialised log row; frame is the plant's frame of x."""
+def _log_row(row, t, x, command, plant, frame):
+    """Fill one zero-initialised log row from the last command; frame is the plant's frame of x."""
     row[0] = t
     row[1:18] = x
     row[18] = x[2] + plant.offset
-    flat = controller.last_flat
-    ref = controller.last_reference
-    if ref is not None:
-        row[19:22] = flat.p
-        row[22:25] = flat.v
-        row[25:28] = flat.a
-        row[28:32] = ref.attitude
-        row[32:35] = ref.omega
-        row[35] = ref.thrust
-    if command is not None:
-        row[36] = command.thrust
-        row[37:40] = command.torque
-        row[40:44] = command.rotor_speeds
-        row[44] = float(command.saturated)
-    q_des = controller.last_attitude_target
-    if q_des is not None:
-        row[45:49] = q_des
-    est = controller.last_wrench
+    flat, ref = command.flat, command.reference
+    row[19:22] = flat.p
+    row[22:25] = flat.v
+    row[25:28] = flat.a
+    row[28:32] = ref.attitude
+    row[32:35] = ref.omega
+    row[35] = ref.thrust
+    row[36] = command.thrust
+    row[37:40] = command.torque
+    row[40:44] = command.rotor_speeds
+    row[44] = float(command.saturated)
+    row[45:49] = command.attitude_target
+    est = command.wrench
     if est is not None:
         row[49:52] = est.accel
         row[52:55] = est.torque

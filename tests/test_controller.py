@@ -1,5 +1,7 @@
+import ast
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from nearground.controller import (
     FeedforwardController,
     acceleration_command,
     allocate,
-    applied_torque,
     attitude_error_vector,
     bodyrate_command,
     thrust_command,
@@ -223,14 +224,12 @@ def test_torque_model_larger_near_lever_peak():
     assert near[0] > far[0] and near[1] > far[1]
 
 
-def test_torque_indi_fixed_point_and_stale():
+def test_torque_indi_fixed_point():
     tau_hat = np.array([0.01, -0.02, 0.005])
     wd = [1.0, 2.0, 3.0]
     J = equivalent_inertia_op(0.2, GE, VEH, thrust=7.0)
-    out = np.array(torque_command_indi(tau_hat.tolist(), wd, wd, J, 0.0, 0.002))
+    out = np.array(torque_command_indi(tau_hat.tolist(), wd, wd, J))
     assert np.allclose(out, tau_hat)
-    with pytest.raises(ControllerFault):
-        torque_command_indi(tau_hat.tolist(), wd, wd, J, 0.02, 0.002)
 
 
 # -- allocation ---------------------------------------------------------------------
@@ -313,12 +312,6 @@ def test_allocate_sqrt_clip_is_numpys(case):
     assert np.array(_sqrt_clip(values, hi)).tobytes() == want.tobytes()
 
 
-def test_applied_torque_matches_mixing():
-    n = np.array([8000.0, 9000.0, 10000.0, 11000.0])
-    tau = applied_torque(n, VEH)
-    assert np.allclose(tau, (VEH.mixing @ (n * n))[1:4])
-
-
 # -- closed loop ----------------------------------------------------------------------
 
 def test_constant_disturbance_torque_rejected_by_incremental_mode():
@@ -348,7 +341,27 @@ def test_feedforward_controller_protocol():
     ff = FeedforwardController(traj, VEH, GE, command_lead=0.001)
     cmd = ff.tick(0.0, None)
     assert np.isclose(cmd.thrust, VEH.m * GRAVITY / (1.0 + thrust_factor(1.0, GE)), rtol=1e-9)
-    assert ff.last_reference is not None and ff.last_attitude_target is not None
+    assert cmd.reference is not None and cmd.attitude_target is not None
+
+
+def test_run_closed_loop_needs_only_trajectory_and_tick():
+    traj = make_trajectory("lemniscate", speed=1.0, height=0.3)
+    cfg = SimConfig(dt=1e-3, log_decimation=2)
+    ff = FeedforwardController(traj, VEH, GE, command_lead=0.001)
+    stub = SimpleNamespace(trajectory=traj, tick=ff.tick)   # the feedforward tick is stateless
+    want = run_closed_loop(ff, VEH, GE, cfg, duration=0.2, seed=1)
+    got = run_closed_loop(stub, VEH, GE, cfg, duration=0.2, seed=1)
+    assert got.data.tobytes() == want.data.tobytes() and len(got) == 101
+    assert (got.crashed, got.infeasible) == (want.crashed, want.infeasible)
+
+
+def test_controllers_keep_no_last_tick_attributes():
+    # the log reads each tick's command; no controller keeps a last_* side channel
+    path = os.path.join(os.path.dirname(__file__), "..", "src", "nearground", "controller.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert names and not [name for name in names if name.startswith("last_")]
 
 
 @pytest.mark.parametrize("torque", ["model", "hybrid"])
@@ -365,7 +378,7 @@ def test_position_tick_inertia_uses_the_simulated_gravity(torque):
     log = run_closed_loop(ctrl, veh, scenario.ge, scenario.sim, scenario.duration,
                           seed=scenario.seed)
     assert not log.crashed
-    flat, ref = ctrl.last_flat, ctrl.last_reference
+    flat, ref = ctrl._flat, ctrl._ref
     h = flat.p[2] + veh.rotor_plane_offset
     want = equivalent_inertia_op(h, ctrl.ge, veh, thrust=ref.thrust, gravity=9.0)
     wrong = equivalent_inertia_op(h, ctrl.ge, veh, thrust=ref.thrust)
@@ -486,10 +499,9 @@ class _Twin:
             _exact(want.thrust, want.torque, want.rotor_speeds)
         assert (cmd.saturated, cmd.yaw_shed, cmd.rp_shed, cmd.thrust_clipped) == \
             (want.saturated, want.yaw_shed, want.rp_shed, want.thrust_clipped)
-        est = self.ctrl.last_wrench
+        est = cmd.wrench
         assert _exact(est.accel, est.torque) == _exact(*self.reference.wrench)
-        assert est.t == t
-        assert _exact(self.ctrl.last_attitude_target) == _exact(q_des)
+        assert _exact(cmd.attitude_target) == _exact(q_des)
         self.ticks += 1
         return cmd
 

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -106,7 +105,7 @@ def test_observer_zero_at_exact_hover():
     thrust = VEH.m * GRAVITY
     est = None
     for k in range(500):
-        est = runner.update(k * 0.002, R, f_body, thrust, np.zeros(3), np.zeros(3))
+        est = runner.update(R, f_body, thrust, np.zeros(3), np.zeros(3))
     assert np.max(np.abs(est.accel)) < 1e-9
     assert np.max(np.abs(est.torque)) < 1e-9
 
@@ -120,27 +119,6 @@ def test_observer_pure_function_identity():
     est = wrench_observer(R, f_body.tolist(), 7.0, [0.0] * 3, [0.0] * 3, [0.0] * 3, VEH.m,
                           inertia_operator(VEH.inertia))
     assert np.max(np.abs(est.accel - a_ext_true)) < 1e-12
-
-
-def test_observer_misaligned_sample_dropped():
-    runner = WrenchObserverRunner(VEH, 500.0)
-    R = np.eye(3)
-    f = np.array([0.0, 0.0, GRAVITY])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        first = runner.update(0.0, R, f, VEH.m * GRAVITY, np.zeros(3), np.zeros(3))
-        # a torque sample two periods late is dropped, counted, and not warned about
-        second = runner.update(
-            0.004, R, f, VEH.m * GRAVITY, np.zeros(3), np.zeros(3), t_torque=0.0
-        )
-        assert second is first
-        assert runner.dropped == 1
-        # one period late is still aligned
-        third = runner.update(
-            0.006, R, f, VEH.m * GRAVITY, np.zeros(3), np.zeros(3), t_torque=0.004
-        )
-    assert third is not first and third.t == 0.006
-    assert runner.dropped == 1
 
 
 def test_observer_recovers_ground_force_in_flight():

@@ -22,6 +22,7 @@ from nearground.cli import (
     EXIT_FAIL,
     EXIT_FIT,
     EXIT_INFEASIBLE,
+    EXIT_IO,
     EXIT_OK,
     EXIT_REFERENCE,
     EXIT_SIM_FAULT,
@@ -475,6 +476,13 @@ def test_cli_run_config_error(tmp_path):
     assert main(["run", str(tmp_path / "missing.cfg")]) == EXIT_CONFIG
 
 
+def test_cli_run_on_a_directory_is_an_io_error(tmp_path, capsys):
+    # an OSError other than FileNotFoundError is not a config error, and not exit 1
+    assert main(["run", str(tmp_path)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("key, value", [
     ("ctrl.torque_cmp", "none"),      # a typo of ctrl.torque_comp
     ("sim.motor_tua", "0.01"),
@@ -605,7 +613,7 @@ def test_cli_fault_exit_codes(tmp_path, capsys, monkeypatch, fault, code):
 
 def test_cli_exit_codes_are_distinct():
     codes = [getattr(cli, name) for name in dir(cli) if name.startswith("EXIT_")]
-    assert len(codes) == len(set(codes)) == 9
+    assert len(codes) == len(set(codes)) == 10
 
 
 def test_cli_identify_fg_samples(tmp_path, capsys):
@@ -842,7 +850,8 @@ def test_exit_code_lists_match_the_constants():
     meaning = {EXIT_OK: "success", EXIT_FAIL: "oracle", EXIT_CRASH: "crashed",
                EXIT_INFEASIBLE: "infeasible", EXIT_CONFIG: "configuration",
                EXIT_FIT: "identification", EXIT_SIM_FAULT: "simulation fault",
-               EXIT_REFERENCE: "reference generation", EXIT_CONTROLLER: "controller"}
+               EXIT_REFERENCE: "reference generation", EXIT_CONTROLLER: "controller",
+               EXIT_IO: "I/O"}
     assert set(meaning) == {getattr(cli, name) for name in dir(cli) if name.startswith("EXIT_")}
     with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
         readme = fh.read()
