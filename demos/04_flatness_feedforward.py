@@ -27,7 +27,7 @@ traj = make_trajectory("lemniscate", speed=1.0, height=0.12)
 
 cfg = SimConfig(dt=1e-3, motor_tau=0.0, torque_formulation="equivalent",
                 log_decimation=2)
-ff = FeedforwardController(traj, veh, ge, command_lead=0.5 / cfg.attitude_rate)
+ff = FeedforwardController(traj, veh, ge)
 log = run_closed_loop(ff, veh, ge, cfg, duration=2.0 * period, seed=0)
 
 err = log.cols(["px", "py", "pz"]) - log.cols(["ref_px", "ref_py", "ref_pz"])

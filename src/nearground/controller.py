@@ -37,22 +37,17 @@ TORQUE_MODES = ("none", "model", "indi", "hybrid")
 
 @dataclass
 class ControlGains:
-    kp: np.ndarray = (6.0, 6.0, 8.0)         # position, 1/s^2
-    kv: np.ndarray = (4.0, 4.0, 5.0)         # velocity, 1/s
-    kxi: np.ndarray = (12.0, 12.0, 8.0)      # attitude, 1/s
-    komega: np.ndarray = (60.0, 60.0, 40.0)  # body rate, 1/s
+    """The compensation modes; the cascade's gains and filter cutoffs are fixed."""
     accel_comp: str = "model"
     torque_comp: str = "hybrid"
+    kp: ClassVar[tuple] = (6.0, 6.0, 8.0)         # position, 1/s^2
+    kv: ClassVar[tuple] = (4.0, 4.0, 5.0)         # velocity, 1/s
+    kxi: ClassVar[tuple] = (12.0, 12.0, 8.0)      # attitude, 1/s
+    komega: ClassVar[tuple] = (60.0, 60.0, 40.0)  # body rate, 1/s
     gyro_cutoff: ClassVar[float] = 40.0       # Hz, rate loop filters
     observer_cutoff: ClassVar[float] = 20.0   # Hz, wrench observer filters
 
     def __post_init__(self):
-        # "not x > 0" style comparisons also reject NaN
-        for name in ("kp", "kv", "kxi", "komega"):
-            value = np.array(getattr(self, name), dtype=float).reshape(3)
-            if not np.all(value >= 0.0):
-                raise ParameterError(f"gain {name} must be non-negative, got {value}")
-            setattr(self, name, value)
         if self.accel_comp not in ACCEL_MODES:
             raise ParameterError(f"accel_comp must be one of {ACCEL_MODES}")
         if self.torque_comp not in TORQUE_MODES:
@@ -78,13 +73,12 @@ class ControlCommand:
 # -- cascade stages ------------------------------------------------------------
 
 def acceleration_command(flat, ref, p_hat, v_hat, gains: ControlGains,
-                         vehicle: VehicleParams, ge: GroundEffectParams,
-                         a_ext_est=None):
+                         vehicle: VehicleParams, ge: GroundEffectParams, a_ext_est):
     """Desired acceleration: reference + PD error + disturbance compensation.
 
     Model mode removes the predicted drag and ground-force accelerations
     evaluated at the desired state; indi mode removes the observed external
-    acceleration instead. Gravity is not included here.
+    acceleration a_ext_est instead. Gravity is not included here.
     """
     a_des = (
         flat.a
@@ -97,7 +91,7 @@ def acceleration_command(flat, ref, p_hat, v_hat, gains: ControlGains,
         a_drag = -(R.dot(drag_matrix(h, ge)).dot(R.T.dot(flat.v))) / vehicle.m
         a_ground = (ref.thrust / vehicle.m) * thrust_factor(h, ge) * R[:, 2]
         a_des = a_des - a_drag - a_ground
-    elif gains.accel_comp == "indi" and a_ext_est is not None:
+    elif gains.accel_comp == "indi":
         a_des = a_des - np.asarray(a_ext_est, float)
     return a_des
 
@@ -134,7 +128,7 @@ def _attitude_error(q_hat, q_des):
 def bodyrate_command(xi_err, omega_ref, omega_f, omega_dot_ref, kxi, komega):
     """Desired body rate and rate derivative from the attitude error.
 
-    Float triples in, two lists out; the gains kxi and komega are lists.
+    Float triples in, two lists out; the gains kxi and komega are float triples.
     """
     omega_des = [k * x + r for k, x, r in zip(kxi, xi_err, omega_ref)]
     return omega_des, [k * (d - f) + r
@@ -242,26 +236,24 @@ class CascadeController:
 
     All feedforward models are evaluated at the desired state. The model
     copy of the ground-effect parameters may carry a multiplicative
-    mismatch relative to the simulated truth. The gains are read once, at
-    construction. Everything that depends only on outer-loop values (the
-    attitude target, the reference rates and J'(h_des), the operator the
-    reference's torque used) is computed once per position tick; the inner
-    tick runs on Python floats.
+    mismatch relative to the simulated truth. The compensation modes are
+    read once, at construction. Everything that depends only on outer-loop
+    values (the attitude target, the reference rates and J'(h_des), the
+    operator the reference's torque used) is computed once per position
+    tick; the inner tick runs on Python floats.
     """
 
     def __init__(self, trajectory, vehicle: VehicleParams, ge: GroundEffectParams,
-                 gains: ControlGains, gravity=GRAVITY, model_mismatch=1.0):
+                 gains: ControlGains, model_mismatch=1.0):
         self.trajectory = trajectory
         self.vehicle = vehicle
         self.ge = ge if model_mismatch == 1.0 else ge.scaled(model_mismatch)
         self.gains = gains
-        self.gravity = gravity
         self.ratio = int(round(SimConfig.attitude_rate / SimConfig.position_rate))
         self._tick_count = 0
         self._gyro_filter = FilteredDerivative(gains.gyro_cutoff, SimConfig.attitude_rate)
         self.observer = WrenchObserverRunner(vehicle, SimConfig.attitude_rate,
                                              gains.observer_cutoff)
-        self._kxi, self._komega = gains.kxi.tolist(), gains.komega.tolist()
         self._incremental = gains.torque_comp in ("indi", "hybrid")
         self._use_equivalent = gains.torque_comp in ("model", "hybrid")
         self._flat = self._ref = None   # of the last position tick
@@ -287,7 +279,7 @@ class CascadeController:
         omega_ref, omega_dot_ref = self._rates_ref
         omega_des, omega_dot_des = bodyrate_command(
             _attitude_error(q, self._q_des), omega_ref, omega_f, omega_dot_ref,
-            self._kxi, self._komega,
+            self.gains.kxi, self.gains.komega,
         )
         if self._incremental:
             torque_des = torque_command_indi(tau_hat.tolist(), omega_dot_des, omega_dot_f,
@@ -301,12 +293,10 @@ class CascadeController:
 
     def _position_tick(self, t, meas, wrench):
         flat = self.trajectory(t)
-        ref = flat_reference(flat, self.vehicle, self.ge, self.gravity)
-        a_des = acceleration_command(
-            flat, ref, meas.p, meas.v, self.gains, self.vehicle, self.ge,
-            a_ext_est=wrench.accel,
-        )
-        self._f_cmd = a_des + self.gravity * Z_W
+        ref = flat_reference(flat, self.vehicle, self.ge)
+        a_des = acceleration_command(flat, ref, meas.p, meas.v, self.gains, self.vehicle,
+                                     self.ge, wrench.accel)
+        self._f_cmd = a_des + GRAVITY * Z_W
         q_des = quat.from_z_axis_yaw(self._f_cmd, flat.yaw)
         _check_unit(q_des)
         self._q_des = q_des.tolist()
@@ -319,23 +309,23 @@ class CascadeController:
 class FeedforwardController:
     """Reference thrust and torque only; no state feedback at all.
 
-    command_lead shifts the sampled reference forward by half the hold
-    interval so the zero-order-held command is centered in time; without it
-    the hold acts as a half-period delay that accumulates into drift.
+    command_lead shifts the sampled reference forward, by default half the
+    hold interval, so the zero-order-held command is centered in time;
+    without it the hold acts as a half-period delay that accumulates into
+    drift.
     """
 
     def __init__(self, trajectory, vehicle: VehicleParams, ge: GroundEffectParams,
-                 gravity=GRAVITY, command_lead=0.0):
+                 command_lead=0.5 / SimConfig.attitude_rate):
         self.trajectory = trajectory
         self.vehicle = vehicle
         self.ge = ge
-        self.gravity = gravity
         self.command_lead = command_lead
 
     def tick(self, t, meas):
         del meas
         flat = self.trajectory(t + self.command_lead)
-        ref = flat_reference(flat, self.vehicle, self.ge, self.gravity)
+        ref = flat_reference(flat, self.vehicle, self.ge)
         command = allocate(ref.thrust, ref.torque, self.vehicle)
         command.flat, command.reference, command.attitude_target = flat, ref, ref.attitude
         return command

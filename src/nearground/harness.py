@@ -64,16 +64,10 @@ class Scenario:
     def build(self):
         trajectory = make_trajectory(self.trajectory_kind, **self.trajectory_params)
         if self.controller_kind == "feedforward":
-            controller = FeedforwardController(
-                trajectory, self.vehicle, self.ge, gravity=self.sim.gravity,
-                command_lead=0.5 / self.sim.attitude_rate,
-            )
+            controller = FeedforwardController(trajectory, self.vehicle, self.ge)
         elif self.controller_kind == "cascade":
-            controller = CascadeController(
-                trajectory, self.vehicle, self.ge, self.gains,
-                gravity=self.sim.gravity,
-                model_mismatch=self.mismatch,
-            )
+            controller = CascadeController(trajectory, self.vehicle, self.ge, self.gains,
+                                           model_mismatch=self.mismatch)
         else:
             raise ConfigError(f"unknown controller kind {self.controller_kind!r}")
         return trajectory, controller

@@ -76,7 +76,7 @@ class SimConfig:
     dt: float = 5.0e-4                 # physics step, s
     attitude_rate: ClassVar[float] = 500.0   # inner control loop, Hz
     position_rate: ClassVar[float] = 100.0   # outer control loop, Hz; a fifth of the inner
-    gravity: float = GRAVITY
+    gravity: ClassVar[float] = GRAVITY       # m/s^2
     ge_force: bool = True
     ge_torque: bool = True
     ge_drag: bool = True
@@ -97,7 +97,7 @@ class SimConfig:
         # "not x > 0" style comparisons also reject NaN
         if not self.dt > 0.0:
             raise ConfigError(f"physics step must be positive, got {self.dt}")
-        for name in ("gravity", "ground_clearance", "ext_on", "ext_off"):
+        for name in ("ground_clearance", "ext_on", "ext_off"):
             if math.isnan(getattr(self, name)):
                 raise ConfigError(f"{name} must not be NaN")
         for name in ("ext_force", "ext_torque"):
@@ -170,7 +170,7 @@ class _Plant:
     """One vehicle under one SimConfig, with the constants of its derivative."""
 
     __slots__ = (
-        "M", "J", "Jinv", "m", "k_t", "g", "offset", "ge",
+        "M", "J", "Jinv", "m", "k_t", "offset", "ge",
         "ge_force", "ge_torque", "ge_drag", "equivalent", "motor_tau",
         "ext_force", "ext_torque", "ext_on", "ext_off", "weight_z",
     )
@@ -181,7 +181,6 @@ class _Plant:
         self.Jinv = inertia_operator(np.linalg.inv(vehicle.inertia))
         self.m = vehicle.m
         self.k_t = vehicle.k_t
-        self.g = cfg.gravity
         self.offset = vehicle.rotor_plane_offset
         self.ge = ge
         self.ge_force = cfg.ge_force
@@ -193,7 +192,7 @@ class _Plant:
         self.ext_torque = cfg.ext_torque.tolist()
         self.ext_on = cfg.ext_on
         self.ext_off = cfg.ext_off
-        self.weight_z = -vehicle.m * cfg.gravity
+        self.weight_z = -vehicle.m * GRAVITY
 
     def frame(self, x, h):
         """The geometry of state x at altitude h: (unit q, rotation rows, R, f_drag, axis).
@@ -247,7 +246,7 @@ class _Plant:
                 t0, t1, t2 = t0 + lever_t * a0, t1 + lever_t * a1, t2 + lever_t * a2
             c0, c1, c2 = quat.cross(w, self.J.dot(w))
             return self.Jinv.dot([t0 - c0, t1 - c1, t2 - c2])
-        added = added_inertia(lever_t, self.m, self.g)
+        added = added_inertia(lever_t, self.m)
         Jw = self.J.dot(w)
         Jpw = (Jw[0] + added * w[0], Jw[1] + added * w[1], Jw[2] + 0.0)
         c0, c1, c2 = quat.cross(w, Jpw)
@@ -326,8 +325,8 @@ def imu_sample(x, xdot, R, cfg: SimConfig, rng):
     observer identity exact at zero noise.
     """
     a0, a1, a2 = xdot[_V].tolist()
-    g = cfg.gravity
-    f_body = R.T.dot(np.array([a0 + g * 0.0, a1 + g * 0.0, a2 + g]))   # a + g z_W
+    # a + g z_W; adding 0.0 = g * 0 turns a -0.0 into 0.0 as the vector sum does
+    f_body = R.T.dot(np.array([a0 + 0.0, a1 + 0.0, a2 + GRAVITY]))
     gyro = x[_W].copy()
     if cfg.noise_accel > 0.0:
         f_body = f_body + cfg.noise_accel * rng.standard_normal(3)
@@ -409,12 +408,13 @@ class TrajectoryLog:
         if data.size and data.shape[1] != len(LOG_COLUMNS):
             raise ConfigError(f"{path}: log rows have {data.shape[1]} cells, "
                               f"the header {len(LOG_COLUMNS)}")
-        try:
-            fields = dict(part.split("=") for part in meta.lstrip("# ").split())
-            crashed, infeasible, seed = (int(fields.get(key, "0"))
-                                         for key in ("crashed", "infeasible", "seed"))
-        except ValueError:
-            raise ConfigError(f"{path}: cannot parse the log's first line {meta!r}") from None
+        # exactly the three keys to_csv writes, in its order, each with a count
+        pairs = [part.partition("=") for part in meta.lstrip("# ").split()]
+        values = [value for _, _, value in pairs]
+        if ([key for key, _, _ in pairs] != ["crashed", "infeasible", "seed"]
+                or not all(map(str.isdecimal, values))):
+            raise ConfigError(f"{path}: cannot parse the log's first line {meta!r}")
+        crashed, infeasible, seed = map(int, values)
         return cls(data, crashed=bool(crashed), infeasible=bool(infeasible), seed=seed)
 
 
@@ -459,7 +459,7 @@ def run_closed_loop(controller, vehicle: VehicleParams, ge: GroundEffectParams,
     contact truncates the log and flags it.
     """
     rng = np.random.default_rng(seed)
-    x = hover_initial_state(controller.trajectory, vehicle, ge, cfg.gravity)
+    x = hover_initial_state(controller.trajectory, vehicle, ge)
     plant = _Plant(vehicle, ge, cfg)
     steps = int(round(duration / cfg.dt))
     per_tick = cfg.steps_per_attitude_tick()
@@ -533,7 +533,7 @@ def _log_row(row, t, x, command, plant, frame):
 
 def simulate_attitude(q0, omega0, torque_fn, vehicle: VehicleParams,
                       ge: GroundEffectParams, h, thrust, dt, duration,
-                      formulation="explicit", gravity=GRAVITY):
+                      formulation="explicit"):
     """Rotation-only integration at fixed altitude and thrust.
 
     The plant's rotational dynamics with h and T frozen. torque_fn(t, q,
@@ -543,7 +543,7 @@ def simulate_attitude(q0, omega0, torque_fn, vehicle: VehicleParams,
     """
     if thrust < 0.0:
         raise InputError("thrust must be non-negative")
-    plant = _Plant(vehicle, ge, SimConfig(gravity=gravity, torque_formulation=formulation))
+    plant = _Plant(vehicle, ge, SimConfig(torque_formulation=formulation))
     lever_t = torque_lever(h, ge) * thrust
 
     def deriv(y, t):

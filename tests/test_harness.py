@@ -28,7 +28,8 @@ from nearground.cli import (
     EXIT_SIM_FAULT,
     main,
 )
-from nearground.config import KeyValueConfig
+from nearground.config import KeyValueConfig, key_table
+from nearground.controller import ControlGains
 from nearground.errors import (
     ConfigError,
     ControllerFault,
@@ -50,7 +51,7 @@ from nearground.harness import (
     sweep,
     write_series_csv,
 )
-from nearground.simulator import TrajectoryLog
+from nearground.simulator import SimConfig, TrajectoryLog
 from nearground.vehicle import VehicleParams
 
 
@@ -110,6 +111,25 @@ def test_no_function_takes_a_private_parameter():
                 found += [f"{name}:{node.lineno} {p.arg}" for p in params
                           if p.arg.startswith("_")]
     assert found == []
+
+
+# the option count after gravity and the cascade gains became constants; a
+# change that needs more raises the bound and says why in CHANGES.md
+MAX_DEFAULTED_PARAMETERS = 41
+MAX_SECTION_KEYS = 37
+
+
+def test_option_count_does_not_grow():
+    defaulted = 0
+    for _, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                defaulted += len(a.defaults) + sum(d is not None for d in a.kw_defaults)
+    keys = sum(len(key_table(section)) for section in
+               (Scenario, ControlGains, SimConfig, VehicleParams, GroundEffectParams))
+    assert defaulted <= MAX_DEFAULTED_PARAMETERS
+    assert keys <= MAX_SECTION_KEYS
 
 
 def test_package_holds_no_memoizing_cache():
@@ -302,7 +322,7 @@ def test_resolved_text_is_a_fixed_point(tmp_path, name):
     if name == "override":
         src = tmp_path / "override.cfg"
         src.write_text("seed = 3\nduration = 1.0\nvehicle.inertia_xx = 0.007\n"
-                       "ctrl.kp = 6.123456789, 6, 8\n")
+                       "sim.ext_force = 0.123456789, 0, 0\n")
     else:
         src = os.path.join(SCENARIO_DIR, name)
     first = Scenario.from_file(str(src)).resolved_text()
@@ -312,7 +332,7 @@ def test_resolved_text_is_a_fixed_point(tmp_path, name):
     assert again.resolved_text() == first
     if name == "override":
         assert again.vehicle.inertia[0, 0] == 0.007
-        assert again.gains.kp[0] == 6.123456789
+        assert again.sim.ext_force[0] == 0.123456789
 
 
 # sha256 of log.csv for the first 0.5 s of each shipped scenario, recorded on
@@ -489,6 +509,8 @@ def test_cli_run_on_a_directory_is_an_io_error(tmp_path, capsys):
     ("traj.half_width", "0.5"),       # a lemniscate parameter on a hover
     ("vehicle.masss", "1.2"),
     ("sim.attitude_rate", "500"),     # a retired key, as old scenario.resolved files hold
+    ("sim.gravity", "9.81"),
+    ("ctrl.kp", "6, 6, 8"),
 ])
 def test_unknown_key_rejected_with_source_and_line(tmp_path, key, value):
     path = tmp_path / "scn.cfg"
@@ -518,9 +540,11 @@ def test_make_trajectory_rejects_unknown_parameter():
 
 def test_shipped_vehicle_and_ge_files_pass_the_key_check():
     # the shipped scenarios are loaded by test_resolved_text_is_a_fixed_point
+    # they repeat the defaults: a default changed in one place but not the other fails here
     config_dir = os.path.dirname(SCENARIO_DIR)
-    VehicleParams.from_file(os.path.join(config_dir, "vehicle_desk.cfg"))
-    GroundEffectParams.from_file(os.path.join(config_dir, "groundeffect_desk.cfg"))
+    assert VehicleParams.from_file(os.path.join(config_dir, "vehicle_desk.cfg")) == VehicleParams()
+    assert (GroundEffectParams.from_file(os.path.join(config_dir, "groundeffect_desk.cfg"))
+            == GroundEffectParams())
 
 
 @pytest.mark.parametrize("param, values, expect", [
@@ -786,7 +810,10 @@ def test_cli_compare_unknown_baseline(tmp_path, capsys):
 @pytest.mark.parametrize("op, meta", [
     ("drag", "# crashed=maybe infeasible=0 seed=0"),
     ("fg", "# crashed=0 infeasible seed=0"),
-], ids=["drag_flag_not_a_number", "fg_flag_without_value"])
+    ("drag", "# hello=1"),
+    ("drag", "# crashed=1 infeasible=0 seed=3 bogus=7"),
+], ids=["drag_flag_not_a_number", "fg_flag_without_value", "drag_keys_missing",
+        "drag_unknown_key"])
 def test_cli_identify_rejects_malformed_log_header(tmp_path, capsys, op, meta):
     path = tmp_path / "log.csv"
     TrajectoryLog(np.zeros((3, len(TrajectoryLog.columns)))).to_csv(path)

@@ -272,7 +272,7 @@ def test_sim_config_validation():
         {"motor_tau": -0.01}, {"noise_accel": -0.1}, {"noise_gyro": -0.1},
         {"motor_tau": math.nan},
         {"log_decimation": 0}, {"log_decimation": -2}, {"log_decimation": 2.5},
-        {"gravity": math.nan}, {"ground_clearance": math.nan},
+        {"ground_clearance": math.nan},
         {"ext_on": math.nan}, {"ext_off": math.nan},
     ]
     for kwargs in bad:
