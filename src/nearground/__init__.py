@@ -6,20 +6,17 @@ consistent references from position/yaw trajectories; closes the loop with
 a cascade controller combining model feedforward and incremental torque
 inversion; and ships a deterministic simulation and identification
 harness that reproduces the hover and tracking experiments.
+
+The package exports what the command line, the demos, the benchmark and the
+acceptance suite use; every other name stays importable from its module.
 """
 
 from .controller import (
     CascadeController,
-    ControlCommand,
     ControlGains,
     FeedforwardController,
-    acceleration_command,
     allocate,
     attitude_error_vector,
-    bodyrate_command,
-    thrust_command,
-    torque_command_indi,
-    torque_command_model,
 )
 from .errors import (
     ConfigError,
@@ -31,42 +28,27 @@ from .errors import (
     SimulationFault,
 )
 from .estimation import (
-    DragFit,
-    FilteredDerivative,
-    FitReport,
-    LowPass,
-    WrenchEstimate,
     WrenchObserverRunner,
     fit_drag_coefficients,
     fit_drag_from_log,
     fit_thrust_factor,
+    fit_thrust_factor_from_log,
     fit_torque_lever,
-    normalize_coefficient_curve,
     spearman,
-    thrust_factor_from_flight,
     thrust_factor_from_platform,
-    wrench_observer,
 )
 from .flatness import (
-    FlatOutput,
-    FlatReference,
     flat_reference,
     hover_descent,
     hover_point,
     lemniscate,
     lemniscate_period,
     make_trajectory,
-    reference_rates,
-    reference_thrust_attitude,
 )
 from .groundeffect import (
     GroundEffectParams,
-    added_thrust_force,
     drag_coefficients,
-    drag_force,
-    drag_matrix,
     equivalent_inertia,
-    leveling_torque,
     leveling_torque_quadrature,
     thrust_factor,
     thrust_factor_prime,
@@ -74,7 +56,6 @@ from .groundeffect import (
     torque_lever_peak,
 )
 from .harness import (
-    ComparisonTable,
     MetricsReport,
     Scenario,
     angle_error_profile,
@@ -85,7 +66,6 @@ from .harness import (
     write_series_csv,
 )
 from .simulator import (
-    Measurement,
     SimConfig,
     TrajectoryLog,
     hover_initial_state,

@@ -32,6 +32,7 @@ from .errors import (
 from .estimation import (
     fit_drag_from_log,
     fit_thrust_factor,
+    fit_thrust_factor_from_log,
     fit_torque_lever,
 )
 from .groundeffect import (
@@ -131,15 +132,8 @@ def _cmd_identify(args):
             data = _load_samples_csv(args.input, ("h", "tilt_rad", "thrust", "torque"))
             report = fit_torque_lever(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
         elif _is_trajectory_log(args.input):
-            log = TrajectoryLog.from_csv(args.input)
-            vehicle = _flown_vehicle(args.input)
-            speeds = log.cols(["n1", "n2", "n3", "n4"])
-            thrust = vehicle.k_t * np.sum(speeds**2, axis=1)
-            a_ext_z = log.col("obs_aext_z")
-            h = log.col("h")
-            ok = thrust > 1e-6
-            samples = vehicle.m * a_ext_z[ok] / thrust[ok]
-            report = fit_thrust_factor(h[ok], samples)
+            report = fit_thrust_factor_from_log(TrajectoryLog.from_csv(args.input),
+                                                _flown_vehicle(args.input))
         else:
             data = _load_samples_csv(args.input, ("h", "factor"))
             report = fit_thrust_factor(data[:, 0], data[:, 1])

@@ -18,6 +18,7 @@ the other reads back to equal values.
 
 from __future__ import annotations
 
+import inspect   # loaded by dataclasses in any case
 from dataclasses import MISSING, fields
 
 from .errors import ConfigError
@@ -67,8 +68,9 @@ def read_section(section, cfg, prefix="", extra=()):
 
     A key under prefix that is not in the table is a ConfigError naming its
     file and line, unless extra holds the key or its first dotted part plus
-    '.' (keys the caller reads itself). A required key cfg does not set is a
-    ConfigError.
+    '.' (keys the caller reads itself). A key that names a ClassVar of the
+    section, a retired key now fixed at the class value, says so. A required
+    key cfg does not set is a ConfigError.
     """
     table = key_table(section)
     known = [prefix + key for key in table]
@@ -76,6 +78,13 @@ def read_section(section, cfg, prefix="", extra=()):
         if (key.startswith(prefix) and key not in known and key not in extra
                 and key.partition(".")[0] + "." not in extra):
             import difflib   # only on this error path: it adds to every start-up
+
+            name = key[len(prefix):]
+            if (not isinstance(section, dict) and name in inspect.get_annotations(section)
+                    and name not in {f.name for f in fields(section)}):   # a ClassVar
+                value = getattr(section, name)
+                raise ConfigError(f"{cfg.where(key)}: {key!r} is retired; fixed at "
+                                  f"{_TYPES[type(value).__name__][1](value)}")
 
             close = difflib.get_close_matches(key, known + list(extra), n=1)
             hint = f"; did you mean {close[0]!r}?" if close else ""

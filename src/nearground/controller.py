@@ -20,19 +20,15 @@ import numpy as np
 
 from . import quaternions as quat
 from .errors import ControllerFault, InputError, ParameterError
-from .estimation import Z_W, FilteredDerivative, WrenchEstimate, WrenchObserverRunner
+from .estimation import FilteredDerivative, WrenchEstimate, WrenchObserverRunner
 from .flatness import FlatOutput, FlatReference, flat_reference
-from .groundeffect import (
-    GroundEffectParams,
-    drag_matrix,
-    equivalent_inertia_op,
-    thrust_factor,
-)
+from .groundeffect import GroundEffectParams, drag_matrix, thrust_factor
 from .simulator import SimConfig
 from .vehicle import GRAVITY, VehicleParams
 
 ACCEL_MODES = ("none", "indi", "model")
 TORQUE_MODES = ("none", "model", "indi", "hybrid")
+Z_W = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass
@@ -145,13 +141,6 @@ def thrust_command(a_des_total, z_b_hat, mass):
     if not math.isfinite(thrust):
         raise ControllerFault(f"non-finite thrust command {thrust}")
     return max(0.0, thrust)
-
-
-def torque_command_model(omega_des, omega_dot_des, h, thrust_ref,
-                         vehicle: VehicleParams, ge: GroundEffectParams):
-    """Inverse rotational dynamics; J'(h) absorbs the leveling torque."""
-    J = equivalent_inertia_op(h, ge, vehicle, thrust=thrust_ref)
-    return np.array(J.torque(quat._floats(omega_des), quat._floats(omega_dot_des)))
 
 
 def torque_command_indi(tau_applied, omega_dot_des, omega_dot_f, J):

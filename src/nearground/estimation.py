@@ -18,8 +18,6 @@ from .errors import ConfigError, FitError, InputError
 from .quaternions import _floats, rot_matrix
 from .vehicle import VehicleParams
 
-Z_W = np.array([0.0, 0.0, 1.0])
-
 
 # -- filtering ----------------------------------------------------------------
 
@@ -102,7 +100,7 @@ def wrench_observer(R, f, thrust, w, wd, tau_b, m, J):
 class WrenchObserverRunner:
     """Stateful observer: owns the input filters."""
 
-    def __init__(self, vehicle: VehicleParams, sample_rate_hz, cutoff_hz=20.0):
+    def __init__(self, vehicle: VehicleParams, sample_rate_hz, cutoff_hz):
         self.vehicle = vehicle
         self.f_accel = LowPass(cutoff_hz, sample_rate_hz)
         self.f_thrust = LowPass(cutoff_hz, sample_rate_hz)
@@ -159,25 +157,6 @@ def thrust_factor_from_platform(f_z, thrust):
     if thrust <= 1e-6:
         raise InputError("thrust too small to normalize a platform sample")
     return float(f_z) / float(thrust) - 1.0
-
-
-def thrust_factor_from_flight(a_ext, thrust, mass):
-    """Extra-thrust fraction from the observer's external acceleration (T > 1e-6 N)."""
-    if thrust <= 1e-6:
-        raise InputError("thrust too small to normalize a flight sample")
-    a_ext = np.asarray(a_ext, dtype=float)
-    return mass * float(Z_W @ a_ext) / float(thrust)
-
-
-def normalize_coefficient_curve(h, k):
-    """k(h)/k(inf) - 1, with k(inf) the mean over the top altitude decile."""
-    h = np.asarray(h, dtype=float)
-    k = np.asarray(k, dtype=float)
-    n_top = max(1, len(h) // 10)
-    k_inf = float(np.mean(k[np.argsort(h)[-n_top:]]))
-    if k_inf == 0.0:
-        raise InputError("asymptotic coefficient is zero; cannot normalize")
-    return k / k_inf - 1.0
 
 
 # -- damped Gauss-Newton -------------------------------------------------------
@@ -307,6 +286,17 @@ def fit_thrust_factor(h, f_measured):
     g1_0 = float(np.median(h)) ** 2
     g2_0 = max(float(f_measured.max()), 1e-3) * (float(h.min()) ** 2 + g1_0)
     return levenberg_fit(residual, [g1_0, g2_0], ["g1", "g2"])
+
+
+def fit_thrust_factor_from_log(log, vehicle: VehicleParams):
+    """Extra-thrust fit over a trajectory log: samples m a_ext,z / (k_t sum n^2).
+
+    The observer's vertical external acceleration over the rotor thrust is
+    the flight reading of F(h); rows with thrust <= 1e-6 N carry none.
+    """
+    thrust = vehicle.k_t * np.sum(log.cols(["n1", "n2", "n3", "n4"]) ** 2, axis=1)
+    ok = thrust > 1e-6
+    return fit_thrust_factor(log.col("h")[ok], vehicle.m * log.col("obs_aext_z")[ok] / thrust[ok])
 
 
 def fit_torque_lever(h, tilt, thrust, torque_mag):

@@ -13,11 +13,10 @@ thrust-axis scalar c = z_B . (a + g z_W) carries all altitude coupling of
 the amplified thrust, so its derivative needs no model approximation.
 
 Reference generation runs once per control tick on Python floats in
-``_thrust_attitude`` and ``_rates``; ``flat_reference`` chains them with the
-model torque J'(h) w_dot + w x J'(h) w (``InertiaOperator.torque`` in
-vehicle.py, which the controller and the wrench observer also call).
-``reference_thrust_attitude`` and ``reference_rates`` return the first two
-as arrays.
+``_thrust_attitude`` and ``_rates``; ``flat_reference``, their one caller,
+chains them with the model torque J'(h) w_dot + w x J'(h) w
+(``InertiaOperator.torque`` in vehicle.py, which the controller and the
+wrench observer also call).
 Their arithmetic follows the per-step rule stated in simulator.py's docstring.
 """
 
@@ -183,24 +182,13 @@ def _altitude_drag(flat: FlatOutput, vehicle: VehicleParams, ge: GroundEffectPar
     return h, dx / vehicle.m, dy / vehicle.m
 
 
-def reference_thrust_attitude(flat: FlatOutput, vehicle: VehicleParams,
-                              ge: GroundEffectParams, gravity=GRAVITY, max_iter=20):
-    """(T_ref, attitude) solving the drag-coupled thrust-axis fixed point.
+def _thrust_attitude(flat, h, d1, d2, vehicle, ge, gravity, max_iter=20):
+    """(T_ref, attitude as a list of floats, iterations) at altitude h, drag over mass d1, d2.
 
     Iterates z_B ~ a + g z_W + drag-restoring terms until the axis moves
     less than 1e-10 in one iteration, completes the attitude from yaw, and
     evaluates the thrust with the ground amplification removed from the
     required specific force.
-    """
-    h, d1, d2 = _altitude_drag(flat, vehicle, ge)
-    thrust, q, iterations = _thrust_attitude(flat, h, d1, d2, vehicle, ge, gravity, max_iter)
-    return thrust, np.array(q), iterations
-
-
-def _thrust_attitude(flat, h, d1, d2, vehicle, ge, gravity, max_iter=20):
-    """reference_thrust_attitude at altitude h with the drag over mass d1, d2.
-
-    Returns (thrust, attitude as a list of floats, iterations).
     """
     f0 = _specific_force(flat, gravity)
     f0s = f0.tolist()
@@ -238,24 +226,13 @@ def _thrust_attitude(flat, h, d1, d2, vehicle, ge, gravity, max_iter=20):
     return thrust, q, iterations
 
 
-def reference_rates(flat: FlatOutput, vehicle: VehicleParams, ge: GroundEffectParams,
-                    gravity=GRAVITY, attitude=None):
-    """(omega, omega_dot) from jerk/snap and the yaw chain.
+def _rates(flat, R, d1, d2, gravity):
+    """(omega, omega_dot) as lists at the attitude matrix R, drag over mass d1, d2.
 
     Differentiates the translational balance twice with the drag matrix
     frozen; the altitude dependence of the amplified thrust rides along in
     the thrust-axis scalar and needs no extra terms.
     """
-    if attitude is None:
-        _, attitude, _ = reference_thrust_attitude(flat, vehicle, ge, gravity)
-    R = quat.rot_matrix(attitude)
-    dx, dy = drag_coefficients(float(flat.p[2]) + vehicle.rotor_plane_offset, ge)
-    omega, omega_dot = _rates(flat, R, dx / vehicle.m, dy / vehicle.m, gravity)
-    return np.array(omega), np.array(omega_dot)
-
-
-def _rates(flat, R, d1, d2, gravity):
-    """reference_rates for the attitude matrix R and the drag over mass d1, d2, as lists."""
     x_b, y_b, z_b = R[:, 0], R[:, 1], R[:, 2]
     gz = _specific_force(flat, gravity)
     c = float(z_b.dot(gz))

@@ -11,12 +11,12 @@ the rotor plane.
 This module holds the only copy of each formula. The unchecked kernels
 (``leveling_axis``, ``world_drag``, ``added_inertia``) and the scalar
 curves ``_factor`` and ``_lever`` are what the simulator's plant evaluates
-every step; the public vector functions are input checks in front of those
-same kernels. The drag table lookup is a bisect over Python floats that
-reproduces np.interp bit for bit; the knots it searches are derived once per
-parameter object (``GroundEffectParams.drag_knots``, set by ``__post_init__``
-as vehicle.py's derived constants are), which is an immutable value varied
-with ``dataclasses.replace``.
+every step, scaling z_B by F(h) T itself for the extra thrust. The drag
+table lookup is a bisect over Python floats that reproduces np.interp bit
+for bit; the knots it searches are derived once per parameter object
+(``GroundEffectParams.drag_knots``, set by ``__post_init__`` as vehicle.py's
+derived constants are), which is an immutable value varied with
+``dataclasses.replace``.
 
 The kernels follow the per-step arithmetic rule stated in simulator.py's docstring.
 """
@@ -215,14 +215,6 @@ def leveling_torque_quadrature(h, tilt, thrust, params: GroundEffectParams,
     return float(step / 3.0 * weights.dot(integrand))
 
 
-def added_thrust_force(R, thrust, h, params: GroundEffectParams):
-    """World-frame extra force: F(h) * T * z_B. Independent of tilt at fixed h."""
-    R = check_rotation(R)
-    if thrust < 0.0:
-        raise InputError("thrust must be non-negative")
-    return thrust_factor(h, params) * thrust * R[:, 2]
-
-
 def drag_coefficients(h, params: GroundEffectParams):
     """(d_x, d_y) in kg/s at altitude h, linear interpolation, end-clamped."""
     altitudes, columns = params.drag_knots
@@ -272,11 +264,6 @@ def world_drag(R, v, h, params: GroundEffectParams):
     return (-R).dot(np.array([dx * vx, dy * vy, 0.0 * vz]))
 
 
-def drag_force(R, v, h, params: GroundEffectParams):
-    """World-frame rotor drag -R D(h) R^T v (N)."""
-    return world_drag(check_rotation(R), np.asarray(v, dtype=float), h, params)
-
-
 def added_inertia(lever_thrust, m, gravity=GRAVITY):
     """Roll/pitch inertia (kg m^2) of the virtual payload: (lever*T)^2 / (m g^2)."""
     return lever_thrust * lever_thrust / (m * gravity * gravity)
@@ -294,8 +281,8 @@ def equivalent_inertia(h, params: GroundEffectParams, vehicle: VehicleParams,
 
 
 def equivalent_inertia_op(h, params: GroundEffectParams, vehicle: VehicleParams,
-                          thrust=None, gravity=GRAVITY):
-    """equivalent_inertia as an InertiaOperator: its products, byte for byte."""
+                          thrust, gravity=GRAVITY):
+    """equivalent_inertia at a given thrust as an InertiaOperator: its products, byte for byte."""
     added = _equivalent_added(h, params, vehicle, thrust, gravity)
     return vehicle.inertia_op.plus_roll_pitch(added)
 

@@ -17,7 +17,6 @@ from nearground.controller import (
     ControlGains,
     FeedforwardController,
     attitude_error_vector,
-    torque_command_model,
 )
 from nearground.estimation import (
     fit_drag_coefficients,

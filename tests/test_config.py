@@ -165,6 +165,20 @@ def test_scalar_key_set_twice_in_one_file(tmp_path):
     assert (scenario.seed, scenario.vehicle.m, scenario.vehicle.b) == (4, 1.2, 0.28)
 
 
+@pytest.mark.parametrize("key, fixed", [
+    ("sim.attitude_rate", "500.0"), ("sim.position_rate", "100.0"), ("sim.gravity", "9.81"),
+    ("ctrl.gyro_cutoff", "40.0"), ("ctrl.observer_cutoff", "20.0"),
+    ("ctrl.kp", "6.0, 6.0, 8.0"), ("ctrl.kv", "4.0, 4.0, 5.0"),
+    ("ctrl.kxi", "12.0, 12.0, 8.0"), ("ctrl.komega", "60.0, 60.0, 40.0"),
+])
+def test_retired_key_is_answered_as_retired(tmp_path, capsys, key, fixed):
+    # such as a scenario.resolved written while the key was still read
+    path = _write(tmp_path / "scn.cfg", f"seed = 1\nduration = 1.0\n{key} = {fixed}\n")
+    assert main(["run", path]) == EXIT_CONFIG
+    err = f"config error: {path}:3: {key!r} is retired; fixed at {fixed}\n"
+    assert capsys.readouterr().err == err
+
+
 def test_drag_sample_error_names_the_ge_file(tmp_path):
     ge = _write(tmp_path / "ge.cfg", "g1 = 0.08\ndrag_sample = 0.1, 0.2\n")
     path = _write(tmp_path / "scn.cfg", f"seed = 1\nduration = 1.0\nge_file = {ge}\n")

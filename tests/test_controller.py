@@ -21,7 +21,6 @@ from nearground.controller import (
     bodyrate_command,
     thrust_command,
     torque_command_indi,
-    torque_command_model,
 )
 from nearground.errors import ControllerFault, InputError, ParameterError
 from nearground.flatness import flat_reference, hover_point, make_trajectory
@@ -201,11 +200,16 @@ def test_allocate_rejects_non_finite_command(thrust, torque):
 
 # -- torque commands ----------------------------------------------------------------
 
+def _model_torque(w, wd, h, thrust):
+    """The model-mode torque J'(h) wd + w x J'(h) w at the reference thrust."""
+    return np.array(equivalent_inertia_op(h, GE, VEH, thrust).torque(w.tolist(), wd.tolist()))
+
+
 def test_torque_model_zero_and_far_field():
-    assert np.allclose(torque_command_model(np.zeros(3), np.zeros(3), 0.2, 7.0, VEH, GE), 0.0)
+    assert np.allclose(_model_torque(np.zeros(3), np.zeros(3), 0.2, 7.0), 0.0)
     w = np.array([0.3, -0.1, 0.2])
     wd = np.array([1.0, 0.5, -0.2])
-    far = torque_command_model(w, wd, 50.0, 9.81, VEH, GE)
+    far = _model_torque(w, wd, 50.0, 9.81)
     plain = VEH.inertia @ wd + np.cross(w, VEH.inertia @ w)
     assert np.max(np.abs(far - plain)) < 1e-9
 
@@ -214,8 +218,8 @@ def test_torque_model_larger_near_lever_peak():
     h_star, _ = torque_lever_peak(GE)
     w = np.array([0.2, 0.2, 0.0])
     wd = np.array([2.0, 2.0, 0.0])
-    near = torque_command_model(w, wd, h_star, 7.0, VEH, GE)
-    far = torque_command_model(w, wd, 2.0, 7.0, VEH, GE)
+    near = _model_torque(w, wd, h_star, 7.0)
+    far = _model_torque(w, wd, 2.0, 7.0)
     assert near[0] > far[0] and near[1] > far[1]
 
 

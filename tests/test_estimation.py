@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nearground import estimation
 from nearground import quaternions as quat
 from nearground.controller import CascadeController, ControlGains
 from nearground.errors import ConfigError, FitError, InputError
@@ -17,10 +18,9 @@ from nearground.estimation import (
     fit_drag_coefficients,
     fit_drag_from_log,
     fit_thrust_factor,
+    fit_thrust_factor_from_log,
     fit_torque_lever,
-    normalize_coefficient_curve,
     spearman,
-    thrust_factor_from_flight,
     thrust_factor_from_platform,
     wrench_observer,
 )
@@ -32,7 +32,7 @@ from nearground.groundeffect import (
     torque_lever,
     torque_lever_peak,
 )
-from nearground.simulator import SimConfig, run_closed_loop
+from nearground.simulator import SimConfig, TrajectoryLog, run_closed_loop
 from nearground.vehicle import GRAVITY, VehicleParams, inertia_operator
 
 VEH = VehicleParams()
@@ -228,14 +228,25 @@ def test_platform_sweep_lies_on_model_curve():
     assert np.max(np.abs(np.array(samples) - [thrust_factor(h, GE) for h in heights])) < 1e-12
 
 
-def test_flight_measurement_matches_platform_on_same_truth():
+def test_flight_measurement_matches_platform_on_same_truth(monkeypatch):
+    # a log whose observer reads the model's extra force at one rotor speed, plus
+    # a row with the rotors stopped, which carries no sample
     heights = np.linspace(0.06, 1.2, 25)
-    thrust = 6.5
-    for h in heights:
-        f_extra = thrust_factor(h, GE) * thrust        # world z force from the model
-        plat = thrust_factor_from_platform(thrust + f_extra, thrust)
-        flight = thrust_factor_from_flight(np.array([0, 0, f_extra / VEH.m]), thrust, VEH.m)
-        assert abs(plat - flight) < 1e-12
+    n = math.sqrt(6.5 / (4.0 * VEH.k_t))
+    thrust = VEH.k_t * 4.0 * n * n
+    log = TrajectoryLog(np.zeros((len(heights) + 1, len(TrajectoryLog.columns))))
+    log.col("h")[:] = np.append(heights, 0.5)
+    for name in ("n1", "n2", "n3", "n4"):
+        log.col(name)[:-1] = n
+    f_extra = np.array([thrust_factor(h, GE) * thrust for h in heights])   # world z force
+    log.col("obs_aext_z")[:-1] = f_extra / VEH.m
+    fitted = []
+    monkeypatch.setattr(estimation, "fit_thrust_factor", lambda h, f: fitted.append((h, f)))
+    fit_thrust_factor_from_log(log, VEH)
+    [(h, flight)] = fitted
+    assert np.array_equal(h, heights)
+    plat = [thrust_factor_from_platform(thrust + f, thrust) for f in f_extra]
+    assert np.max(np.abs(flight - plat)) < 1e-12
 
 
 def test_flight_sweep_from_simulated_descent_is_decreasing():
@@ -244,12 +255,7 @@ def test_flight_sweep_from_simulated_descent_is_decreasing():
     cfg = SimConfig(dt=1e-3, log_decimation=10)
     log = run_closed_loop(ctrl, VEH, GE, cfg, duration=11.5, seed=4).after(1.5)
     thrust = VEH.k_t * np.sum(log.cols(["n1", "n2", "n3", "n4"]) ** 2, axis=1)
-    samples = np.array(
-        [
-            thrust_factor_from_flight(a, T, VEH.m)
-            for a, T in zip(log.cols(["obs_aext_x", "obs_aext_y", "obs_aext_z"]), thrust)
-        ]
-    )
+    samples = VEH.m * log.col("obs_aext_z") / thrust   # the flight reading of F(h)
     h = log.col("h")
     lo = samples[h < 0.2].mean()
     hi = samples[h > 0.8].mean()
@@ -338,34 +344,6 @@ def test_fit_torque_lever_single_altitude_fails():
 def test_fit_torque_lever_rejects_large_tilts():
     with pytest.raises(FitError):
         fit_torque_lever([0.2, 0.3, 0.4], np.radians([5.0, 12.0, 6.0]), [7.0] * 3, [0.01] * 3)
-
-
-# -- normalization ------------------------------------------------------------------
-
-def test_normalize_constant_curve():
-    h = np.linspace(0.1, 2.0, 50)
-    k = np.full(50, 1.7e-8)
-    assert np.allclose(normalize_coefficient_curve(h, k), 0.0)
-
-
-def test_normalize_thrust_like_curve():
-    h = np.linspace(0.05, 2.0, 200)
-    k_inf = 1.7e-8
-    k = k_inf * (1.0 + np.array([thrust_factor(x, GE) for x in h]))
-    curve = normalize_coefficient_curve(h, k)
-    # near-ground change is on the order of 30%, vanishing aloft
-    assert 0.25 < curve[0] < 0.50
-    assert abs(curve[-1]) < 0.02
-
-
-def test_normalize_torque_channels_stay_small():
-    # torque coefficients built with sub-10% measurement wiggle and no
-    # altitude trend keep a sub-10% normalized curve
-    h = np.linspace(0.05, 2.0, 200)
-    for phase in (0.0, 1.3):
-        k = 1.6e-8 * (1.0 + 0.04 * np.sin(7.0 * h + phase))
-        curve = normalize_coefficient_curve(h, k)
-        assert np.max(np.abs(curve)) < 0.10
 
 
 # -- drag fits -----------------------------------------------------------------------

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nearground import flatness
 from nearground import quaternions as quat
-from nearground.controller import torque_command_model
 from nearground.errors import InputError, ParameterError, ReferenceGenerationError
 from nearground.flatness import (
     FlatOutput,
@@ -17,13 +17,12 @@ from nearground.flatness import (
     lemniscate,
     lemniscate_period,
     make_trajectory,
-    reference_rates,
-    reference_thrust_attitude,
 )
 from nearground.groundeffect import (
     GroundEffectParams,
     drag_coefficients,
     equivalent_inertia,
+    equivalent_inertia_op,
     thrust_factor,
 )
 from nearground.vehicle import GRAVITY, VehicleParams, inertia_operator
@@ -36,6 +35,27 @@ def _ge_free():
     # ground effect and drag switched off through the parameters themselves
     table = np.array([[0.1, 0.0, 0.0], [2.0, 0.0, 0.0]])
     return GroundEffectParams(g2=0.0, g5=0.0, drag_table=table)
+
+
+# flat_reference's own stages, for a capped iteration or a given attitude
+
+def _thrust_attitude(flat, vehicle, ge, max_iter):
+    h, d1, d2 = flatness._altitude_drag(flat, vehicle, ge)
+    thrust, q, iterations = flatness._thrust_attitude(flat, h, d1, d2, vehicle, ge, GRAVITY,
+                                                      max_iter)
+    return thrust, np.array(q), iterations
+
+
+def _rates(flat, vehicle, ge, attitude):
+    _, d1, d2 = flatness._altitude_drag(flat, vehicle, ge)
+    omega, omega_dot = flatness._rates(flat, quat.rot_matrix(attitude), d1, d2, GRAVITY)
+    return np.array(omega), np.array(omega_dot)
+
+
+def _model_torque(omega, omega_dot, h, thrust, vehicle, ge):
+    """J'(h) w_dot + w x J'(h) w as the cascade and flat_reference evaluate it."""
+    J = equivalent_inertia_op(h, ge, vehicle, thrust)
+    return np.array(J.torque(quat._floats(omega), quat._floats(omega_dot)))
 
 
 # -- trajectories ------------------------------------------------------------
@@ -124,11 +144,11 @@ def test_make_trajectory_kinds():
 
 def test_static_hover_reference():
     flat = hover_point(0.0, [0.0, 0.0, 2.0])
-    T, q, _ = reference_thrust_attitude(flat, VEH, _ge_free())
-    assert np.isclose(T, VEH.m * GRAVITY, rtol=1e-12)
-    assert quat.geodesic_angle(q, np.array([1.0, 0.0, 0.0, 0.0])) < 1e-9
+    ref = flat_reference(flat, VEH, _ge_free())
+    assert np.isclose(ref.thrust, VEH.m * GRAVITY, rtol=1e-12)
+    assert quat.geodesic_angle(ref.attitude, np.array([1.0, 0.0, 0.0, 0.0])) < 1e-9
     # with the default curve the 2 m hover sits within 1% of plain weight
-    T2, _, _ = reference_thrust_attitude(flat, VEH, GE)
+    T2 = flat_reference(flat, VEH, GE).thrust
     assert abs(T2 - VEH.m * GRAVITY) < 0.01 * VEH.m * GRAVITY
 
 
@@ -137,7 +157,7 @@ def test_hover_thrust_with_quarter_amplification():
     h = math.sqrt(GE.g2 / 0.25 - GE.g1)
     assert np.isclose(thrust_factor(h, GE), 0.25, rtol=1e-12)
     flat = hover_point(0.0, [0.0, 0.0, h])
-    T, _, _ = reference_thrust_attitude(flat, VEH, GE)
+    T = flat_reference(flat, VEH, GE).thrust
     assert np.isclose(T, VEH.m * GRAVITY / 1.25, rtol=1e-12)
 
 
@@ -145,8 +165,8 @@ def test_force_balance_residual_after_convergence():
     # forward flight at low altitude: plug the solution back into the balance
     flat = FlatOutput([0.3, 0.0, 0.12], [1.0, 0.0, 0.0], [0.0, 0.3, 0.0],
                       np.zeros(3), np.zeros(3))
-    T, q, _ = reference_thrust_attitude(flat, VEH, GE)
-    R = quat.rot_matrix(q)
+    ref = flat_reference(flat, VEH, GE)
+    T, R = ref.thrust, quat.rot_matrix(ref.attitude)
     h = flat.p[2]
     dx, dy = drag_coefficients(h, GE)
     resid = (
@@ -162,11 +182,11 @@ def test_force_balance_residual_after_convergence():
 def test_dragfree_map_reduces_to_classic():
     flat = FlatOutput([0, 0, 1.0], [2.0, -1.0, 0.3], [0.5, 0.2, -0.4],
                       np.zeros(3), np.zeros(3), yaw=0.4)
-    T, q, _ = reference_thrust_attitude(flat, VEH, _ge_free())
+    ref = flat_reference(flat, VEH, _ge_free())
     f = flat.a + GRAVITY * np.array([0, 0, 1.0])
-    assert np.isclose(T, VEH.m * np.linalg.norm(f), rtol=1e-12)
+    assert np.isclose(ref.thrust, VEH.m * np.linalg.norm(f), rtol=1e-12)
     # x_B keeps the commanded heading under the yaw completion
-    R = quat.rot_matrix(q)
+    R = quat.rot_matrix(ref.attitude)
     assert abs(math.atan2(R[1, 0], R[0, 0]) - 0.4) < 1e-9
 
 
@@ -175,20 +195,19 @@ def test_fixed_point_iteration_counts():
     for speed in (1.0, 3.0, 5.0):
         for t in np.linspace(0.0, period, 17):
             flat = lemniscate(t, 0.75, 0.12, speed)
-            _, _, iters = reference_thrust_attitude(flat, VEH, GE)
-            assert iters <= 20
+            assert flat_reference(flat, VEH, GE).iterations <= 20
 
 
 def test_free_fall_reference_rejected():
     flat = FlatOutput([0, 0, 1.0], np.zeros(3), [0, 0, -GRAVITY], np.zeros(3), np.zeros(3))
     with pytest.raises(ReferenceGenerationError):
-        reference_thrust_attitude(flat, VEH, GE)
+        flat_reference(flat, VEH, GE)
 
 
 def test_non_convergence_reported():
     flat = lemniscate(0.3, 0.75, 0.12, 3.0)
     with pytest.raises(ReferenceGenerationError):
-        reference_thrust_attitude(flat, VEH, GE, max_iter=1)
+        _thrust_attitude(flat, VEH, GE, max_iter=1)
 
 
 # -- body rates --------------------------------------------------------------
@@ -199,9 +218,7 @@ def _conjugate(q):
 
 def _fd_omega(traj, t, dt=5e-4):
     """Body rates by central difference of the reference attitude."""
-    _, qm, _ = reference_thrust_attitude(traj(t - dt), VEH, GE)
-    _, q0, _ = reference_thrust_attitude(traj(t), VEH, GE)
-    _, qp, _ = reference_thrust_attitude(traj(t + dt), VEH, GE)
+    qm, q0, qp = (flat_reference(traj(s), VEH, GE).attitude for s in (t - dt, t, t + dt))
     if np.dot(qm, q0) < 0:
         qm = -qm
     if np.dot(qp, q0) < 0:
@@ -212,16 +229,16 @@ def _fd_omega(traj, t, dt=5e-4):
 
 def test_static_hover_rates_zero():
     flat = hover_point(0.0, [0, 0, 0.5])
-    omega, omega_dot = reference_rates(flat, VEH, GE)
-    assert np.allclose(omega, 0.0, atol=1e-12)
-    assert np.allclose(omega_dot, 0.0, atol=1e-12)
+    ref = flat_reference(flat, VEH, GE)
+    assert np.allclose(ref.omega, 0.0, atol=1e-12)
+    assert np.allclose(ref.omega_dot, 0.0, atol=1e-12)
 
 
 def test_omega_matches_attitude_finite_differences():
     traj = lambda t: lemniscate(t, 0.75, 0.12, 1.0)
     for t in np.linspace(0.2, 6.0, 9):
         flat = traj(t)
-        omega, _ = reference_rates(flat, VEH, GE)
+        omega = flat_reference(flat, VEH, GE).omega
         assert np.max(np.abs(omega - _fd_omega(traj, t))) < 1e-4
 
 
@@ -230,9 +247,9 @@ def test_omega_dot_matches_rate_finite_differences():
     dt = 5e-4
     for t in np.linspace(0.2, 6.0, 9):
         flat = traj(t)
-        _, omega_dot = reference_rates(flat, VEH, GE)
-        om_p, _ = reference_rates(traj(t + dt), VEH, GE)
-        om_m, _ = reference_rates(traj(t - dt), VEH, GE)
+        omega_dot = flat_reference(flat, VEH, GE).omega_dot
+        om_p = flat_reference(traj(t + dt), VEH, GE).omega
+        om_m = flat_reference(traj(t - dt), VEH, GE).omega
         fd = (om_p - om_m) / (2 * dt)
         assert np.max(np.abs(omega_dot - fd)) < 1e-3
 
@@ -241,20 +258,20 @@ def test_omega_with_yaw_rate():
     # pure yaw spin at hover maps to body-z rate
     flat = FlatOutput([0, 0, 1.0], np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3),
                       yaw=0.2, yaw_rate=0.7)
-    omega, _ = reference_rates(flat, VEH, _ge_free())
+    omega = flat_reference(flat, VEH, _ge_free()).omega
     assert np.allclose(omega, [0.0, 0.0, 0.7], atol=1e-12)
 
 
 # -- torque ------------------------------------------------------------------
 
 def test_reference_torque_zero_rates():
-    assert np.allclose(torque_command_model(np.zeros(3), np.zeros(3), 0.2, 7.0, VEH, GE), 0.0)
+    assert np.allclose(_model_torque(np.zeros(3), np.zeros(3), 0.2, 7.0, VEH, GE), 0.0)
 
 
 def test_reference_torque_far_field_plain_inertia():
     omega = np.array([0.3, -0.2, 0.5])
     omega_dot = np.array([0.1, 0.4, -0.3])
-    tau = torque_command_model(omega, omega_dot, 50.0, 9.81, VEH, GE)
+    tau = _model_torque(omega, omega_dot, 50.0, 9.81, VEH, GE)
     plain = VEH.inertia @ omega_dot + np.cross(omega, VEH.inertia @ omega)
     assert np.max(np.abs(tau - plain)) < 1e-9
 
@@ -263,11 +280,11 @@ def test_reference_torque_gyroscopic_term_componentwise():
     # hand-expanded cross product for a diagonal inertia
     omega = np.array([0.0, 0.0, 1.3])
     Jp = VEH.inertia
-    tau = torque_command_model(omega, np.zeros(3), 50.0, 9.81, VEH, GE)
+    tau = _model_torque(omega, np.zeros(3), 50.0, 9.81, VEH, GE)
     # J omega is parallel to omega for pure yaw with diagonal J: no gyro term
     assert np.allclose(tau, 0.0, atol=1e-12)
     omega = np.array([0.4, 0.7, -0.2])
-    tau = torque_command_model(omega, np.zeros(3), 50.0, 9.81, VEH, GE)
+    tau = _model_torque(omega, np.zeros(3), 50.0, 9.81, VEH, GE)
     jw = np.array([Jp[0, 0] * 0.4, Jp[1, 1] * 0.7, Jp[2, 2] * -0.2])
     hand = np.array(
         [
@@ -510,10 +527,8 @@ def _flat_outputs(draw):
 def test_float_reference_bit_identical_to_array_code(flat, vehicle, ge, max_iter):
     assert _outcome(flat_reference, flat, vehicle, ge) == \
         _outcome(_ref_flat_reference, flat, vehicle, ge)
-    assert _outcome(reference_thrust_attitude, flat, vehicle, ge, max_iter=max_iter) == \
+    assert _outcome(_thrust_attitude, flat, vehicle, ge, max_iter=max_iter) == \
         _outcome(_ref_thrust_attitude, flat, vehicle, ge, max_iter=max_iter)
-    assert _outcome(reference_rates, flat, vehicle, ge) == \
-        _outcome(_ref_rates, flat, vehicle, ge)
 
 
 @settings(max_examples=100, deadline=None)
@@ -532,7 +547,7 @@ def test_float_reference_non_finite_like_array_code(flat, jerk_snap, ge):
        st.floats(0.0, 30.0), st.sampled_from(_VEHICLES), st.sampled_from(_MODELS))
 def test_float_torque_bit_identical_to_array_code(rates, h, thrust, vehicle, ge):
     args = (np.array(rates[:3]), np.array(rates[3:]), h, thrust, vehicle, ge)
-    assert _outcome(torque_command_model, *args) == _outcome(_ref_torque, *args)
+    assert _outcome(_model_torque, *args) == _outcome(_ref_torque, *args)
 
 
 def test_float_rates_divide_by_zero_like_array_code():
@@ -541,10 +556,10 @@ def test_float_rates_divide_by_zero_like_array_code():
     attitude = np.array([0.5, 0.5, 0.5, 0.5])
     flat = FlatOutput([0.0, 0.0, 1.0], [0.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.3, 0.2, 0.1],
                       np.zeros(3), yaw=0.5, yaw_rate=0.2)
-    got = _outcome(reference_rates, flat, VEH, GE, attitude=attitude)
+    got = _outcome(_rates, flat, VEH, GE, attitude=attitude)
     assert got == _outcome(_ref_rates, flat, VEH, GE, attitude=attitude)
     with np.errstate(divide="ignore", invalid="ignore"):
-        omega, _ = reference_rates(flat, VEH, GE, attitude=attitude)
+        omega, _ = _rates(flat, VEH, GE, attitude=attitude)
     assert not np.isfinite(omega[0])
 
 
@@ -553,16 +568,17 @@ def test_float_reference_raises_like_array_code():
     moving = FlatOutput(hover, [1.5, -0.5, 0.2], [2.0, 1.0, 0.5], np.zeros(3), np.zeros(3),
                         yaw=0.7, yaw_rate=0.4, yaw_accel=-1.0)
     cases = [
-        (FlatOutput(hover, np.zeros(3), [0.0, 0.0, -GRAVITY], np.zeros(3), np.zeros(3)), {}),
-        (FlatOutput([0.0, 0.0, -0.5], np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3)), {}),
-        (moving, {"max_iter": 1}),
+        (FlatOutput(hover, np.zeros(3), [0.0, 0.0, -GRAVITY], np.zeros(3), np.zeros(3)), 20),
+        (FlatOutput([0.0, 0.0, -0.5], np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3)), 20),
+        (moving, 1),
     ]
-    for flat, kwargs in cases:
+    for flat, max_iter in cases:
         for vehicle in _VEHICLES:
             for ge in _MODELS:
-                got = _outcome(reference_thrust_attitude, flat, vehicle, ge, **kwargs)
+                got = _outcome(_thrust_attitude, flat, vehicle, ge, max_iter)
                 assert got is ReferenceGenerationError
-                assert got == _outcome(_ref_thrust_attitude, flat, vehicle, ge, **kwargs)
-                if not kwargs:
+                assert got == _outcome(_ref_thrust_attitude, flat, vehicle, ge,
+                                       max_iter=max_iter)
+                if max_iter == 20:
                     assert _outcome(flat_reference, flat, vehicle, ge) == \
                         _outcome(_ref_flat_reference, flat, vehicle, ge) == got

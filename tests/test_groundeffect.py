@@ -13,9 +13,7 @@ from nearground.errors import ConfigError, InputError, ParameterError
 from nearground.groundeffect import (
     GroundEffectParams,
     _interp,
-    added_thrust_force,
     drag_coefficients,
-    drag_force,
     drag_matrix,
     equivalent_inertia,
     leveling_torque,
@@ -24,7 +22,9 @@ from nearground.groundeffect import (
     thrust_factor_prime,
     torque_lever,
     torque_lever_peak,
+    world_drag,
 )
+from nearground.simulator import SimConfig, _Plant
 from nearground.vehicle import GRAVITY, VehicleParams
 
 P = GroundEffectParams()
@@ -208,13 +208,19 @@ def test_quadrature_rejects_ground_strike():
 
 # -- ground-effect force -----------------------------------------------------
 
+def _added_thrust_force(R, thrust, h):
+    """The plant's world-frame extra force F(h) T z_B at the rotation R."""
+    f_ge, _ = _Plant(VEH, P, SimConfig()).ground(R.tolist(), h, thrust)
+    return np.array(f_ge)
+
+
 def test_added_thrust_force_zero_thrust():
-    assert np.allclose(added_thrust_force(np.eye(3), 0.0, 0.2, P), 0.0)
+    assert np.allclose(_added_thrust_force(np.eye(3), 0.0, 0.2), 0.0)
 
 
 def test_added_thrust_force_level_hover():
     T = VEH.m * GRAVITY
-    f = added_thrust_force(np.eye(3), T, 0.3, P)
+    f = _added_thrust_force(np.eye(3), T, 0.3)
     assert np.allclose(f, [0.0, 0.0, thrust_factor(0.3, P) * T])
 
 
@@ -223,8 +229,8 @@ def test_added_thrust_force_tilt_invariant_magnitude():
     T, h = 7.0, 0.15
     Ra = quat.rot_matrix(quat.from_axis_angle([1.0, 0.0, 0.0], 0.1))
     Rb = quat.rot_matrix(quat.from_axis_angle([0.3, 1.0, 0.2], 0.25))
-    fa = added_thrust_force(Ra, T, h, P)
-    fb = added_thrust_force(Rb, T, h, P)
+    fa = _added_thrust_force(Ra, T, h)
+    fb = _added_thrust_force(Rb, T, h)
     assert np.isclose(np.linalg.norm(fa), np.linalg.norm(fb), rtol=1e-12)
 
 
@@ -253,20 +259,20 @@ def test_drag_table_encodes_low_over_high_ratios():
 
 def test_drag_force_zero_velocity_and_body_z():
     R = quat.rot_matrix(quat.from_axis_angle([0.0, 1.0, 0.0], 0.3))
-    assert np.allclose(drag_force(R, np.zeros(3), 0.4, P), 0.0)
+    assert np.allclose(world_drag(R, np.zeros(3), 0.4, P), 0.0)
     v = 1.7 * R[:, 2]  # motion straight along body z sees no rotor drag
-    assert np.max(np.abs(drag_force(R, v, 0.4, P))) < 1e-12
+    assert np.max(np.abs(world_drag(R, v, 0.4, P))) < 1e-12
 
 
 def test_drag_force_level_forward_flight():
     dx, _ = drag_coefficients(0.5, P)
-    f = drag_force(np.eye(3), np.array([1.0, 0.0, 0.0]), 0.5, P)
+    f = world_drag(np.eye(3), np.array([1.0, 0.0, 0.0]), 0.5, P)
     assert np.allclose(f, [-dx, 0.0, 0.0])
 
 
 def test_drag_force_perpendicular_to_body_z():
     R = quat.rot_matrix(quat.from_axis_angle([1.0, 0.4, 0.0], 0.35))
-    f = drag_force(R, np.array([0.7, -0.4, 0.2]), 0.3, P)
+    f = world_drag(R, np.array([0.7, -0.4, 0.2]), 0.3, P)
     assert abs(f @ R[:, 2]) < 1e-12
 
 

@@ -10,12 +10,11 @@ from nearground.errors import ConfigError, SimulationFault
 from nearground.flatness import make_trajectory
 from nearground.groundeffect import (
     GroundEffectParams,
-    added_thrust_force,
-    drag_force,
     leveling_torque,
     thrust_factor,
     torque_lever,
     torque_lever_peak,
+    world_drag,
 )
 from nearground.simulator import (
     LOG_COLUMNS,
@@ -250,8 +249,8 @@ def test_disturbance_forces_match_public_functions(tilt_deg, h, overrides):
     f_ge, f_drag, tau = disturbance_forces(plant, x, plant.frame(x, h))
     zero = np.zeros(3)
     on = h > 0.0
-    want_ge = added_thrust_force(R, T, h, GE) if on and cfg.ge_force else zero
-    want_drag = drag_force(R, x[3:6], h, GE) if on and cfg.ge_drag else zero
+    want_ge = thrust_factor(h, GE) * T * R[:, 2] if on and cfg.ge_force else zero
+    want_drag = world_drag(R, x[3:6], h, GE) if on and cfg.ge_drag else zero
     explicit = cfg.torque_formulation == "explicit"
     want_tau = leveling_torque(R, T, h, GE) if on and cfg.ge_torque and explicit else zero
     for got, want in ((f_ge, want_ge), (f_drag, want_drag), (tau, want_tau)):
