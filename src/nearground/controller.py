@@ -22,7 +22,7 @@ from . import quaternions as quat
 from .errors import ControllerFault, InputError, ParameterError
 from .estimation import FilteredDerivative, WrenchEstimate, WrenchObserverRunner
 from .flatness import FlatOutput, FlatReference, flat_reference
-from .groundeffect import GroundEffectParams, drag_matrix, thrust_factor
+from .groundeffect import GroundEffectParams, drag_coefficients, thrust_factor
 from .simulator import SimConfig
 from .vehicle import GRAVITY, VehicleParams
 
@@ -84,7 +84,8 @@ def acceleration_command(flat, ref, p_hat, v_hat, gains: ControlGains,
     if gains.accel_comp == "model":
         R = quat.rot_matrix(ref.attitude)
         h = flat.p[2] + vehicle.rotor_plane_offset
-        a_drag = -(R.dot(drag_matrix(h, ge)).dot(R.T.dot(flat.v))) / vehicle.m
+        dx, dy = drag_coefficients(h, ge)
+        a_drag = -(R.dot(np.diag([dx, dy, 0.0])).dot(R.T.dot(flat.v))) / vehicle.m
         a_ground = (ref.thrust / vehicle.m) * thrust_factor(h, ge) * R[:, 2]
         a_des = a_des - a_drag - a_ground
     elif gains.accel_comp == "indi":

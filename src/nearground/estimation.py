@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FitError, InputError
+from .groundeffect import _factor, _lever
 from .quaternions import _floats, rot_matrix
 from .vehicle import VehicleParams
 
@@ -280,8 +281,7 @@ def fit_thrust_factor(h, f_measured):
         )
 
     def residual(p):
-        g1, g2 = p
-        return g2 / (h * h + g1) - f_measured
+        return _factor(h, *p) - f_measured
 
     g1_0 = float(np.median(h)) ** 2
     g2_0 = max(float(f_measured.max()), 1e-3) * (float(h.min()) ** 2 + g1_0)
@@ -310,9 +310,7 @@ def fit_torque_lever(h, tilt, thrust, torque_mag):
     lever_obs = torque_mag / (thrust * np.sin(tilt))
 
     def residual(p):
-        g3, g4, g5 = p
-        den = h * h + g3 * h + g4
-        return g5 * h / (den * den) * thrust * np.sin(tilt) - torque_mag
+        return _lever(h, *p) * thrust * np.sin(tilt) - torque_mag
 
     hp = float(h[np.argmax(lever_obs)])
     g4_0 = 3.0 * hp * hp

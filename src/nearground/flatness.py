@@ -18,6 +18,7 @@ chains them with the model torque J'(h) w_dot + w x J'(h) w
 (``InertiaOperator.torque`` in vehicle.py, which the controller and the
 wrench observer also call).
 Their arithmetic follows the per-step rule stated in simulator.py's docstring.
+Gravity is the constant ``vehicle.GRAVITY``; no function here takes it.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def _smooth_step_c4(x):
     return s, d1, d2, d3, d4
 
 
-def hover_descent(t, h_start, h_end, duration, hold=0.0):
+def hover_descent(t, h_start, h_end, duration, hold):
     """Smooth (C^4) vertical profile from h_start down to h_end, no lateral motion."""
     if h_end <= 0.0 or h_start <= h_end:
         raise ParameterError("need h_start > h_end > 0")
@@ -153,6 +154,8 @@ def make_trajectory(kind, **kw):
         raise ParameterError(f"{kind} trajectory parameters must be finite, got {kw}")
     p = {**TRAJECTORY_KEYS[kind], **kw}
     if kind == "lemniscate":
+        if p["half_width"] <= 0.0:
+            raise ParameterError(f"lemniscate half_width must be positive, got {p['half_width']}")
         return lambda t: lemniscate(t, p["half_width"], p["height"], p["speed"])
     if kind == "hover_descent":
         return lambda t: hover_descent(t, p["h_start"], p["h_end"], p["duration"], p["hold"])
@@ -167,10 +170,11 @@ def _div(a, b):
     return a / b if b else float(np.float64(a) / b)
 
 
-def _specific_force(flat: FlatOutput, gravity):
+def _specific_force(flat: FlatOutput):
     """a + g z_W as a float64 array."""
     a0, a1, a2 = flat.a.tolist()
-    return np.array([a0 + gravity * 0.0, a1 + gravity * 0.0, a2 + gravity])
+    # adding 0.0 = g * 0 turns a -0.0 into 0.0 as the vector sum does
+    return np.array([a0 + 0.0, a1 + 0.0, a2 + GRAVITY])
 
 
 def _altitude_drag(flat: FlatOutput, vehicle: VehicleParams, ge: GroundEffectParams):
@@ -182,7 +186,7 @@ def _altitude_drag(flat: FlatOutput, vehicle: VehicleParams, ge: GroundEffectPar
     return h, dx / vehicle.m, dy / vehicle.m
 
 
-def _thrust_attitude(flat, h, d1, d2, vehicle, ge, gravity, max_iter=20):
+def _thrust_attitude(flat, h, d1, d2, vehicle, ge, max_iter=20):
     """(T_ref, attitude as a list of floats, iterations) at altitude h, drag over mass d1, d2.
 
     Iterates z_B ~ a + g z_W + drag-restoring terms until the axis moves
@@ -190,7 +194,7 @@ def _thrust_attitude(flat, h, d1, d2, vehicle, ge, gravity, max_iter=20):
     evaluates the thrust with the ground amplification removed from the
     required specific force.
     """
-    f0 = _specific_force(flat, gravity)
+    f0 = _specific_force(flat)
     f0s = f0.tolist()
     # each norm is np.linalg.norm's sqrt(x.dot(x)) on an array
     n0 = math.sqrt(float(f0.dot(f0)))
@@ -226,7 +230,7 @@ def _thrust_attitude(flat, h, d1, d2, vehicle, ge, gravity, max_iter=20):
     return thrust, q, iterations
 
 
-def _rates(flat, R, d1, d2, gravity):
+def _rates(flat, R, d1, d2):
     """(omega, omega_dot) as lists at the attitude matrix R, drag over mass d1, d2.
 
     Differentiates the translational balance twice with the drag matrix
@@ -234,7 +238,7 @@ def _rates(flat, R, d1, d2, gravity):
     the thrust-axis scalar and needs no extra terms.
     """
     x_b, y_b, z_b = R[:, 0], R[:, 1], R[:, 2]
-    gz = _specific_force(flat, gravity)
+    gz = _specific_force(flat)
     c = float(z_b.dot(gz))
     Rt = R.T
     v_b = Rt.dot(flat.v).tolist()
@@ -289,8 +293,7 @@ def _rates(flat, R, d1, d2, gravity):
     return omega, [wd1, wd2, wd3]
 
 
-def flat_reference(flat: FlatOutput, vehicle: VehicleParams, ge: GroundEffectParams,
-                   gravity=GRAVITY):
+def flat_reference(flat: FlatOutput, vehicle: VehicleParams, ge: GroundEffectParams):
     """Full reference tuple for one flat-output sample.
 
     Rotor speeds outside [0, n_max] mark the reference infeasible instead of
@@ -298,9 +301,9 @@ def flat_reference(flat: FlatOutput, vehicle: VehicleParams, ge: GroundEffectPar
     tracking error.
     """
     h, d1, d2 = _altitude_drag(flat, vehicle, ge)
-    thrust, q, iterations = _thrust_attitude(flat, h, d1, d2, vehicle, ge, gravity)
-    omega, omega_dot = _rates(flat, np.array(quat.rot_rows(q)), d1, d2, gravity)
-    Jp = equivalent_inertia_op(h, ge, vehicle, thrust=thrust, gravity=gravity)
+    thrust, q, iterations = _thrust_attitude(flat, h, d1, d2, vehicle, ge)
+    omega, omega_dot = _rates(flat, np.array(quat.rot_rows(q)), d1, d2)
+    Jp = equivalent_inertia_op(h, ge, vehicle, thrust=thrust)
     torque = Jp.torque(omega, omega_dot)
     n_sq = vehicle.mixing_inverse.dot(np.array([thrust] + torque)).tolist()
     top = vehicle.n_max**2 + 1e-9

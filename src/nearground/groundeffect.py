@@ -8,10 +8,13 @@ the leveling torque into the rotational model.
 Altitude h is always the distance from the ground plane to the center of
 the rotor plane.
 
-This module holds the only copy of each formula. The unchecked kernels
-(``leveling_axis``, ``world_drag``, ``added_inertia``) and the scalar
-curves ``_factor`` and ``_lever`` are what the simulator's plant evaluates
-every step, scaling z_B by F(h) T itself for the extra thrust. The drag
+This module holds the only copy of each formula. The curves
+``_factor(h, g1, g2)`` and ``_lever(h, g3, g4, g5)`` take their
+coefficients, so the checked entries here, the simulator's plant and the
+fit residuals in estimation.py evaluate one expression each. The plant
+calls the two curves and the unchecked kernels (``leveling_axis``,
+``world_drag``, ``added_inertia``) every step; the leveling torque is
+lever(h) T ``leveling_axis(R)``. Gravity is ``vehicle.GRAVITY``. The drag
 table lookup is a bisect over Python floats that reproduces np.interp bit
 for bit; the knots it searches are derived once per parameter object
 (``GroundEffectParams.drag_knots``, set by ``__post_init__`` as vehicle.py's
@@ -31,7 +34,6 @@ import numpy as np
 
 from .config import KeyValueConfig, read_section, write_section
 from .errors import ConfigError, InputError, ParameterError
-from .quaternions import check_rotation
 from .vehicle import GRAVITY, FrozenParams, InertiaOperator, VehicleParams, read_only
 
 # Default drag table: force-unit coefficients (kg/s), increasing with h.
@@ -128,18 +130,18 @@ def _check_h(h):
     return float(h)
 
 
-def _factor(h, params: GroundEffectParams):
-    return params.g2 / (h * h + params.g1)
+def _factor(h, g1, g2):
+    return g2 / (h * h + g1)
 
 
-def _lever(h, params: GroundEffectParams):
-    den = h * h + params.g3 * h + params.g4
-    return params.g5 * h / (den * den)
+def _lever(h, g3, g4, g5):
+    den = h * h + g3 * h + g4
+    return g5 * h / (den * den)
 
 
 def thrust_factor(h, params: GroundEffectParams):
     """Fractional extra thrust near ground: g2 / (h^2 + g1)."""
-    return _factor(_check_h(h), params)
+    return _factor(_check_h(h), params.g1, params.g2)
 
 
 def thrust_factor_prime(h, params: GroundEffectParams):
@@ -151,13 +153,13 @@ def thrust_factor_prime(h, params: GroundEffectParams):
 
 def torque_lever(h, params: GroundEffectParams):
     """Leveling-torque lever arm (m): torque = lever * T * sin(tilt)."""
-    return _lever(_check_h(h), params)
+    return _lever(_check_h(h), params.g3, params.g4, params.g5)
 
 
 def torque_lever_peak(params: GroundEffectParams):
     """(h*, lever(h*)) over 4001 points of (0, 2] m; the lever is unimodal on h >= 0."""
     grid = np.linspace(1e-4, 2.0, 4001)
-    vals = _lever(grid, params)
+    vals = _lever(grid, params.g3, params.g4, params.g5)
     i = int(np.argmax(vals))
     return float(grid[i]), float(vals[i])
 
@@ -177,18 +179,6 @@ def leveling_axis(R, params: GroundEffectParams):
     return axis
 
 
-def leveling_torque(R, thrust, h, params: GroundEffectParams):
-    """Body-frame restoring torque for a tilted vehicle near ground.
-
-    torque = lever(h) * T * leveling_axis(R); the axis carries the sin(tilt)
-    factor and the saturation.
-    """
-    R = check_rotation(R)
-    if thrust < 0.0:
-        raise InputError("thrust must be non-negative")
-    return torque_lever(h, params) * thrust * leveling_axis(R, params)
-
-
 def leveling_torque_quadrature(h, tilt, thrust, params: GroundEffectParams,
                                b=0.30, intervals=4096):
     """Torque magnitude by direct quadrature of the rotor-ring model.
@@ -206,7 +196,7 @@ def leveling_torque_quadrature(h, tilt, thrust, params: GroundEffectParams,
         raise InputError("lowest rotor point at or below ground")
     theta = np.linspace(0.0, 2.0 * np.pi, intervals + 1)
     ring_h = h - radius * math.sin(tilt) * np.cos(theta)
-    density = _factor(ring_h, params) * thrust / (2.0 * np.pi)
+    density = _factor(ring_h, params.g1, params.g2) * thrust / (2.0 * np.pi)
     integrand = density * radius * np.cos(theta)
     weights = np.ones(intervals + 1)
     weights[1:-1:2] = 4.0
@@ -251,12 +241,6 @@ def _interp(x, xp, columns):
     return out
 
 
-def drag_matrix(h, params: GroundEffectParams):
-    """diag(d_x, d_y, 0): the body-z channel carries no rotor drag."""
-    dx, dy = drag_coefficients(h, params)
-    return np.diag([dx, dy, 0.0])
-
-
 def world_drag(R, v, h, params: GroundEffectParams):
     """World-frame rotor drag -R D(h) R^T v (N), unchecked: R must be a rotation."""
     dx, dy = drag_coefficients(h, params)
@@ -264,31 +248,29 @@ def world_drag(R, v, h, params: GroundEffectParams):
     return (-R).dot(np.array([dx * vx, dy * vy, 0.0 * vz]))
 
 
-def added_inertia(lever_thrust, m, gravity=GRAVITY):
+def added_inertia(lever_thrust, m):
     """Roll/pitch inertia (kg m^2) of the virtual payload: (lever*T)^2 / (m g^2)."""
-    return lever_thrust * lever_thrust / (m * gravity * gravity)
+    return lever_thrust * lever_thrust / (m * GRAVITY * GRAVITY)
 
 
-def equivalent_inertia(h, params: GroundEffectParams, vehicle: VehicleParams,
-                       thrust=None, gravity=GRAVITY):
+def equivalent_inertia(h, params: GroundEffectParams, vehicle: VehicleParams, thrust=None):
     """Inertia absorbing the leveling torque as a virtual hung payload.
 
     J' = J + diag(s^2, s^2, 0)/m with s = lever(h)*T/g. When no thrust is
     given the hover value T = m g / (1 + F(h)) is used.
     """
-    added = _equivalent_added(h, params, vehicle, thrust, gravity)
+    added = _equivalent_added(h, params, vehicle, thrust)
     return InertiaOperator(None, vehicle.inertia).plus_roll_pitch(added).matrix
 
 
-def equivalent_inertia_op(h, params: GroundEffectParams, vehicle: VehicleParams,
-                          thrust, gravity=GRAVITY):
+def equivalent_inertia_op(h, params: GroundEffectParams, vehicle: VehicleParams, thrust):
     """equivalent_inertia at a given thrust as an InertiaOperator: its products, byte for byte."""
-    added = _equivalent_added(h, params, vehicle, thrust, gravity)
+    added = _equivalent_added(h, params, vehicle, thrust)
     return vehicle.inertia_op.plus_roll_pitch(added)
 
 
-def _equivalent_added(h, params, vehicle, thrust, gravity):
+def _equivalent_added(h, params, vehicle, thrust):
     h = _check_h(h)
     if thrust is None:
-        thrust = vehicle.m * gravity / (1.0 + _factor(h, params))
-    return added_inertia(_lever(h, params) * thrust, vehicle.m, gravity)
+        thrust = vehicle.m * GRAVITY / (1.0 + _factor(h, params.g1, params.g2))
+    return added_inertia(_lever(h, params.g3, params.g4, params.g5) * thrust, vehicle.m)

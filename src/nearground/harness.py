@@ -264,8 +264,10 @@ def sweep(scenario_path, param, values, out_root=None, seed=None):
     """Run one scenario once per parameter value, in order, in this process.
 
     Each value is parsed into its scenario before anything runs, so an
-    unknown param or a bad value fails at once with a ConfigError.
+    unknown param, a bad value or no value fails at once with a ConfigError.
     """
+    if not values:
+        raise ConfigError("--values names no value")
     seeded = [] if seed is None else [("seed", str(seed), 0)]
     scenarios = [Scenario.from_file(scenario_path, overrides=KeyValueConfig(
         [(param, str(value), 0)] + seeded, source="--param")) for value in values]

@@ -103,14 +103,6 @@ def geodesic_angle(qa, qb):
     return 2.0 * np.arccos(min(d, 1.0))
 
 
-def check_rotation(R):
-    """R as a float array; an InputError unless R^T R is within 1e-6 of I."""
-    R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3) or np.max(np.abs(R.T.dot(R) - np.eye(3))) > 1e-6:
-        raise InputError("matrix is not orthonormal within tolerance")
-    return R
-
-
 def from_z_axis_yaw(z_b, yaw):
     """Complete an attitude from a body z-axis and a Z-Y-X yaw angle.
 

@@ -115,9 +115,6 @@ class SimConfig:
             raise ConfigError(f"the {1e3 / self.attitude_rate:g} ms control period must be "
                               f"an integer multiple of dt={self.dt}")
 
-    def steps_per_attitude_tick(self):
-        return round(1.0 / (self.attitude_rate * self.dt))
-
 
 @dataclass
 class Measurement:
@@ -227,9 +224,9 @@ class _Plant:
             return _ZERO3, 0.0
         f_ge = _ZERO3
         if self.ge_force:
-            k = _factor(h, self.ge) * thrust
+            k = _factor(h, self.ge.g1, self.ge.g2) * thrust
             f_ge = [k * rows[0][2], k * rows[1][2], k * rows[2][2]]
-        lever_t = _lever(h, self.ge) * thrust if self.ge_torque else 0.0
+        lever_t = _lever(h, self.ge.g3, self.ge.g4, self.ge.g5) * thrust if self.ge_torque else 0.0
         return f_ge, lever_t
 
     def angular_accel(self, w, tau, lever_t, axis):
@@ -364,7 +361,7 @@ class TrajectoryLog:
 
     columns = LOG_COLUMNS
 
-    def __init__(self, data, crashed=False, infeasible=False, seed=0):
+    def __init__(self, data, crashed, infeasible, seed):
         self.data = np.asarray(data, dtype=float).reshape(-1, len(LOG_COLUMNS))
         self.crashed = bool(crashed)
         self.infeasible = bool(infeasible)
@@ -435,9 +432,11 @@ def csv_rows(fh, path, what):
 
 def hover_initial_state(trajectory, vehicle: VehicleParams, ge: GroundEffectParams,
                         gravity=GRAVITY):
-    """Packed state matching the trajectory reference at t = 0."""
+    """Packed state matching the trajectory reference at t = 0; gravity must be GRAVITY."""
+    if gravity != GRAVITY:
+        raise InputError(f"gravity is fixed at {GRAVITY} m/s^2, got {gravity}")
     flat = trajectory(0.0)
-    ref = flatness.flat_reference(flat, vehicle, ge, gravity)
+    ref = flatness.flat_reference(flat, vehicle, ge)
     x = np.empty(STATE_SIZE)
     x[_P] = flat.p
     x[_V] = flat.v
@@ -448,7 +447,7 @@ def hover_initial_state(trajectory, vehicle: VehicleParams, ge: GroundEffectPara
 
 
 def run_closed_loop(controller, vehicle: VehicleParams, ge: GroundEffectParams,
-                    cfg: SimConfig, duration, seed=0):
+                    cfg: SimConfig, duration, seed):
     """Step physics at dt, call the controller at its rate, record the log.
 
     The controller provides ``trajectory`` (the flat output as a function of
@@ -462,7 +461,7 @@ def run_closed_loop(controller, vehicle: VehicleParams, ge: GroundEffectParams,
     x = hover_initial_state(controller.trajectory, vehicle, ge)
     plant = _Plant(vehicle, ge, cfg)
     steps = int(round(duration / cfg.dt))
-    per_tick = cfg.steps_per_attitude_tick()
+    per_tick = round(1.0 / (cfg.attitude_rate * cfg.dt))
     decim = cfg.log_decimation
     rows = np.zeros((steps // decim + 1, len(LOG_COLUMNS)))
     n_rows = 0
@@ -532,8 +531,7 @@ def _log_row(row, t, x, command, plant, frame):
 
 
 def simulate_attitude(q0, omega0, torque_fn, vehicle: VehicleParams,
-                      ge: GroundEffectParams, h, thrust, dt, duration,
-                      formulation="explicit"):
+                      ge: GroundEffectParams, h, thrust, dt, duration, formulation):
     """Rotation-only integration at fixed altitude and thrust.
 
     The plant's rotational dynamics with h and T frozen. torque_fn(t, q,

@@ -234,7 +234,8 @@ def test_flight_measurement_matches_platform_on_same_truth(monkeypatch):
     heights = np.linspace(0.06, 1.2, 25)
     n = math.sqrt(6.5 / (4.0 * VEH.k_t))
     thrust = VEH.k_t * 4.0 * n * n
-    log = TrajectoryLog(np.zeros((len(heights) + 1, len(TrajectoryLog.columns))))
+    rows = np.zeros((len(heights) + 1, len(TrajectoryLog.columns)))
+    log = TrajectoryLog(rows, False, False, 0)
     log.col("h")[:] = np.append(heights, 0.5)
     for name in ("n1", "n2", "n3", "n4"):
         log.col(name)[:-1] = n

@@ -41,14 +41,13 @@ def _ge_free():
 
 def _thrust_attitude(flat, vehicle, ge, max_iter):
     h, d1, d2 = flatness._altitude_drag(flat, vehicle, ge)
-    thrust, q, iterations = flatness._thrust_attitude(flat, h, d1, d2, vehicle, ge, GRAVITY,
-                                                      max_iter)
+    thrust, q, iterations = flatness._thrust_attitude(flat, h, d1, d2, vehicle, ge, max_iter)
     return thrust, np.array(q), iterations
 
 
 def _rates(flat, vehicle, ge, attitude):
     _, d1, d2 = flatness._altitude_drag(flat, vehicle, ge)
-    omega, omega_dot = flatness._rates(flat, quat.rot_matrix(attitude), d1, d2, GRAVITY)
+    omega, omega_dot = flatness._rates(flat, quat.rot_matrix(attitude), d1, d2)
     return np.array(omega), np.array(omega_dot)
 
 
@@ -98,9 +97,9 @@ def test_lemniscate_derivatives_match_finite_differences():
 
 
 def test_hover_descent_boundaries():
-    f0 = hover_descent(0.0, 1.0, 0.1, 20.0)
+    f0 = hover_descent(0.0, 1.0, 0.1, 20.0, 0.0)
     assert f0.p[2] == 1.0 and np.allclose(f0.v, 0.0)
-    f1 = hover_descent(20.0, 1.0, 0.1, 20.0)
+    f1 = hover_descent(20.0, 1.0, 0.1, 20.0, 0.0)
     assert f1.p[2] == 0.1 and np.allclose(f1.v, 0.0)
     fh = hover_descent(1.0, 1.0, 0.1, 20.0, hold=2.0)
     assert fh.p[2] == 1.0 and np.allclose(fh.v, 0.0)
@@ -109,7 +108,7 @@ def test_hover_descent_boundaries():
 def test_hover_descent_peak_rate_closed_form():
     h0, h1, T = 1.0, 0.1, 20.0
     ts = np.linspace(0.0, T, 20001)
-    vmax = max(abs(hover_descent(t, h0, h1, T).v[2]) for t in ts)
+    vmax = max(abs(hover_descent(t, h0, h1, T, 0.0).v[2]) for t in ts)
     # 9th-order smoothstep: peak slope 630/256 at midpoint
     assert abs(vmax - (630.0 / 256.0) * (h0 - h1) / T) < 1e-6
 
@@ -117,9 +116,9 @@ def test_hover_descent_peak_rate_closed_form():
 def test_hover_descent_is_c4_smooth():
     dt = 1e-4
     for t0 in (5.0, 10.0, 14.7):
-        f = hover_descent(t0, 1.0, 0.1, 20.0)
-        vp = hover_descent(t0 + dt, 1.0, 0.1, 20.0)
-        vm = hover_descent(t0 - dt, 1.0, 0.1, 20.0)
+        f = hover_descent(t0, 1.0, 0.1, 20.0, 0.0)
+        vp = hover_descent(t0 + dt, 1.0, 0.1, 20.0, 0.0)
+        vm = hover_descent(t0 - dt, 1.0, 0.1, 20.0, 0.0)
         assert abs((vp.v[2] - vm.v[2]) / (2 * dt) - f.a[2]) < 1e-6
         assert abs((vp.a[2] - vm.a[2]) / (2 * dt) - f.j[2]) < 1e-5
         assert abs((vp.j[2] - vm.j[2]) / (2 * dt) - f.s[2]) < 1e-3
@@ -127,9 +126,9 @@ def test_hover_descent_is_c4_smooth():
 
 def test_hover_descent_validation():
     with pytest.raises(ParameterError):
-        hover_descent(0.0, 0.1, 1.0, 10.0)
+        hover_descent(0.0, 0.1, 1.0, 10.0, 0.0)
     with pytest.raises(ParameterError):
-        hover_descent(0.0, 1.0, 0.1, -1.0)
+        hover_descent(0.0, 1.0, 0.1, -1.0, 0.0)
 
 
 def test_make_trajectory_kinds():
@@ -352,13 +351,13 @@ def _ref_from_z_axis_yaw(z_b, yaw):
     return q / np.sqrt(q @ q)
 
 
-def _ref_thrust_attitude(flat, vehicle, ge, gravity=GRAVITY, tol=1e-10, max_iter=20):
+def _ref_thrust_attitude(flat, vehicle, ge, tol=1e-10, max_iter=20):
     h = flat.p[2] + vehicle.rotor_plane_offset
     if h < 0.0:
         raise ReferenceGenerationError(f"reference altitude below ground: h={h:.4f}")
     dx, dy = drag_coefficients(h, ge)
     dax, day = dx / vehicle.m, dy / vehicle.m
-    f0 = flat.a + gravity * _Z_W
+    f0 = flat.a + GRAVITY * _Z_W
     n0 = np.linalg.norm(f0)
     if n0 < 1e-9:
         raise ReferenceGenerationError("free-fall reference: thrust axis undefined")
@@ -386,16 +385,16 @@ def _ref_thrust_attitude(flat, vehicle, ge, gravity=GRAVITY, tol=1e-10, max_iter
     return thrust, q, iterations
 
 
-def _ref_rates(flat, vehicle, ge, gravity=GRAVITY, attitude=None):
+def _ref_rates(flat, vehicle, ge, attitude=None):
     if attitude is None:
-        _, attitude, _ = _ref_thrust_attitude(flat, vehicle, ge, gravity)
+        _, attitude, _ = _ref_thrust_attitude(flat, vehicle, ge)
     R = quat.rot_matrix(attitude)
     x_b, y_b, z_b = R[:, 0], R[:, 1], R[:, 2]
     h = flat.p[2] + vehicle.rotor_plane_offset
     dx, dy = drag_coefficients(h, ge)
     d1, d2 = dx / vehicle.m, dy / vehicle.m
 
-    gz = flat.a + gravity * _Z_W
+    gz = flat.a + GRAVITY * _Z_W
     c = float(z_b @ gz)
     v_b = R.T @ flat.v
     a_b = R.T @ flat.a
@@ -450,22 +449,22 @@ def _ref_rates(flat, vehicle, ge, gravity=GRAVITY, attitude=None):
     return omega, np.array([wd1, wd2, wd3])
 
 
-def _ref_torque(omega, omega_dot, h, thrust, vehicle, ge, gravity=GRAVITY):
-    Jp = equivalent_inertia(h, ge, vehicle, thrust=thrust, gravity=gravity)
+def _ref_torque(omega, omega_dot, h, thrust, vehicle, ge):
+    Jp = equivalent_inertia(h, ge, vehicle, thrust=thrust)
     omega = np.asarray(omega, dtype=float)
     return Jp @ np.asarray(omega_dot, dtype=float) + \
         np.array(quat.cross(omega.tolist(), (Jp @ omega).tolist()))
 
 
-def _ref_flat_reference(flat, vehicle, ge, gravity=GRAVITY):
-    thrust, attitude, iterations = _ref_thrust_attitude(flat, vehicle, ge, gravity)
-    omega, omega_dot = _ref_rates(flat, vehicle, ge, gravity, attitude=attitude)
+def _ref_flat_reference(flat, vehicle, ge):
+    thrust, attitude, iterations = _ref_thrust_attitude(flat, vehicle, ge)
+    omega, omega_dot = _ref_rates(flat, vehicle, ge, attitude=attitude)
     h = flat.p[2] + vehicle.rotor_plane_offset
-    torque = _ref_torque(omega, omega_dot, h, thrust, vehicle, ge, gravity)
+    torque = _ref_torque(omega, omega_dot, h, thrust, vehicle, ge)
     n_sq = vehicle.mixing_inverse @ np.concatenate(([thrust], torque))
     feasible = bool(np.all(n_sq >= -1e-9) and np.all(n_sq <= vehicle.n_max**2 + 1e-9))
     n_ref = np.sqrt(np.clip(n_sq, 0.0, None))
-    Jp = inertia_operator(equivalent_inertia(h, ge, vehicle, thrust=thrust, gravity=gravity))
+    Jp = inertia_operator(equivalent_inertia(h, ge, vehicle, thrust=thrust))
     return FlatReference(thrust, attitude, omega, omega_dot, torque, n_ref,
                          feasible, iterations, Jp)
 

@@ -14,9 +14,8 @@ from nearground.groundeffect import (
     GroundEffectParams,
     _interp,
     drag_coefficients,
-    drag_matrix,
     equivalent_inertia,
-    leveling_torque,
+    leveling_axis,
     leveling_torque_quadrature,
     thrust_factor,
     thrust_factor_prime,
@@ -109,7 +108,7 @@ def test_torque_lever_invalid_params():
 # -- leveling torque ---------------------------------------------------------
 
 def test_leveling_torque_zero_when_level():
-    tau = leveling_torque(np.eye(3), 7.0, 0.2, P)
+    tau = torque_lever(0.2, P) * 7.0 * leveling_axis(np.eye(3), P)
     assert np.allclose(tau, 0.0)
 
 
@@ -117,7 +116,7 @@ def test_leveling_torque_roll_tilt_direction_and_magnitude():
     delta = math.radians(5.0)
     R = quat.rot_matrix(quat.from_axis_angle([1.0, 0.0, 0.0], delta))
     T, h = 7.0, 0.2
-    tau = leveling_torque(R, T, h, P)
+    tau = torque_lever(h, P) * T * leveling_axis(R, P)
     assert np.isclose(np.linalg.norm(tau), torque_lever(h, P) * T * math.sin(delta), rtol=1e-12)
     # positive roll tilt draws a negative roll torque: it opposes the tilt
     assert tau[0] < 0.0
@@ -128,7 +127,7 @@ def test_leveling_torque_matches_quadrature():
     delta = math.radians(5.0)
     R = quat.rot_matrix(quat.from_axis_angle([0.0, 1.0, 0.0], delta))
     T, h = 7.0, 0.2
-    tau = np.linalg.norm(leveling_torque(R, T, h, P))
+    tau = np.linalg.norm(torque_lever(h, P) * T * leveling_axis(R, P))
     ref = leveling_torque_quadrature(h, delta, T, P)
     assert abs(tau - ref) <= 0.02 * abs(ref)
 
@@ -137,17 +136,12 @@ def test_leveling_torque_saturates_past_plateau_tilt():
     h, T = 0.2, 7.0
     R10 = quat.rot_matrix(quat.from_axis_angle([1.0, 0.0, 0.0], math.radians(10.0)))
     R25 = quat.rot_matrix(quat.from_axis_angle([1.0, 0.0, 0.0], math.radians(25.0)))
-    t10 = np.linalg.norm(leveling_torque(R10, T, h, P))
-    t25 = np.linalg.norm(leveling_torque(R25, T, h, P))
+    t10 = np.linalg.norm(torque_lever(h, P) * T * leveling_axis(R10, P))
+    t25 = np.linalg.norm(torque_lever(h, P) * T * leveling_axis(R25, P))
     assert np.isclose(t25, t10, rtol=1e-9)
     unsat = GroundEffectParams(tilt_saturation_deg=0.0)
-    t25_free = np.linalg.norm(leveling_torque(R25, T, h, unsat))
+    t25_free = np.linalg.norm(torque_lever(h, unsat) * T * leveling_axis(R25, unsat))
     assert t25_free > t10 * 1.5
-
-
-def test_leveling_torque_rejects_bad_rotation():
-    with pytest.raises(InputError):
-        leveling_torque(np.eye(3) * 1.01, 5.0, 0.2, P)
 
 
 @settings(deadline=None, max_examples=60)
@@ -163,7 +157,7 @@ def test_leveling_torque_has_no_body_z_component(ax, ay, az, angle, h):
     if np.linalg.norm(axis) < 1e-3:
         axis = np.array([1.0, 0.0, 0.0])
     R = quat.rot_matrix(quat.from_axis_angle(axis, angle))
-    tau = leveling_torque(R, 6.0, h, P)
+    tau = torque_lever(h, P) * 6.0 * leveling_axis(R, P)
     assert abs(tau[2]) < 1e-12
 
 
@@ -171,9 +165,9 @@ def test_leveling_torque_linear_in_thrust():
     delta = math.radians(4.0)
     R = quat.rot_matrix(quat.from_axis_angle([1.0, 1.0, 0.0], delta))
     h = 0.25
-    t1 = leveling_torque(R, 3.0, h, P)
-    t2 = leveling_torque(R, 6.0, h, P)
-    t3 = leveling_torque(R, 9.0, h, P)
+    t1 = torque_lever(h, P) * 3.0 * leveling_axis(R, P)
+    t2 = torque_lever(h, P) * 6.0 * leveling_axis(R, P)
+    t3 = torque_lever(h, P) * 9.0 * leveling_axis(R, P)
     assert np.allclose(t2, 2.0 * t1, rtol=1e-14)
     assert np.allclose(t3, 3.0 * t1, rtol=1e-14)
 

@@ -115,10 +115,25 @@ def test_no_function_takes_a_private_parameter():
     assert found == []
 
 
+def test_no_function_takes_a_gravity():
+    # gravity is vehicle.GRAVITY; hover_initial_state keeps the parameter only
+    # because bench/workloads.py passes scenario.sim.gravity to it positionally,
+    # and it refuses any other value
+    found = []
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs
+                if any(p.arg == "gravity" for p in params):
+                    found.append(f"{name}:{getattr(node, 'name', 'lambda')}")
+    assert found == ["simulator.py:hover_initial_state"]
+
+
 # the option count after the test-only entries to the reference and the
 # defaults no caller relies on went; a change that needs more raises the
 # bound and says why in CHANGES.md
-MAX_DEFAULTED_PARAMETERS = 35
+MAX_DEFAULTED_PARAMETERS = 25
 MAX_SECTION_KEYS = 37
 
 
@@ -236,7 +251,8 @@ def test_metrics_decimation_invariant():
     scenario.sim.log_decimation = 1
     scenario.sim.noise_gyro = 0.002
     log, metrics = run(scenario)
-    decimated = compute_metrics(TrajectoryLog(log.data[::10]), scenario)
+    decimated = compute_metrics(
+        TrajectoryLog(log.data[::10], log.crashed, log.infeasible, log.seed), scenario)
     for field in ("rmse_xoy_cm", "rmse_z_cm", "rmse_all_cm"):
         full = getattr(metrics, field)
         dec = getattr(decimated, field)
@@ -273,14 +289,15 @@ def test_angle_profile_zero_for_zero_error_log():
     rows[:, 18] = np.linspace(0.1, 1.0, 200)              # h
     idx = TrajectoryLog.columns.index("cmd_qw")
     rows[:, idx] = 1.0
-    profile = angle_error_profile(TrajectoryLog(rows), half_width=0.05)
+    profile = angle_error_profile(TrajectoryLog(rows, False, False, 0), half_width=0.05)
     assert len(profile) > 0
     assert np.allclose(profile[:, 1], 0.0)
 
 
 def test_angle_profile_rejects_empty_log():
     with pytest.raises(InputError):
-        angle_error_profile(TrajectoryLog(np.zeros((0, len(TrajectoryLog.columns)))))
+        angle_error_profile(TrajectoryLog(np.zeros((0, len(TrajectoryLog.columns))),
+                                          False, False, 0))
 
 
 def test_angle_profile_drops_thin_bins():
@@ -288,7 +305,7 @@ def test_angle_profile_drops_thin_bins():
     rows[:, 7] = 1.0
     rows[:, TrajectoryLog.columns.index("cmd_qw")] = 1.0
     rows[:, 18] = np.concatenate([np.full(25, 0.5), np.linspace(1.0, 1.05, 5)])
-    profile = angle_error_profile(TrajectoryLog(rows), half_width=0.02)
+    profile = angle_error_profile(TrajectoryLog(rows, False, False, 0), half_width=0.02)
     assert np.all(np.abs(profile[:, 0] - 0.5) < 0.05)
 
 
@@ -574,6 +591,7 @@ def test_shipped_vehicle_and_ge_files_pass_the_key_check():
 @pytest.mark.parametrize("param, values, expect", [
     ("ctrl.torque_cmp", "none,model", "ctrl.torque_comp"),   # a mistyped --param
     ("sim.dt", "1e-3,abc", "'abc'"),                         # a bad later value
+    ("seed", ",", "--values"),                               # no value at all
 ])
 def test_cli_sweep_checks_param_before_running(tmp_path, capsys, param, values, expect):
     out = tmp_path / "sw"
@@ -627,6 +645,15 @@ def test_cli_run_infeasible_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["infeasible"]
     assert captured.err == "reference infeasible for the actuator limits\n"
+
+
+@pytest.mark.parametrize("half_width", [0.0, -0.5])
+def test_cli_run_rejects_a_lemniscate_without_width(tmp_path, capsys, half_width):
+    path = tmp_path / "scn.cfg"
+    path.write_text("seed = 3\nduration = 1.0\ntrajectory = lemniscate\n"
+                    f"traj.half_width = {half_width}\n")
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert "lemniscate half_width must be positive" in capsys.readouterr().err
 
 
 def test_cli_reference_generation_exit_code(tmp_path, capsys):
@@ -859,7 +886,7 @@ def test_cli_compare_unknown_baseline(tmp_path, capsys):
         "drag_unknown_key"])
 def test_cli_identify_rejects_malformed_log_header(tmp_path, capsys, op, meta):
     path = tmp_path / "log.csv"
-    TrajectoryLog(np.zeros((3, len(TrajectoryLog.columns)))).to_csv(path)
+    TrajectoryLog(np.zeros((3, len(TrajectoryLog.columns))), False, False, 0).to_csv(path)
     lines = path.read_text().splitlines(keepends=True)
     path.write_text(meta + "\n" + "".join(lines[1:]))
     assert main(["identify", op, str(path)]) == EXIT_CONFIG
@@ -879,7 +906,7 @@ _ROW = ",".join(["0"] * len(TrajectoryLog.columns))
 ], ids=["short_non_numeric_row", "row_missing_a_cell", "non_numeric_cell", "narrow_rows"])
 def test_cli_identify_rejects_malformed_log_row(tmp_path, capsys, op, rows, message):
     path = tmp_path / "log.csv"
-    TrajectoryLog(np.zeros((1, len(TrajectoryLog.columns)))).to_csv(path)
+    TrajectoryLog(np.zeros((1, len(TrajectoryLog.columns))), False, False, 0).to_csv(path)
     head = path.read_text().splitlines(keepends=True)[:2]
     path.write_text("".join(head) + "\n".join(rows) + "\n")
     assert main(["identify", op, str(path)]) == EXIT_CONFIG

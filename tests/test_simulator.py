@@ -6,11 +6,11 @@ import pytest
 
 from nearground import quaternions as quat
 from nearground.controller import CascadeController, ControlGains, FeedforwardController
-from nearground.errors import ConfigError, SimulationFault
+from nearground.errors import ConfigError, InputError, SimulationFault
 from nearground.flatness import make_trajectory
 from nearground.groundeffect import (
     GroundEffectParams,
-    leveling_torque,
+    leveling_axis,
     thrust_factor,
     torque_lever,
     torque_lever_peak,
@@ -200,7 +200,7 @@ def test_small_tilt_oscillates_about_level_near_torque_peak():
     q0 = quat.from_axis_angle([1.0, 0.0, 0.0], math.radians(5.0))
     no_torque = lambda t, q, w: np.zeros(3)
     _, quats, _ = simulate_attitude(
-        q0, np.zeros(3), no_torque, VEH, GE, h_star, thrust, 5e-4, 3.0
+        q0, np.zeros(3), no_torque, VEH, GE, h_star, thrust, 5e-4, 3.0, "explicit"
     )
     level = np.array([1.0, 0.0, 0.0, 0.0])
     tilt = np.array([quat.geodesic_angle(q, level) for q in quats])
@@ -209,7 +209,7 @@ def test_small_tilt_oscillates_about_level_near_torque_peak():
     # without the torque the tilt persists indefinitely
     frozen = GroundEffectParams(g5=0.0)
     _, quats0, _ = simulate_attitude(
-        q0, np.zeros(3), no_torque, VEH, frozen, h_star, thrust, 5e-4, 3.0
+        q0, np.zeros(3), no_torque, VEH, frozen, h_star, thrust, 5e-4, 3.0, "explicit"
     )
     tilt0 = np.array([quat.geodesic_angle(q, level) for q in quats0])
     assert np.allclose(tilt0, math.radians(5.0), atol=1e-9)
@@ -220,7 +220,7 @@ def test_simulate_attitude_rejects_non_finite_torque():
     nan_torque = lambda t, q, w: [math.nan, 0.0, 0.0] if t > 0.01 else [0.0, 0.0, 0.0]
     with pytest.raises(SimulationFault, match="non-finite state"):
         simulate_attitude([1.0, 0.0, 0.0, 0.0], np.zeros(3), nan_torque, VEH, GE,
-                          0.2, 7.0, 5e-4, 0.1)
+                          0.2, 7.0, 5e-4, 0.1, "explicit")
 
 
 @pytest.mark.parametrize("tilt_deg, h, overrides", [
@@ -252,7 +252,8 @@ def test_disturbance_forces_match_public_functions(tilt_deg, h, overrides):
     want_ge = thrust_factor(h, GE) * T * R[:, 2] if on and cfg.ge_force else zero
     want_drag = world_drag(R, x[3:6], h, GE) if on and cfg.ge_drag else zero
     explicit = cfg.torque_formulation == "explicit"
-    want_tau = leveling_torque(R, T, h, GE) if on and cfg.ge_torque and explicit else zero
+    want_tau = (torque_lever(h, GE) * T * leveling_axis(R, GE)
+                if on and cfg.ge_torque and explicit else zero)
     for got, want in ((f_ge, want_ge), (f_drag, want_drag), (tau, want_tau)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
     if on and cfg.ge_torque and explicit:
@@ -332,7 +333,7 @@ def test_log_csv_round_trip(tmp_path):
 def test_empty_log_round_trips_silently(tmp_path):
     # a header-only file is what to_csv writes for a log with no rows
     path = tmp_path / "log.csv"
-    TrajectoryLog(np.empty((0, len(LOG_COLUMNS))), crashed=True, seed=4).to_csv(path)
+    TrajectoryLog(np.empty((0, len(LOG_COLUMNS))), True, False, 4).to_csv(path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         back = TrajectoryLog.from_csv(path)
@@ -347,7 +348,7 @@ def test_log_csv_text_of_special_values(tmp_path):
     data = np.resize(np.array(special), (3, len(LOG_COLUMNS)))
     data[1] = -data[1]
     path = tmp_path / "log.csv"
-    TrajectoryLog(data, seed=3).to_csv(path)
+    TrajectoryLog(data, False, False, 3).to_csv(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[2:] == [",".join("%.17g" % v for v in row) for row in data]
     back = TrajectoryLog.from_csv(path)
@@ -360,3 +361,13 @@ def test_initial_state_matches_reference():
     x0 = hover_initial_state(traj, VEH, GE)
     assert np.allclose(x0[0:3], traj(0.0).p)
     assert np.allclose(x0[3:6], traj(0.0).v)
+
+
+def test_initial_state_takes_only_the_fixed_gravity():
+    # bench/workloads.py passes scenario.sim.gravity positionally; any other value is refused
+    traj = make_trajectory("lemniscate", speed=1.0, height=0.5)
+    assert np.array_equal(hover_initial_state(traj, VEH, GE, GRAVITY),
+                          hover_initial_state(traj, VEH, GE))
+    for gravity in (9.0, math.nan):
+        with pytest.raises(InputError, match="gravity"):
+            hover_initial_state(traj, VEH, GE, gravity)
