@@ -5,9 +5,11 @@ body-rate loop, torque by model inversion with the altitude-dependent
 inertia or by incremental inversion from the measured rotor torque, and
 rotor-speed allocation with thrust-priority saturation handling.
 
-A controller instance owns filter state; each tick returns the command
-together with the signals its log row records. It is stepped by one
-scenario runner and is not safe for concurrent callers.
+A controller instance owns filter state. ``plan(times)`` gives it the run's
+tick times, and it computes the time-only reference ``_BLOCK`` planned ticks
+at a time; each tick returns the command together with the signals its log
+row records. It is stepped by one scenario runner and is not safe for
+concurrent callers.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 from . import quaternions as quat
 from .errors import ControllerFault, InputError, ParameterError
 from .estimation import FilteredDerivative, WrenchEstimate, WrenchObserverRunner
-from .flatness import FlatOutput, FlatReference, flat_reference
+# flat_reference is bound here only for bench/spans.py, which patches this name
+from .flatness import FlatOutput, FlatReference, ReferenceBlock, flat_reference  # noqa: F401
 from .groundeffect import GroundEffectParams, drag_coefficients, thrust_factor
 from .simulator import SimConfig
 from .vehicle import GRAVITY, VehicleParams
@@ -29,6 +32,7 @@ from .vehicle import GRAVITY, VehicleParams
 ACCEL_MODES = ("none", "indi", "model")
 TORQUE_MODES = ("none", "model", "indi", "hybrid")
 Z_W = np.array([0.0, 0.0, 1.0])
+_BLOCK = 512   # reference samples computed at once
 
 
 @dataclass
@@ -221,6 +225,33 @@ def _sqrt_clip(values, hi):
 
 # -- closed-loop controllers ----------------------------------------------------
 
+class _Plan:
+    """A run's tick times, and the reference at its sample times ``_BLOCK`` samples at a time."""
+
+    def __init__(self, trajectory, vehicle, ge, ticks, times):
+        self.trajectory, self.vehicle, self.ge = trajectory, vehicle, ge
+        self.ticks, self.times = ticks, times
+        self._count, self._start, self._block = 0, -1, None
+
+    def tick(self, t):
+        """The number of the tick at t, from 0; a ControllerFault unless t is its planned time."""
+        k = self._count
+        if not (k < len(self.ticks) and t == self.ticks[k]):
+            raise ControllerFault(f"tick {k} at t={t!r} is not a planned tick")
+        self._count += 1
+        return k
+
+    def sample(self, i):
+        """(FlatOutput, FlatReference) at the i-th time; a failed sample raises its exception."""
+        start = i - i % _BLOCK
+        if start != self._start:
+            self._block = None   # the last block goes before the next is made
+            self._block = ReferenceBlock(self.trajectory(self.times[start:start + _BLOCK]),
+                                         self.vehicle, self.ge)
+            self._start = start
+        return self._block.flat(i - start), self._block.reference(i - start)
+
+
 class CascadeController:
     """Full cascade: position at the outer rate, attitude/rate at the inner rate.
 
@@ -240,7 +271,6 @@ class CascadeController:
         self.ge = ge if model_mismatch == 1.0 else ge.scaled(model_mismatch)
         self.gains = gains
         self.ratio = int(round(SimConfig.attitude_rate / SimConfig.position_rate))
-        self._tick_count = 0
         self._gyro_filter = FilteredDerivative(gains.gyro_cutoff, SimConfig.attitude_rate)
         self.observer = WrenchObserverRunner(vehicle, SimConfig.attitude_rate,
                                              gains.observer_cutoff)
@@ -251,8 +281,14 @@ class CascadeController:
         self._q_des = None          # the attitude target as floats
         self._rates_ref = None      # (omega, omega_dot) of the reference, as floats
         self._J_des = vehicle.inertia_op   # J, or J'(h_des) when _use_equivalent
+        self.plan(np.empty(0))
+
+    def plan(self, times):
+        """Take the run's tick times; the position ticks sample times[::ratio]."""
+        self._plan = _Plan(self.trajectory, self.vehicle, self.ge, times, times[::self.ratio])
 
     def tick(self, t, meas):
+        k = self._plan.tick(t)
         omega_f, omega_dot_f = self._gyro_filter.update(meas.gyro.tolist())
         n = meas.rotor_speeds
         tau_hat = self.vehicle.mixing.dot(n * n)[1:4]
@@ -260,9 +296,8 @@ class CascadeController:
         q = meas.q.tolist()
         R_hat = np.array(quat.rot_rows(q))
         wrench = self.observer.update(R_hat, meas.specific_force, thrust_hat, meas.gyro, tau_hat)
-        if self._tick_count % self.ratio == 0:
-            self._position_tick(t, meas, wrench)
-        self._tick_count += 1
+        if k % self.ratio == 0:
+            self._position_tick(k // self.ratio, meas, wrench)
 
         _check_unit(meas.q)
         thrust_des = thrust_command(self._f_cmd, R_hat[:, 2], self.vehicle.m)
@@ -281,9 +316,8 @@ class CascadeController:
         command.attitude_target, command.wrench = self._q_des, wrench
         return command
 
-    def _position_tick(self, t, meas, wrench):
-        flat = self.trajectory(t)
-        ref = flat_reference(flat, self.vehicle, self.ge)
+    def _position_tick(self, i, meas, wrench):
+        flat, ref = self._plan.sample(i)
         a_des = acceleration_command(flat, ref, meas.p, meas.v, self.gains, self.vehicle,
                                      self.ge, wrench.accel)
         self._f_cmd = a_des + GRAVITY * Z_W
@@ -311,11 +345,16 @@ class FeedforwardController:
         self.vehicle = vehicle
         self.ge = ge
         self.command_lead = command_lead
+        self.plan(np.empty(0))
+
+    def plan(self, times):
+        """Take the run's tick times; the reference is sampled command_lead after each."""
+        self._plan = _Plan(self.trajectory, self.vehicle, self.ge, times,
+                           times + self.command_lead)
 
     def tick(self, t, meas):
         del meas
-        flat = self.trajectory(t + self.command_lead)
-        ref = flat_reference(flat, self.vehicle, self.ge)
+        flat, ref = self._plan.sample(self._plan.tick(t))
         command = allocate(ref.thrust, ref.torque, self.vehicle)
         command.flat, command.reference, command.attitude_target = flat, ref, ref.attitude
         return command

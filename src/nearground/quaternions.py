@@ -3,8 +3,9 @@
 A unit quaternion q = (w, x, y, z) here maps body-frame vectors into the
 world frame through rot_matrix(q).
 
-The per-step helpers (``normalize``, ``multiply``, ``cross``, ``rot_rows``,
-``yaw_heading``) take and return sequences of Python floats.
+The per-step helpers (``normalize``, ``multiply``, ``cross``, ``rot_rows``)
+take and return sequences of Python floats; ``cross``, ``rot_rows`` and
+``_shepperd`` also take component arrays for flatness.py's blocks.
 Their arithmetic follows the per-step rule stated in simulator.py's docstring.
 """
 
@@ -71,23 +72,32 @@ def rot_rows(q):
 
 def _from_rows(R):
     """Quaternion (a list) from three rotation-matrix row lists (Shepperd's method)."""
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
-    tr = r00 + r11 + r22
-    if tr > 0.0:
-        s = math.sqrt(tr + 1.0) * 2.0
-        q = [0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s]
-    elif r00 >= r11 and r00 >= r22:
-        s = math.sqrt(1.0 + r00 - r11 - r22) * 2.0
-        q = [(r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s]
-    elif r11 >= r22:
-        s = math.sqrt(1.0 + r11 - r00 - r22) * 2.0
-        q = [(r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s]
-    else:
-        s = math.sqrt(1.0 + r22 - r00 - r11) * 2.0
-        q = [(r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s]
+    (r00, _, _), (_, r11, _), (_, _, r22) = R
+    case = (0 if r00 + r11 + r22 > 0.0 else 1 if r00 >= r11 and r00 >= r22
+            else 2 if r11 >= r22 else 3)
+    q = _shepperd(case, R, math.sqrt)
     if q[0] < 0.0:
         q = [-v for v in q]
     return normalize(q)
+
+
+def _shepperd(case, R, sqrt):
+    """Shepperd's case 0-3 (the trace, r00, r11 or r22 largest) on the rows R, before the sign lift.
+
+    The entries are floats, or arrays of one sample per element with sqrt np.sqrt.
+    """
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
+    if case == 0:
+        s = sqrt(r00 + r11 + r22 + 1.0) * 2.0
+        return [0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s]
+    if case == 1:
+        s = sqrt(1.0 + r00 - r11 - r22) * 2.0
+        return [(r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s]
+    if case == 2:
+        s = sqrt(1.0 + r11 - r00 - r22) * 2.0
+        return [(r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s]
+    s = sqrt(1.0 + r22 - r00 - r11) * 2.0
+    return [(r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s]
 
 
 def from_axis_angle(axis, angle):
@@ -110,24 +120,15 @@ def from_z_axis_yaw(z_b, yaw):
     y_B = z_B × x_B. This keeps x_B orthogonal to y_C, so the horizontal
     heading of x_B equals the yaw angle exactly (the Z-Y-X definition).
     """
-    return np.array(_from_z_axis_yaw(np.asarray(z_b, dtype=float), yaw_heading(yaw)))
-
-
-def yaw_heading(yaw):
-    """y_C = (-sin yaw, cos yaw, 0) as Python floats."""
-    return [float(-np.sin(yaw)), float(np.cos(yaw)), 0.0]
-
-
-def _from_z_axis_yaw(z_b, y_c):
-    """from_z_axis_yaw of a float64 (3,) array and yaw_heading(yaw), as a list."""
+    z_b = np.asarray(z_b, dtype=float)
     n = math.sqrt(float(z_b.dot(z_b)))
     if not n > 0.0:
         raise InputError("body z axis must be non-zero")
     z = [v / n for v in z_b.tolist()]
-    x_b = np.array(cross(y_c, z))
+    x_b = np.array(cross([float(-np.sin(yaw)), float(np.cos(yaw)), 0.0], z))
     n = math.sqrt(float(x_b.dot(x_b)))
     if n < 1e-9:
         raise InputError("degenerate attitude: thrust axis parallel to yaw heading")
     x = [v / n for v in x_b.tolist()]
     y = cross(z, x)
-    return _from_rows([[x[0], y[0], z[0]], [x[1], y[1], z[1]], [x[2], y[2], z[2]]])
+    return np.array(_from_rows([[x[0], y[0], z[0]], [x[1], y[1], z[1]], [x[2], y[2], z[2]]]))

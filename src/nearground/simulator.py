@@ -13,7 +13,7 @@ groundeffect.py (the only copy of each formula). ``_rk4`` is the only
 integrator.
 
 Arithmetic rule of the per-step path (this module, groundeffect,
-quaternions, flatness, controller and the wrench observer): elementwise
+quaternions, controller and the wrench observer): elementwise
 work (sums, products and quotients of single components) runs on Python
 floats, which round exactly like numpy's elementwise ufuncs, so moving it
 changes no bit of a log. Every reduction with a genuine sum (q.q, M n^2,
@@ -29,6 +29,12 @@ matrix (J, Jinv or J'(h) of a diagonal inertia, ``InertiaOperator`` in
 vehicle.py): its rows sum one product with exact zeros from an
 accumulator at +0.0, so the float 0.0 + j_i * w_i has BLAS's bytes for
 finite operands, and a non-finite result is recomputed by the call.
+
+flatness.py computes the reference for blocks of samples by the same rule
+on arrays: a reduction is a stacked ``np.matmul`` ((N,1,k) @ (N,k,1), or a
+matrix times (N,k,1)), one ddot or dgemv per item with its ``.dot`` bytes.
+A 2-D gemm ``X @ M.T``, array ``x**k`` and ``np.arccos`` lose the bytes;
+``np.sin``, ``np.cos`` and ``np.sqrt`` keep them.
 
 The run loop evaluates ``_Plant.derivative`` once on every step that ticks
 or logs. It returns the state's frame (unit quaternion, R, world drag,
@@ -451,11 +457,12 @@ def run_closed_loop(controller, vehicle: VehicleParams, ge: GroundEffectParams,
     """Step physics at dt, call the controller at its rate, record the log.
 
     The controller provides ``trajectory`` (the flat output as a function of
-    time, which sets the hover start) and ``tick(t, Measurement)``, which
-    returns a ControlCommand with its flat, reference and attitude_target
-    set and its wrench a WrenchEstimate or None; the log rows and the
-    infeasible flag read that record. Step 0 ticks before it logs. Ground
-    contact truncates the log and flags it.
+    time, which sets the hover start), ``plan(times)``, called once before
+    step 0 with every tick time k * dt the loop will compute, and
+    ``tick(t, Measurement)``, which returns a ControlCommand with its flat,
+    reference and attitude_target set and its wrench a WrenchEstimate or
+    None; the log rows and the infeasible flag read that record. Step 0
+    ticks before it logs. Ground contact truncates the log and flags it.
     """
     rng = np.random.default_rng(seed)
     x = hover_initial_state(controller.trajectory, vehicle, ge)
@@ -464,6 +471,8 @@ def run_closed_loop(controller, vehicle: VehicleParams, ge: GroundEffectParams,
     per_tick = round(1.0 / (cfg.attitude_rate * cfg.dt))
     decim = cfg.log_decimation
     rows = np.zeros((steps // decim + 1, len(LOG_COLUMNS)))
+    # the log first: tick times allocated before it kept the heap from shrinking after a run
+    controller.plan(np.arange(0, steps + 1, per_tick) * cfg.dt)
     n_rows = 0
     crashed = False
     infeasible = False

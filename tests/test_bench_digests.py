@@ -1,8 +1,9 @@
 """The benchmark's bit-exact guard, run as part of the test suite.
 
-Runs the ``closed_loop`` and ``feedforward`` workloads of ``bench/`` once for
-seed 0 (about 6 s) and checks that the sha256 of each run's ``log.csv``
-equals its entry in ``bench/reference_digests.json``. The test only reads
+Runs each of the four workloads of ``bench/`` once for seed 0 and checks that
+the sha256 of each run's ``log.csv`` equals its entry in
+``bench/reference_digests.json``: the logs a workload keeps in memory, written
+here, and the artifact files its runs write. The test only reads
 ``bench/``. Like the pinned digests in test_harness.py, the reference depends
 on the BLAS kernel numpy dispatches to (it was recorded on x86-64 with
 OpenBLAS's Haswell kernels): the 3- and 4-element dot products and matrix-
@@ -35,14 +36,18 @@ def _workloads():
     return module
 
 
-@pytest.mark.parametrize("workload", ["closed_loop", "feedforward"])
+@pytest.mark.parametrize("workload", ["closed_loop", "feedforward", "comparison_batch",
+                                      "descent_identify"])
 def test_bench_log_digest_matches_reference(tmp_path, workload):
     with open(os.path.join(BENCH, "reference_digests.json"), encoding="utf-8") as fh:
         reference = json.load(fh)[workload]["0"]
-    rep = _workloads().WORKLOADS[workload].rep(0, str(tmp_path), False)
+    rep = _workloads().WORKLOADS[workload].rep(0, str(tmp_path / "work"), False)
     assert rep.failures == {}
-    assert sorted(rep.logs) == sorted(reference)
+    paths = dict(rep.log_files)
     for name, log in rep.logs.items():
-        path = tmp_path / f"{name}.log.csv"
-        log.to_csv(str(path))
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == reference[name], name
+        paths[name] = str(tmp_path / f"{name}.log.csv")
+        log.to_csv(paths[name])
+    assert sorted(paths) == sorted(reference)
+    for name, path in paths.items():
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == reference[name], name

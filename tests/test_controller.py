@@ -22,7 +22,7 @@ from nearground.controller import (
     thrust_command,
     torque_command_indi,
 )
-from nearground.errors import ControllerFault, InputError, ParameterError
+from nearground.errors import ControllerFault, InputError, ParameterError, ReferenceGenerationError
 from nearground.flatness import flat_reference, hover_point, make_trajectory
 from nearground.groundeffect import (
     GroundEffectParams,
@@ -338,6 +338,7 @@ def test_constant_disturbance_torque_rejected_by_incremental_mode():
 def test_feedforward_controller_protocol():
     traj = make_trajectory("hover", height=1.0)
     ff = FeedforwardController(traj, VEH, GE, command_lead=0.001)
+    ff.plan(np.array([0.0, 0.002]))
     cmd = ff.tick(0.0, None)
     assert np.isclose(cmd.thrust, VEH.m * GRAVITY / (1.0 + thrust_factor(1.0, GE)), rtol=1e-9)
     assert cmd.reference is not None and cmd.attitude_target is not None
@@ -347,11 +348,43 @@ def test_run_closed_loop_needs_only_trajectory_and_tick():
     traj = make_trajectory("lemniscate", speed=1.0, height=0.3)
     cfg = SimConfig(dt=1e-3, log_decimation=2)
     ff = FeedforwardController(traj, VEH, GE, command_lead=0.001)
-    stub = SimpleNamespace(trajectory=traj, tick=ff.tick)   # the feedforward tick is stateless
+    # the feedforward tick keeps no state but its plan
+    stub = SimpleNamespace(trajectory=traj, plan=ff.plan, tick=ff.tick)
     want = run_closed_loop(ff, VEH, GE, cfg, duration=0.2, seed=1)
     got = run_closed_loop(stub, VEH, GE, cfg, duration=0.2, seed=1)
     assert got.data.tobytes() == want.data.tobytes() and len(got) == 101
     assert (got.crashed, got.infeasible) == (want.crashed, want.infeasible)
+
+
+def test_a_failed_reference_sample_raises_at_its_own_tick():
+    def traj(t):
+        # the reference drops below the ground from t = 6 ms on
+        flat = hover_point(t, [0.0, 0.0, 1.0])
+        flat.p[..., 2] = np.where(np.asarray(t) < 0.0055, 1.0, -0.5)
+        return flat
+
+    times = np.arange(8) * 0.002
+    ff = FeedforwardController(traj, VEH, GE, command_lead=0.0)
+    ff.plan(times)
+    for t in times[:3].tolist():
+        assert ff.tick(t, None).reference.feasible
+    with pytest.raises(ReferenceGenerationError, match=r"^reference altitude below ground: "
+                                                       r"h=-0\.5000$"):
+        ff.tick(times[3].item(), None)
+
+
+def test_a_tick_off_the_plan_is_a_fault():
+    traj = make_trajectory("hover", height=1.0)
+    times = np.arange(10) * 0.002
+    for ctrl in (FeedforwardController(traj, VEH, GE, command_lead=0.001),
+                 CascadeController(traj, VEH, GE, ControlGains())):
+        with pytest.raises(ControllerFault, match="not a planned tick"):
+            ctrl.tick(0.0, None)   # no plan yet
+        ctrl.plan(times)
+        with pytest.raises(ControllerFault, match="not a planned tick"):
+            ctrl.tick(0.001, None)
+        with pytest.raises(ControllerFault, match="not a planned tick"):
+            ctrl.tick(0.002, None)   # the first tick comes first
 
 
 def test_controllers_keep_no_last_tick_attributes():

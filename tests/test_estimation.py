@@ -394,16 +394,19 @@ def test_fit_drag_rejects_weak_excitation():
 def test_fit_drag_from_simulated_flight_log():
     # in-plane oscillation at fixed altitude excites both body axes
     def traj(t):
+        # t is a time or an array of times, as a controller's plan samples it
         from nearground.flatness import FlatOutput
 
         wx, wy, ax, ay = 1.2, 0.9, 0.7, 0.6
-        return FlatOutput(
-            [ax * math.sin(wx * t), ay * math.sin(wy * t), 0.5],
-            [ax * wx * math.cos(wx * t), ay * wy * math.cos(wy * t), 0.0],
-            [-ax * wx**2 * math.sin(wx * t), -ay * wy**2 * math.sin(wy * t), 0.0],
-            [-ax * wx**3 * math.cos(wx * t), -ay * wy**3 * math.cos(wy * t), 0.0],
-            [ax * wx**4 * math.sin(wx * t), ay * wy**4 * math.sin(wy * t), 0.0],
-        )
+        sx, cx, sy, cy = np.sin(wx * t), np.cos(wx * t), np.sin(wy * t), np.cos(wy * t)
+        zero = np.zeros_like(sx)
+        return FlatOutput(*(np.stack(chain, axis=-1) for chain in (
+            [ax * sx, ay * sy, zero + 0.5],
+            [ax * wx * cx, ay * wy * cy, zero],
+            [-ax * wx**2 * sx, -ay * wy**2 * sy, zero],
+            [-ax * wx**3 * cx, -ay * wy**3 * cy, zero],
+            [ax * wx**4 * sx, ay * wy**4 * sy, zero],
+        )))
 
     ctrl = CascadeController(traj, VEH, GE, ControlGains())
     cfg = SimConfig(dt=1e-3, log_decimation=2)

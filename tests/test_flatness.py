@@ -37,18 +37,29 @@ def _ge_free():
     return GroundEffectParams(g2=0.0, g5=0.0, drag_table=table)
 
 
-# flat_reference's own stages, for a capped iteration or a given attitude
+def _block(*flats):
+    """The block of the given flat-output samples, stacked in their order."""
+    return FlatOutput(*(np.array([getattr(flat, name) for flat in flats])
+                        for name in ("p", "v", "a", "j", "s", "yaw", "yaw_rate", "yaw_accel")))
+
+
+# flat_reference's own stages on a block of one, for a capped iteration or a given attitude
 
 def _thrust_attitude(flat, vehicle, ge, max_iter):
-    h, d1, d2 = flatness._altitude_drag(flat, vehicle, ge)
-    thrust, q, iterations = flatness._thrust_attitude(flat, h, d1, d2, vehicle, ge, max_iter)
-    return thrust, np.array(q), iterations
+    block, faults = _block(flat), flatness._Faults(1)
+    h, d1, d2 = flatness._altitude_drag(block, vehicle, ge, faults)
+    thrust, q, iterations = flatness._thrust_attitude(block, h, d1, d2, vehicle, ge, faults,
+                                                      max_iter)
+    faults.check(0)
+    return thrust[0].item(), q[0], iterations[0].item()
 
 
 def _rates(flat, vehicle, ge, attitude):
-    _, d1, d2 = flatness._altitude_drag(flat, vehicle, ge)
-    omega, omega_dot = flatness._rates(flat, quat.rot_matrix(attitude), d1, d2)
-    return np.array(omega), np.array(omega_dot)
+    block, faults = _block(flat), flatness._Faults(1)
+    _, d1, d2 = flatness._altitude_drag(block, vehicle, ge, faults)
+    omega, omega_dot = flatness._rates(block, np.array([attitude], dtype=float), d1, d2, faults)
+    faults.check(0)
+    return omega[0], omega_dot[0]
 
 
 def _model_torque(omega, omega_dot, h, thrust, vehicle, ge):
@@ -129,6 +140,15 @@ def test_hover_descent_validation():
         hover_descent(0.0, 0.1, 1.0, 10.0, 0.0)
     with pytest.raises(ParameterError):
         hover_descent(0.0, 1.0, 0.1, -1.0, 0.0)
+
+
+@pytest.mark.parametrize("speed", [0.0, -1.0, math.nan])
+def test_lemniscate_rejects_a_non_positive_speed(speed):
+    with pytest.raises(ParameterError, match="lemniscate speed must be positive"):
+        lemniscate_period(0.75, speed)
+    if math.isfinite(speed):
+        with pytest.raises(ParameterError, match="lemniscate speed must be positive"):
+            make_trajectory("lemniscate", speed=speed)
 
 
 def test_make_trajectory_kinds():
@@ -498,7 +518,7 @@ def _outcome(fn, *args, **kwargs):
         try:
             return _exact(fn(*args, **kwargs))
         except Exception as err:
-            return type(err)
+            return type(err), str(err)
 
 
 _VEHICLES = (VEH, VehicleParams(m=1.3, rotor_plane_offset=0.04))
@@ -575,9 +595,87 @@ def test_float_reference_raises_like_array_code():
         for vehicle in _VEHICLES:
             for ge in _MODELS:
                 got = _outcome(_thrust_attitude, flat, vehicle, ge, max_iter)
-                assert got is ReferenceGenerationError
+                assert got[0] is ReferenceGenerationError
                 assert got == _outcome(_ref_thrust_attitude, flat, vehicle, ge,
                                        max_iter=max_iter)
                 if max_iter == 20:
                     assert _outcome(flat_reference, flat, vehicle, ge) == \
                         _outcome(_ref_flat_reference, flat, vehicle, ge) == got
+
+
+# -- a block of samples against the array code, sample by sample ----------------
+
+_FREE_FALL = FlatOutput([0.0, 0.0, 1.0], np.zeros(3), [0.0, 0.0, -GRAVITY], np.zeros(3),
+                        np.zeros(3))
+
+
+@st.composite
+def _lap_samples(draw):
+    # low and fast laps, the ground effect at its strongest; some dip below the ground
+    return lemniscate(draw(st.floats(0.0, 10.0)), 0.75, draw(st.floats(-0.05, 0.3)),
+                      draw(st.floats(0.5, 6.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(_flat_outputs(), _lap_samples(), st.just(_FREE_FALL)),
+                min_size=1, max_size=16),
+       st.sampled_from(_VEHICLES), st.sampled_from(_MODELS))
+def test_block_reference_bit_identical_to_array_code_per_sample(flats, vehicle, ge):
+    block = flatness.ReferenceBlock(_block(*flats), vehicle, ge)
+    for k, flat in enumerate(flats):
+        assert _outcome(block.reference, k) == _outcome(_ref_flat_reference, flat, vehicle, ge)
+        got = block.flat(k)
+        assert _exact(tuple(getattr(got, name) for name in ("p", "v", "a", "j", "s"))) == \
+            _exact(tuple(getattr(flat, name) for name in ("p", "v", "a", "j", "s")))
+        assert (got.yaw, got.yaw_rate, got.yaw_accel) == \
+            (flat.yaw, flat.yaw_rate, flat.yaw_accel)
+
+
+def test_block_samples_stop_at_their_own_iteration_counts():
+    times = np.linspace(0.0, lemniscate_period(0.75, 5.0), 64)
+    flats = [lemniscate(t, 0.75, 0.08, 5.0) for t in times]
+    block = flatness.ReferenceBlock(_block(*flats), VEH, GE)
+    counts = [block.reference(k).iterations for k in range(len(flats))]
+    assert len(set(counts)) >= 2
+    assert counts == [flat_reference(flat, VEH, GE).iterations for flat in flats]
+
+
+def test_trajectories_sample_blocks_as_single_times():
+    times = np.linspace(-1.0, 25.0, 97)
+    for traj in (make_trajectory("lemniscate", speed=2.0, height=0.3),
+                 make_trajectory("hover_descent", h_start=1.0, h_end=0.1, duration=20.0,
+                                 hold=2.0),
+                 make_trajectory("hover", x=0.2, y=-0.1, height=0.5)):
+        block = traj(times)
+        for k, t in enumerate(times.tolist()):
+            one = traj(t)
+            for name in ("p", "v", "a", "j", "s"):
+                assert getattr(block, name)[k].tobytes() == getattr(one, name).tobytes()
+
+
+def test_stacked_matmul_is_per_item_dot():
+    # the rule every block reduction rests on: a stacked matmul calls the BLAS
+    # kernel of each item's own .dot, where a 2-D gemm rounds differently
+    rng = np.random.default_rng(7)
+    n = 2000
+
+    def same(got, want):
+        return got.tobytes() == np.array(want).tobytes()
+
+    for k in (3, 4):
+        x, y = rng.standard_normal((n, k)) * rng.uniform(0.1, 100.0, (n, 1)), \
+            rng.standard_normal((n, k))
+        assert same(flatness._dots(x, y), [x[i].dot(y[i]) for i in range(n)]), k
+    R, v = rng.standard_normal((n, 3, 3)), rng.standard_normal((n, 3))
+    assert same(flatness._dots(R[:, :, 0], v), [R[i][:, 0].dot(v[i]) for i in range(n)])
+    assert same(flatness._products(R, v), [R[i].dot(v[i]) for i in range(n)])
+    Rt = R.transpose(0, 2, 1)
+    assert same(flatness._products(Rt, v), [R[i].T.dot(v[i]) for i in range(n)])
+    M, u = rng.standard_normal((4, 4)), rng.standard_normal((n, 4))
+    assert same(flatness._products(M, u), [M.dot(u[i]) for i in range(n)])
+
+
+def test_array_sin_cos_equal_math():
+    t = np.random.default_rng(8).uniform(-60.0, 60.0, 20000)
+    assert np.sin(t).tobytes() == np.array([math.sin(x) for x in t.tolist()]).tobytes()
+    assert np.cos(t).tobytes() == np.array([math.cos(x) for x in t.tolist()]).tobytes()

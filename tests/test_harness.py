@@ -656,6 +656,16 @@ def test_cli_run_rejects_a_lemniscate_without_width(tmp_path, capsys, half_width
     assert "lemniscate half_width must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("speed", [0.0, -1.0])
+def test_cli_run_rejects_a_lemniscate_without_speed(tmp_path, capsys, speed):
+    # speed 0 hovered at the origin and -1 flew the lap backwards, both exiting 0
+    path = tmp_path / "scn.cfg"
+    path.write_text("seed = 3\nduration = 1.0\ntrajectory = lemniscate\n"
+                    f"traj.speed = {speed}\n")
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert "lemniscate speed must be positive" in capsys.readouterr().err
+
+
 def test_cli_reference_generation_exit_code(tmp_path, capsys):
     # a hover reference below the ground
     assert main(["run", _write_scenario(tmp_path, height=-0.5)]) == EXIT_REFERENCE

