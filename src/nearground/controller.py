@@ -33,6 +33,7 @@ ACCEL_MODES = ("none", "indi", "model")
 TORQUE_MODES = ("none", "model", "indi", "hybrid")
 Z_W = np.array([0.0, 0.0, 1.0])
 _BLOCK = 512   # reference samples computed at once
+_COMMAND_LEAD = 0.5 / SimConfig.attitude_rate   # s, the feedforward reference's lead
 
 
 @dataclass
@@ -255,20 +256,20 @@ class _Plan:
 class CascadeController:
     """Full cascade: position at the outer rate, attitude/rate at the inner rate.
 
-    All feedforward models are evaluated at the desired state. The model
-    copy of the ground-effect parameters may carry a multiplicative
-    mismatch relative to the simulated truth. The compensation modes are
-    read once, at construction. Everything that depends only on outer-loop
-    values (the attitude target, the reference rates and J'(h_des), the
-    operator the reference's torque used) is computed once per position
-    tick; the inner tick runs on Python floats.
+    All feedforward models are evaluated at the desired state with ``ge``,
+    the controller's ground-effect model; ``Scenario.build`` passes the truth
+    scaled by the scenario's mismatch. The compensation modes are read once,
+    at construction. Everything that depends only on outer-loop values (the
+    attitude target, the reference rates and J'(h_des), the operator the
+    reference's torque used) is computed once per position tick; the inner
+    tick runs on Python floats.
     """
 
     def __init__(self, trajectory, vehicle: VehicleParams, ge: GroundEffectParams,
-                 gains: ControlGains, model_mismatch=1.0):
+                 gains: ControlGains):
         self.trajectory = trajectory
         self.vehicle = vehicle
-        self.ge = ge if model_mismatch == 1.0 else ge.scaled(model_mismatch)
+        self.ge = ge
         self.gains = gains
         self.ratio = int(round(SimConfig.attitude_rate / SimConfig.position_rate))
         self._gyro_filter = FilteredDerivative(gains.gyro_cutoff, SimConfig.attitude_rate)
@@ -333,24 +334,21 @@ class CascadeController:
 class FeedforwardController:
     """Reference thrust and torque only; no state feedback at all.
 
-    command_lead shifts the sampled reference forward, by default half the
-    hold interval, so the zero-order-held command is centered in time;
-    without it the hold acts as a half-period delay that accumulates into
-    drift.
+    The reference is sampled ``_COMMAND_LEAD``, half the hold interval,
+    after each tick, so the zero-order-held command is centered in time;
+    without the lead the hold acts as a half-period delay that accumulates
+    into drift.
     """
 
-    def __init__(self, trajectory, vehicle: VehicleParams, ge: GroundEffectParams,
-                 command_lead=0.5 / SimConfig.attitude_rate):
+    def __init__(self, trajectory, vehicle: VehicleParams, ge: GroundEffectParams):
         self.trajectory = trajectory
         self.vehicle = vehicle
         self.ge = ge
-        self.command_lead = command_lead
         self.plan(np.empty(0))
 
     def plan(self, times):
-        """Take the run's tick times; the reference is sampled command_lead after each."""
-        self._plan = _Plan(self.trajectory, self.vehicle, self.ge, times,
-                           times + self.command_lead)
+        """Take the run's tick times; the reference is sampled _COMMAND_LEAD after each."""
+        self._plan = _Plan(self.trajectory, self.vehicle, self.ge, times, times + _COMMAND_LEAD)
 
     def tick(self, t, meas):
         del meas

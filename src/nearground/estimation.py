@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, FitError, InputError
 from .groundeffect import _factor, _lever
-from .quaternions import _floats, rot_matrix
+from .quaternions import _floats, rot_rows
 from .vehicle import VehicleParams
 
 
@@ -358,10 +358,7 @@ def fit_drag_from_log(log, vehicle: VehicleParams):
     q = log.cols(["qw", "qx", "qy", "qz"])
     v = log.cols(["vx", "vy", "vz"])
     a_ext = log.cols(["obs_aext_x", "obs_aext_y", "obs_aext_z"])
-    v_body = np.empty((len(log), 3))
-    a_body = np.empty((len(log), 3))
-    for i in range(len(log)):
-        R = rot_matrix(q[i])
-        v_body[i] = R.T @ v[i]
-        a_body[i] = R.T @ a_ext[i]
-    return fit_drag_coefficients(v_body[:, :2], a_body[:, :2], vehicle.m)
+    # R^T as a view of C-ordered R: the same BLAS call per row as rot_matrix(q[i]).T @ v[i]
+    Rt = np.stack([np.stack(row, axis=-1) for row in rot_rows(q.T)], axis=1).transpose(0, 2, 1)
+    v_body, a_body = ((Rt @ x[:, :, None])[:, :2, 0] for x in (v, a_ext))
+    return fit_drag_coefficients(v_body, a_body, vehicle.m)

@@ -2,8 +2,8 @@
 
 Implements the near-ground thrust amplification F(h), its derivative, the
 leveling-torque lever M(h) with a slow quadrature reference used by tests,
-altitude-varying rotor drag D(h), and the equivalent inertia that absorbs
-the leveling torque into the rotational model.
+altitude-varying rotor drag D(h), and the equivalent inertia J'(h) that
+absorbs the leveling torque into the rotational model.
 
 Altitude h is always the distance from the ground plane to the center of
 the rotor plane.
@@ -76,7 +76,9 @@ class GroundEffectParams(FrozenParams):
     def __post_init__(self):
         table = _DEFAULT_DRAG_TABLE if self.drag_table is None else self.drag_table
         object.__setattr__(self, "drag_table", read_only(np.array(table, dtype=float)))
-        # "not x > 0" style comparisons also reject NaN
+        for name in ("g1", "g2", "g3", "g4", "g5", "tilt_saturation_deg"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.g1 > 0.0 and self.g2 >= 0.0):
             raise ParameterError(f"need g1 > 0 and g2 >= 0, got g1={self.g1}, g2={self.g2}")
         if not (self.g4 > 0.0 and self.g5 >= 0.0):
@@ -85,8 +87,6 @@ class GroundEffectParams(FrozenParams):
         # vertex -g3/2 only enters h >= 0 for negative g3.
         if not (self.g3 >= 0.0 or self.g4 - self.g3 * self.g3 / 4.0 > 0.0):
             raise ParameterError("h^2 + g3*h + g4 must stay positive for h >= 0")
-        if math.isnan(self.tilt_saturation_deg):
-            raise ParameterError("tilt_saturation_deg must not be NaN")
         t = self.drag_table
         if t.ndim != 2 or t.shape[1] != 3 or t.shape[0] < 2:
             raise ConfigError("drag table needs >= 2 rows of (h, d_x, d_y)")
@@ -257,20 +257,11 @@ def equivalent_inertia(h, params: GroundEffectParams, vehicle: VehicleParams, th
     """Inertia absorbing the leveling torque as a virtual hung payload.
 
     J' = J + diag(s^2, s^2, 0)/m with s = lever(h)*T/g. When no thrust is
-    given the hover value T = m g / (1 + F(h)) is used.
+    given the hover value T = m g / (1 + F(h)) is used. This is the one
+    entry point to J'(h); ``vehicle.inertia_operator(J')`` applies it.
     """
-    added = _equivalent_added(h, params, vehicle, thrust)
-    return InertiaOperator(None, vehicle.inertia).plus_roll_pitch(added).matrix
-
-
-def equivalent_inertia_op(h, params: GroundEffectParams, vehicle: VehicleParams, thrust):
-    """equivalent_inertia at a given thrust as an InertiaOperator: its products, byte for byte."""
-    added = _equivalent_added(h, params, vehicle, thrust)
-    return vehicle.inertia_op.plus_roll_pitch(added)
-
-
-def _equivalent_added(h, params, vehicle, thrust):
     h = _check_h(h)
     if thrust is None:
         thrust = vehicle.m * GRAVITY / (1.0 + _factor(h, params.g1, params.g2))
-    return added_inertia(_lever(h, params.g3, params.g4, params.g5) * thrust, vehicle.m)
+    added = added_inertia(_lever(h, params.g3, params.g4, params.g5) * thrust, vehicle.m)
+    return InertiaOperator(None, vehicle.inertia).plus_roll_pitch(added).matrix

@@ -26,6 +26,7 @@ from .vehicle import VehicleParams
 
 # the sections a scenario reads under 'prefix.' keys, beside its own keys
 _SECTIONS = ("traj.", "ctrl.", "sim.", "vehicle.", "ge.")
+CONTROLLER_KINDS = ("cascade", "feedforward")
 
 
 @dataclass
@@ -37,7 +38,7 @@ class Scenario:
     duration: float
     trajectory_kind: str = field(default="hover", metadata={"key": "trajectory"})
     trajectory_params: dict = field(default_factory=dict)
-    # "cascade" or "feedforward"
+    # one of CONTROLLER_KINDS, checked by from_config
     controller_kind: str = field(default="cascade", metadata={"key": "controller"})
     gains: ControlGains = field(default_factory=ControlGains)
     sim: SimConfig = field(default_factory=SimConfig)
@@ -47,10 +48,11 @@ class Scenario:
     metrics_warmup: float = 1.0           # seconds trimmed before metrics
 
     def __post_init__(self):
-        # "not x >= 0" style comparisons also reject NaN
+        # "not 0 <= x < inf" style comparisons also reject NaN
         for key in ("seed", "mismatch", "metrics_warmup"):
-            if not getattr(self, key) >= 0:
-                raise ConfigError(f"{key} must be non-negative, got {getattr(self, key)}")
+            if not 0 <= getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be non-negative and finite, "
+                                  f"got {getattr(self, key)}")
         if not 0.0 < self.duration < math.inf:
             raise ConfigError(f"duration must be positive and finite, got {self.duration}")
         if self.metrics_warmup > self.duration:
@@ -64,13 +66,9 @@ class Scenario:
     def build(self):
         trajectory = make_trajectory(self.trajectory_kind, **self.trajectory_params)
         if self.controller_kind == "feedforward":
-            controller = FeedforwardController(trajectory, self.vehicle, self.ge)
-        elif self.controller_kind == "cascade":
-            controller = CascadeController(trajectory, self.vehicle, self.ge, self.gains,
-                                           model_mismatch=self.mismatch)
-        else:
-            raise ConfigError(f"unknown controller kind {self.controller_kind!r}")
-        return trajectory, controller
+            return trajectory, FeedforwardController(trajectory, self.vehicle, self.ge)
+        model = self.ge.scaled(self.mismatch)
+        return trajectory, CascadeController(trajectory, self.vehicle, model, self.gains)
 
     # -- config io ------------------------------------------------------------
 
@@ -92,6 +90,10 @@ class Scenario:
         if kind not in TRAJECTORY_KEYS:
             raise ConfigError(f"{cfg.where('trajectory')}: unknown trajectory kind {kind!r}; "
                               f"choose from {', '.join(TRAJECTORY_KEYS)}")
+        controller = kwargs.get("controller_kind", cls.controller_kind)
+        if controller not in CONTROLLER_KINDS:
+            raise ConfigError(f"{cfg.where('controller')}: unknown controller kind "
+                              f"{controller!r}; choose from {', '.join(CONTROLLER_KINDS)}")
         return cls(
             trajectory_params=read_section(TRAJECTORY_KEYS[kind], cfg, "traj."),
             gains=ControlGains(**read_section(ControlGains, cfg, "ctrl.")),

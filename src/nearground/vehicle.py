@@ -97,16 +97,20 @@ class VehicleParams(FrozenParams):
         J = np.diag([5.0e-3, 5.0e-3, 9.0e-3]) if self.inertia is None else self.inertia
         J = read_only(np.array(J, dtype=float))
         object.__setattr__(self, "inertia", J)
-        # "not x > 0" style comparisons also reject NaN
-        if not self.m > 0.0:
-            raise ParameterError(f"mass must be positive, got {self.m}")
-        if not self.b > 0.0:
-            raise ParameterError(f"wheelbase must be positive, got {self.b}")
+        # "not 0 < x < inf" style comparisons also reject NaN
+        if not 0.0 < self.m < math.inf:
+            raise ParameterError(f"mass must be positive and finite, got {self.m}")
+        if not 0.0 < self.b < math.inf:
+            raise ParameterError(f"wheelbase must be positive and finite, got {self.b}")
         for name in ("k_t", "k_tx", "k_ty", "k_i", "n_max"):
-            if not getattr(self, name) > 0.0:
-                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
-        if np.isnan(self.rotor_plane_offset):
-            raise ParameterError("rotor_plane_offset must not be NaN")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ParameterError(f"{name} must be positive and finite, got {value}")
+        if not math.isfinite(self.rotor_plane_offset):
+            raise ParameterError(f"rotor_plane_offset must be finite, "
+                                 f"got {self.rotor_plane_offset}")
+        if not np.all(np.isfinite(J)):
+            raise ParameterError("inertia entries must be finite")
         if J.shape != (3, 3) or not np.max(np.abs(J - J.T)) <= 1e-12:
             raise ParameterError("inertia must be a symmetric 3x3 matrix")
         if not np.all(np.linalg.eigvalsh(J) > 0.0):

@@ -123,7 +123,7 @@ def test_rerun_from_resolved_gives_identical_artifacts(tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("seed", "-1"), ("duration", "nan"), ("duration", "0"), ("duration", "inf"),
-    ("mismatch", "nan"), ("mismatch", "-0.5"),
+    ("mismatch", "nan"), ("mismatch", "-0.5"), ("mismatch", "inf"),
     ("metrics_warmup", "nan"), ("metrics_warmup", "-1"), ("metrics_warmup", "1.5"),
     ("sim.ground_clearance", "nan"),
     ("sim.ext_force", "nan, 0, 0"), ("sim.ext_torque", "0, inf, 0"),
@@ -148,6 +148,24 @@ def test_non_finite_drag_table_is_a_config_error(tmp_path, capsys, rows):
         Scenario.from_file(path)
     assert main(["run", path]) == EXIT_CONFIG
     assert "drag table" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("ge.g1", "inf"), ("ge.g2", "inf"), ("ge.g3", "-inf"), ("ge.g4", "inf"), ("ge.g5", "inf"),
+    ("ge.tilt_saturation_deg", "inf"), ("vehicle.mass", "inf"), ("vehicle.wheelbase", "inf"),
+    ("vehicle.k_i", "inf"), ("vehicle.n_max", "inf"), ("vehicle.rotor_plane_offset", "-inf"),
+    ("vehicle.inertia_xx", "inf"),
+])
+def test_non_finite_model_parameter_is_a_config_error(tmp_path, capsys, key, value):
+    # each of these once ran silently, raised an uncaught error, failed as a
+    # controller fault or named the wrong field
+    text = (f"seed = 1\nduration = 0.05\nmetrics_warmup = 0\ntrajectory = hover_descent\n"
+            f"{key} = {value}\n")
+    path = _write(tmp_path / "scn.cfg", text)
+    assert main(["run", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    field = key.split(".")[-1].removesuffix("_xx")
+    assert re.search(rf"\b{field}\b.* finite", err), err
 
 
 def test_scalar_key_set_twice_in_one_file(tmp_path):

@@ -27,13 +27,12 @@ from nearground.flatness import flat_reference, hover_point, make_trajectory
 from nearground.groundeffect import (
     GroundEffectParams,
     equivalent_inertia,
-    equivalent_inertia_op,
     thrust_factor,
     torque_lever_peak,
 )
 from nearground.harness import Scenario
 from nearground.simulator import SimConfig, run_closed_loop
-from nearground.vehicle import GRAVITY, VehicleParams
+from nearground.vehicle import GRAVITY, VehicleParams, inertia_operator
 
 VEH = VehicleParams()
 GE = GroundEffectParams()
@@ -202,7 +201,8 @@ def test_allocate_rejects_non_finite_command(thrust, torque):
 
 def _model_torque(w, wd, h, thrust):
     """The model-mode torque J'(h) wd + w x J'(h) w at the reference thrust."""
-    return np.array(equivalent_inertia_op(h, GE, VEH, thrust).torque(w.tolist(), wd.tolist()))
+    return np.array(inertia_operator(equivalent_inertia(h, GE, VEH, thrust)).torque(
+        w.tolist(), wd.tolist()))
 
 
 def test_torque_model_zero_and_far_field():
@@ -226,7 +226,7 @@ def test_torque_model_larger_near_lever_peak():
 def test_torque_indi_fixed_point():
     tau_hat = np.array([0.01, -0.02, 0.005])
     wd = [1.0, 2.0, 3.0]
-    J = equivalent_inertia_op(0.2, GE, VEH, thrust=7.0)
+    J = inertia_operator(equivalent_inertia(0.2, GE, VEH, thrust=7.0))
     out = np.array(torque_command_indi(tau_hat.tolist(), wd, wd, J))
     assert np.allclose(out, tau_hat)
 
@@ -337,7 +337,7 @@ def test_constant_disturbance_torque_rejected_by_incremental_mode():
 
 def test_feedforward_controller_protocol():
     traj = make_trajectory("hover", height=1.0)
-    ff = FeedforwardController(traj, VEH, GE, command_lead=0.001)
+    ff = FeedforwardController(traj, VEH, GE)
     ff.plan(np.array([0.0, 0.002]))
     cmd = ff.tick(0.0, None)
     assert np.isclose(cmd.thrust, VEH.m * GRAVITY / (1.0 + thrust_factor(1.0, GE)), rtol=1e-9)
@@ -347,7 +347,7 @@ def test_feedforward_controller_protocol():
 def test_run_closed_loop_needs_only_trajectory_and_tick():
     traj = make_trajectory("lemniscate", speed=1.0, height=0.3)
     cfg = SimConfig(dt=1e-3, log_decimation=2)
-    ff = FeedforwardController(traj, VEH, GE, command_lead=0.001)
+    ff = FeedforwardController(traj, VEH, GE)
     # the feedforward tick keeps no state but its plan
     stub = SimpleNamespace(trajectory=traj, plan=ff.plan, tick=ff.tick)
     want = run_closed_loop(ff, VEH, GE, cfg, duration=0.2, seed=1)
@@ -364,7 +364,7 @@ def test_a_failed_reference_sample_raises_at_its_own_tick():
         return flat
 
     times = np.arange(8) * 0.002
-    ff = FeedforwardController(traj, VEH, GE, command_lead=0.0)
+    ff = FeedforwardController(traj, VEH, GE)
     ff.plan(times)
     for t in times[:3].tolist():
         assert ff.tick(t, None).reference.feasible
@@ -376,7 +376,7 @@ def test_a_failed_reference_sample_raises_at_its_own_tick():
 def test_a_tick_off_the_plan_is_a_fault():
     traj = make_trajectory("hover", height=1.0)
     times = np.arange(10) * 0.002
-    for ctrl in (FeedforwardController(traj, VEH, GE, command_lead=0.001),
+    for ctrl in (FeedforwardController(traj, VEH, GE),
                  CascadeController(traj, VEH, GE, ControlGains())):
         with pytest.raises(ControllerFault, match="not a planned tick"):
             ctrl.tick(0.0, None)   # no plan yet

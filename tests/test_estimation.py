@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -391,26 +392,45 @@ def test_fit_drag_rejects_weak_excitation():
         fit_drag_coefficients(0.1 * v, a, VEH.m)
 
 
+def _oscillation(t):
+    # in-plane oscillation at fixed altitude excites both body axes; t is a
+    # time or an array of times, as a controller's plan samples it
+    from nearground.flatness import FlatOutput
+
+    wx, wy, ax, ay = 1.2, 0.9, 0.7, 0.6
+    sx, cx, sy, cy = np.sin(wx * t), np.cos(wx * t), np.sin(wy * t), np.cos(wy * t)
+    zero = np.zeros_like(sx)
+    return FlatOutput(*(np.stack(chain, axis=-1) for chain in (
+        [ax * sx, ay * sy, zero + 0.5],
+        [ax * wx * cx, ay * wy * cy, zero],
+        [-ax * wx**2 * sx, -ay * wy**2 * sy, zero],
+        [-ax * wx**3 * cx, -ay * wy**3 * cy, zero],
+        [ax * wx**4 * sx, ay * wy**4 * sy, zero],
+    )))
+
+
 def test_fit_drag_from_simulated_flight_log():
-    # in-plane oscillation at fixed altitude excites both body axes
-    def traj(t):
-        # t is a time or an array of times, as a controller's plan samples it
-        from nearground.flatness import FlatOutput
-
-        wx, wy, ax, ay = 1.2, 0.9, 0.7, 0.6
-        sx, cx, sy, cy = np.sin(wx * t), np.cos(wx * t), np.sin(wy * t), np.cos(wy * t)
-        zero = np.zeros_like(sx)
-        return FlatOutput(*(np.stack(chain, axis=-1) for chain in (
-            [ax * sx, ay * sy, zero + 0.5],
-            [ax * wx * cx, ay * wy * cy, zero],
-            [-ax * wx**2 * sx, -ay * wy**2 * sy, zero],
-            [-ax * wx**3 * cx, -ay * wy**3 * cy, zero],
-            [ax * wx**4 * sx, ay * wy**4 * sy, zero],
-        )))
-
+    traj = _oscillation
     ctrl = CascadeController(traj, VEH, GE, ControlGains())
     cfg = SimConfig(dt=1e-3, log_decimation=2)
     log = run_closed_loop(ctrl, VEH, GE, cfg, duration=12.0, seed=6).after(1.5)
     fit = fit_drag_from_log(log, VEH)
     dx_true, _ = drag_coefficients(0.5, GE)
     assert abs(fit.d_x - dx_true) < 0.03 * dx_true
+
+
+def test_fit_drag_from_log_is_the_per_row_formula():
+    # the stacked rotation of every row gives the bytes of each row's own R^T v
+    ctrl = CascadeController(_oscillation, VEH, GE, ControlGains())
+    cfg = SimConfig(dt=1e-3, log_decimation=2)
+    log = run_closed_loop(ctrl, VEH, GE, cfg, duration=3.0, seed=6).after(0.5)
+    q = log.cols(["qw", "qx", "qy", "qz"])
+    v = log.cols(["vx", "vy", "vz"])
+    a_ext = log.cols(["obs_aext_x", "obs_aext_y", "obs_aext_z"])
+    v_body = np.array([quat.rot_matrix(q[i]).T @ v[i] for i in range(len(log))])
+    a_body = np.array([quat.rot_matrix(q[i]).T @ a_ext[i] for i in range(len(log))])
+    want = fit_drag_coefficients(v_body[:, :2], a_body[:, :2], VEH.m)
+    got = fit_drag_from_log(log, VEH)
+    assert len(log) > 1000
+    assert [np.float64(x).tobytes() for x in astuple(got)] == \
+        [np.float64(x).tobytes() for x in astuple(want)]

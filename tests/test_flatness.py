@@ -22,7 +22,6 @@ from nearground.groundeffect import (
     GroundEffectParams,
     drag_coefficients,
     equivalent_inertia,
-    equivalent_inertia_op,
     thrust_factor,
 )
 from nearground.vehicle import GRAVITY, VehicleParams, inertia_operator
@@ -64,7 +63,7 @@ def _rates(flat, vehicle, ge, attitude):
 
 def _model_torque(omega, omega_dot, h, thrust, vehicle, ge):
     """J'(h) w_dot + w x J'(h) w as the cascade and flat_reference evaluate it."""
-    J = equivalent_inertia_op(h, ge, vehicle, thrust)
+    J = inertia_operator(equivalent_inertia(h, ge, vehicle, thrust))
     return np.array(J.torque(quat._floats(omega), quat._floats(omega_dot)))
 
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -133,7 +134,7 @@ def test_no_function_takes_a_gravity():
 # the option count after the test-only entries to the reference and the
 # defaults no caller relies on went; a change that needs more raises the
 # bound and says why in CHANGES.md
-MAX_DEFAULTED_PARAMETERS = 25
+MAX_DEFAULTED_PARAMETERS = 23
 MAX_SECTION_KEYS = 37
 
 
@@ -150,25 +151,52 @@ def test_option_count_does_not_grow():
     assert keys <= MAX_SECTION_KEYS
 
 
+def _uses(tree):
+    """Counts of the names, attributes and whole strings that a parsed file's code uses."""
+    uses = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            uses[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            uses[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            uses[node.value] += 1   # bench/spans.py patches functions by name
+    return uses
+
+
 def test_every_export_has_a_caller():
     # a name the package exports is one the command line, a demo, the
-    # benchmark or the acceptance suite uses; the rest stay in their modules
+    # benchmark or the acceptance suite uses; the rest stay in their modules.
+    # Every public top-level function and class has a caller there or in the
+    # package, outside its own definition (re-exports are not callers)
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    paths = [os.path.join(root, "src", "nearground", "cli.py"),
-             os.path.join(root, "tests", "test_acceptance.py")]
+    paths = [os.path.join(root, "tests", "test_acceptance.py")]
     for folder in ("demos", "bench"):
         paths += [os.path.join(root, folder, name)
                   for name in sorted(os.listdir(os.path.join(root, folder)))
                   if name.endswith(".py")]
-    text = ""
+    texts = []
     for path in paths:
         with open(path, encoding="utf-8") as fh:
-            text += fh.read()
+            texts.append(fh.read())
+    trees = [(name, tree) for name, tree in _package_trees() if name != "__init__.py"]
     with open(nearground.__file__, encoding="utf-8") as fh:
         exported = [alias.asname or alias.name for node in ast.parse(fh.read()).body
                     if isinstance(node, ast.ImportFrom) for alias in node.names]
+    with open(cli.__file__, encoding="utf-8") as fh:
+        text = fh.read() + "".join(texts)
     assert len(exported) > 40
     assert [name for name in exported if not re.search(rf"\b{name}\b", text)] == []
+
+    uses = Counter()
+    for tree in [ast.parse(t) for t in texts] + [tree for _, tree in trees]:
+        uses.update(_uses(tree))
+    defined = [(name, node) for name, tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")]
+    assert len(defined) > 80
+    assert [f"{name}:{node.name}" for name, node in defined
+            if uses[node.name] == _uses(node)[node.name]] == []
 
 
 def test_package_holds_no_memoizing_cache():
@@ -562,6 +590,14 @@ def test_unknown_key_rejected_with_source_and_line(tmp_path, key, value):
     assert "scn.cfg" in message and ":3:" in message
     assert repr(key.removeprefix("vehicle.")) in message
     assert main(["run", str(path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("key, value", [("trajectory", "circle"), ("controller", "pid")])
+def test_unknown_kind_rejected_at_load_with_source_and_line(tmp_path, key, value):
+    path = tmp_path / "scn.cfg"
+    path.write_text(f"seed = 1\nduration = 1.0\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=rf"scn\.cfg:3: unknown {key} kind '{value}'; choose"):
+        Scenario.from_file(str(path))
 
 
 def test_unknown_override_key_rejected():
