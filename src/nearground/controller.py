@@ -7,9 +7,10 @@ rotor-speed allocation with thrust-priority saturation handling.
 
 A controller instance owns filter state. ``plan(times)`` gives it the run's
 tick times, and it computes the time-only reference ``_BLOCK`` planned ticks
-at a time; each tick returns the command together with the signals its log
-row records. It is stepped by one scenario runner and is not safe for
-concurrent callers.
+at a time: one ``FlatReference`` record per sample, which also carries the
+model feedforward, so this module evaluates no ground-effect model. Each
+tick returns the command together with the signals its log row records. It
+is stepped by one scenario runner and is not safe for concurrent callers.
 """
 
 from __future__ import annotations
@@ -24,14 +25,13 @@ from . import quaternions as quat
 from .errors import ControllerFault, InputError, ParameterError
 from .estimation import FilteredDerivative, WrenchEstimate, WrenchObserverRunner
 # flat_reference is bound here only for bench/spans.py, which patches this name
-from .flatness import FlatOutput, FlatReference, ReferenceBlock, flat_reference  # noqa: F401
-from .groundeffect import GroundEffectParams, drag_coefficients, thrust_factor
+from .flatness import FlatReference, ReferenceBlock, flat_reference  # noqa: F401
+from .groundeffect import GroundEffectParams
 from .simulator import SimConfig
-from .vehicle import GRAVITY, VehicleParams
+from .vehicle import VehicleParams, plus_gravity
 
 ACCEL_MODES = ("none", "indi", "model")
 TORQUE_MODES = ("none", "model", "indi", "hybrid")
-Z_W = np.array([0.0, 0.0, 1.0])
 _BLOCK = 512   # reference samples computed at once
 _COMMAND_LEAD = 0.5 / SimConfig.attitude_rate   # s, the feedforward reference's lead
 
@@ -65,7 +65,6 @@ class ControlCommand:
     yaw_shed: bool = False
     rp_shed: bool = False
     thrust_clipped: bool = False
-    flat: FlatOutput | None = field(default=None, init=False)
     reference: FlatReference | None = field(default=None, init=False)
     attitude_target: list | np.ndarray | None = field(default=None, init=False)
     wrench: WrenchEstimate | None = field(default=None, init=False)
@@ -73,26 +72,21 @@ class ControlCommand:
 
 # -- cascade stages ------------------------------------------------------------
 
-def acceleration_command(flat, ref, p_hat, v_hat, gains: ControlGains,
-                         vehicle: VehicleParams, ge: GroundEffectParams, a_ext_est):
+def acceleration_command(ref: FlatReference, p_hat, v_hat, gains: ControlGains, a_ext_est):
     """Desired acceleration: reference + PD error + disturbance compensation.
 
-    Model mode removes the predicted drag and ground-force accelerations
-    evaluated at the desired state; indi mode removes the observed external
-    acceleration a_ext_est instead. Gravity is not included here.
+    Model mode removes the drag and ground-force accelerations the reference
+    record carries, the controller's model evaluated at the desired state;
+    indi mode removes the observed external acceleration a_ext_est instead.
+    Gravity is not included here.
     """
     a_des = (
-        flat.a
-        + gains.kp * (flat.p - np.asarray(p_hat, float))
-        + gains.kv * (flat.v - np.asarray(v_hat, float))
+        ref.a
+        + gains.kp * (ref.p - np.asarray(p_hat, float))
+        + gains.kv * (ref.v - np.asarray(v_hat, float))
     )
     if gains.accel_comp == "model":
-        R = quat.rot_matrix(ref.attitude)
-        h = flat.p[2] + vehicle.rotor_plane_offset
-        dx, dy = drag_coefficients(h, ge)
-        a_drag = -(R.dot(np.diag([dx, dy, 0.0])).dot(R.T.dot(flat.v))) / vehicle.m
-        a_ground = (ref.thrust / vehicle.m) * thrust_factor(h, ge) * R[:, 2]
-        a_des = a_des - a_drag - a_ground
+        a_des = a_des - ref.accel_drag - ref.accel_ground
     elif gains.accel_comp == "indi":
         a_des = a_des - np.asarray(a_ext_est, float)
     return a_des
@@ -243,26 +237,27 @@ class _Plan:
         return k
 
     def sample(self, i):
-        """(FlatOutput, FlatReference) at the i-th time; a failed sample raises its exception."""
+        """The FlatReference at the i-th time; a failed sample raises its exception."""
         start = i - i % _BLOCK
         if start != self._start:
             self._block = None   # the last block goes before the next is made
             self._block = ReferenceBlock(self.trajectory(self.times[start:start + _BLOCK]),
                                          self.vehicle, self.ge)
             self._start = start
-        return self._block.flat(i - start), self._block.reference(i - start)
+        return self._block.reference(i - start)
 
 
 class CascadeController:
     """Full cascade: position at the outer rate, attitude/rate at the inner rate.
 
-    All feedforward models are evaluated at the desired state with ``ge``,
-    the controller's ground-effect model; ``Scenario.build`` passes the truth
-    scaled by the scenario's mismatch. The compensation modes are read once,
-    at construction. Everything that depends only on outer-loop values (the
-    attitude target, the reference rates and J'(h_des), the operator the
-    reference's torque used) is computed once per position tick; the inner
-    tick runs on Python floats.
+    ``ge`` is the controller's ground-effect model (``Scenario.build`` passes
+    the truth scaled by the scenario's mismatch). The reference block
+    evaluates every feedforward model with it at the desired state, and each
+    position tick reads them from the sample's FlatReference. The
+    compensation modes are read once, at construction. Everything that
+    depends only on outer-loop values (the attitude target, the reference
+    rates and J'(h_des), the operator the reference's torque used) is
+    computed once per position tick; the inner tick runs on Python floats.
     """
 
     def __init__(self, trajectory, vehicle: VehicleParams, ge: GroundEffectParams,
@@ -277,7 +272,7 @@ class CascadeController:
                                              gains.observer_cutoff)
         self._incremental = gains.torque_comp in ("indi", "hybrid")
         self._use_equivalent = gains.torque_comp in ("model", "hybrid")
-        self._flat = self._ref = None   # of the last position tick
+        self._ref = None            # the FlatReference of the last position tick
         self._f_cmd = None
         self._q_des = None          # the attitude target as floats
         self._rates_ref = None      # (omega, omega_dot) of the reference, as floats
@@ -313,22 +308,21 @@ class CascadeController:
         else:
             torque_des = self._J_des.torque(omega_des, omega_dot_des)
         command = allocate(thrust_des, torque_des, self.vehicle)
-        command.flat, command.reference = self._flat, self._ref
-        command.attitude_target, command.wrench = self._q_des, wrench
+        command.reference, command.attitude_target = self._ref, self._q_des
+        command.wrench = wrench
         return command
 
     def _position_tick(self, i, meas, wrench):
-        flat, ref = self._plan.sample(i)
-        a_des = acceleration_command(flat, ref, meas.p, meas.v, self.gains, self.vehicle,
-                                     self.ge, wrench.accel)
-        self._f_cmd = a_des + GRAVITY * Z_W
-        q_des = quat.from_z_axis_yaw(self._f_cmd, flat.yaw)
+        ref = self._plan.sample(i)
+        self._f_cmd = plus_gravity(acceleration_command(ref, meas.p, meas.v, self.gains,
+                                                        wrench.accel))
+        q_des = quat.from_z_axis_yaw(self._f_cmd, ref.yaw)
         _check_unit(q_des)
         self._q_des = q_des.tolist()
         self._rates_ref = ref.omega.tolist(), ref.omega_dot.tolist()
         if self._use_equivalent:
             self._J_des = ref.inertia
-        self._flat, self._ref = flat, ref
+        self._ref = ref
 
 
 class FeedforwardController:
@@ -352,7 +346,7 @@ class FeedforwardController:
 
     def tick(self, t, meas):
         del meas
-        flat, ref = self._plan.sample(self._plan.tick(t))
+        ref = self._plan.sample(self._plan.tick(t))
         command = allocate(ref.thrust, ref.torque, self.vehicle)
-        command.flat, command.reference, command.attitude_target = flat, ref, ref.attitude
+        command.reference, command.attitude_target = ref, ref.attitude
         return command

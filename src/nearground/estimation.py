@@ -358,7 +358,7 @@ def fit_drag_from_log(log, vehicle: VehicleParams):
     q = log.cols(["qw", "qx", "qy", "qz"])
     v = log.cols(["vx", "vy", "vz"])
     a_ext = log.cols(["obs_aext_x", "obs_aext_y", "obs_aext_z"])
-    # R^T as a view of C-ordered R: the same BLAS call per row as rot_matrix(q[i]).T @ v[i]
+    # R^T as a view of C-ordered R: the same BLAS call per row as np.array(rot_rows(q[i])).T @ v[i]
     Rt = np.stack([np.stack(row, axis=-1) for row in rot_rows(q.T)], axis=1).transpose(0, 2, 1)
     v_body, a_body = ((Rt @ x[:, :, None])[:, :2, 0] for x in (v, a_ext))
     return fit_drag_coefficients(v_body, a_body, vehicle.m)

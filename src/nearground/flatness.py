@@ -4,7 +4,8 @@ Position and yaw trajectories (with derivatives through snap and yaw
 acceleration) map to thrust, attitude, body rates, body-rate derivatives,
 torque, and rotor speeds for the near-ground model: thrust amplified by
 (1 + F(h)), rotor drag -R D(h) R^T v, rotational dynamics with the
-equivalent inertia J'(h).
+equivalent inertia J'(h); the same terms at the reference are the
+controller's model feedforward.
 
 The body-rate algebra differentiates the translational force balance with
 the drag coefficients frozen at the current altitude (their time
@@ -14,12 +15,14 @@ the amplified thrust, so its derivative needs no model approximation.
 
 The reference depends on time only: ``ReferenceBlock`` maps the flat outputs
 of many times (a trajectory called with an array) in one numpy pass, each
-sample's fixed point stopping at its own iteration count. A failing sample
-keeps the exception of its first failing check until it is asked for.
-``flat_reference`` is the block of one. Arithmetic follows simulator.py's
-rule for blocks: each reduction is a stacked ``np.matmul`` (``_dots``,
-``_products``), never a 2-D gemm, and the smoothstep keeps Python powers.
-Gravity is the constant ``vehicle.GRAVITY``; no function here takes it.
+sample's fixed point stopping at its own iteration count; each sample is one
+``FlatReference`` record. A failing sample keeps the exception of its first
+failing check until it is asked for. ``flat_reference`` is the block of
+one. Arithmetic follows simulator.py's rule for blocks: each reduction is a
+stacked ``np.matmul`` (``_dots``, ``_products``), never a 2-D gemm, a
+product with a diagonal matrix is 0.0 + r_ij d_j (``InertiaOperator``'s
+rule), and the smoothstep keeps Python powers. Gravity is the constant
+``vehicle.GRAVITY``; no function here takes it.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from . import quaternions as quat
 from .errors import InputError, ParameterError, ReferenceGenerationError
 from .groundeffect import GroundEffectParams, _factor, _lever, added_inertia
-from .vehicle import GRAVITY, InertiaOperator, VehicleParams
+from .vehicle import InertiaOperator, VehicleParams, plus_gravity
 
 
 @dataclass
@@ -64,8 +67,12 @@ class FlatOutput:
 
 @dataclass
 class FlatReference:
-    """Derived reference at one instant."""
+    """The time-only reference at one instant: the flat sample, its map, the model feedforward."""
 
+    p: np.ndarray             # m, world frame, as v, a and the two model accelerations
+    v: np.ndarray
+    a: np.ndarray
+    yaw: float
     thrust: float
     attitude: np.ndarray      # unit quaternion, world-from-body
     omega: np.ndarray         # rad/s, body
@@ -75,6 +82,8 @@ class FlatReference:
     feasible: bool
     iterations: int
     inertia: InertiaOperator  # J'(h) at the reference, the torque's operator
+    accel_drag: np.ndarray    # m/s^2, -R D(h) R^T v / m with the controller's model
+    accel_ground: np.ndarray  # m/s^2, (T/m) F(h) z_B with the controller's model
 
 
 # -- trajectory generators: each takes a time or an array of times --------------
@@ -196,18 +205,13 @@ class _Faults:
             raise self.first[k]
 
 
-def _specific_force(flat):
-    """a + g z_W per sample; adding 0.0 = g * 0 turns a -0.0 into 0.0 as the vector sum does."""
-    return flat.a + np.array([0.0, 0.0, GRAVITY])
-
-
 def _altitude_drag(flat, vehicle: VehicleParams, ge: GroundEffectParams, faults):
-    """(h, d_x/m, d_y/m) per sample (np.interp is drag_coefficients byte for byte)."""
+    """(h, d_x, d_y) per sample (np.interp is drag_coefficients byte for byte)."""
     h = flat.p[:, 2] + vehicle.rotor_plane_offset
     faults.flag(np.flatnonzero(h < 0.0), lambda k: ReferenceGenerationError(
         f"reference altitude below ground: h={h[k]:.4f}"))
     altitudes, (dx, dy) = ge.drag_knots
-    return h, np.interp(h, altitudes, dx) / vehicle.m, np.interp(h, altitudes, dy) / vehicle.m
+    return h, np.interp(h, altitudes, dx), np.interp(h, altitudes, dy)
 
 
 def _attitudes(z_b, y_c, samples, faults):
@@ -237,16 +241,16 @@ def _attitudes(z_b, y_c, samples, faults):
     return q / n[:, None]
 
 
-def _thrust_attitude(flat, h, d1, d2, vehicle, ge, faults, max_iter=20):
-    """(T_ref, attitude (N, 4), iterations) per sample at altitude h, drag over mass d1, d2.
+def _thrust_attitude(flat, factor, d1, d2, m, faults, max_iter=20):
+    """(T_ref, attitude (N, 4), iterations) per sample at thrust factor F(h), drag/mass d1, d2.
 
     Iterates z_B ~ a + g z_W + drag-restoring terms until the axis moves
     less than 1e-10 in one iteration, completes the attitude from yaw, and
     evaluates the thrust with the ground amplification removed from the
     required specific force.
     """
-    n = len(h)
-    f0 = _specific_force(flat)
+    n = len(factor)
+    f0 = plus_gravity(flat.a)
     n0 = np.sqrt(_dots(f0, f0))
     faults.flag(np.flatnonzero(n0 < 1e-9), lambda k: ReferenceGenerationError(
         "free-fall reference: thrust axis undefined"))
@@ -273,22 +277,21 @@ def _thrust_attitude(flat, h, d1, d2, vehicle, ge, faults, max_iter=20):
     faults.flag(np.flatnonzero(active), lambda k: ReferenceGenerationError(
         f"thrust-axis fixed point did not converge in {max_iter} iterations"))
     q = _attitudes(z, y_c, np.arange(n), faults)
-    thrust = vehicle.m * _dots(z, f0) / (1.0 + _factor(h, ge.g1, ge.g2))
+    thrust = m * _dots(z, f0) / (1.0 + factor)
     faults.flag(np.flatnonzero(thrust <= 0.0), lambda k: ReferenceGenerationError(
         "reference thrust non-positive"))
     return thrust, q, iterations
 
 
-def _rates(flat, q, d1, d2, faults):
-    """(omega, omega_dot) per sample, each (N, 3), at the attitudes q (N, 4), drag over mass d1, d2.
+def _rates(flat, R, d1, d2, faults):
+    """(omega, omega_dot) per sample, each (N, 3), at the rotations R (N, 3, 3), drag/mass d1, d2.
 
     Differentiates the translational balance twice with the drag matrix
     frozen; the altitude dependence of the amplified thrust rides along in
     the thrust-axis scalar and needs no extra terms.
     """
-    R = np.stack([np.stack(row, axis=-1) for row in quat.rot_rows(q.T)], axis=1)   # C-ordered
     x_b, y_b, z_b = R[:, :, 0], R[:, :, 1], R[:, :, 2]
-    gz = _specific_force(flat)
+    gz = plus_gravity(flat.a)
     c = _dots(z_b, gz)
     Rt = R.transpose(0, 2, 1)
     v_b, a_b, j_b, s_b = (_products(Rt, x).T for x in (flat.v, flat.a, flat.j, flat.s))
@@ -368,22 +371,25 @@ class _BlockInertia:
 class ReferenceBlock:
     """The references of a block of flat outputs, handed out sample by sample.
 
-    Rotor speeds outside [0, n_max] mark a reference infeasible instead of
-    being clamped, so callers can distinguish planning failures from
-    tracking error.
+    ``ge`` is the controller's ground-effect model. Rotor speeds outside
+    [0, n_max] mark a reference infeasible instead of being clamped, so
+    callers can distinguish planning failures from tracking error.
     """
 
     def __init__(self, flat: FlatOutput, vehicle: VehicleParams, ge: GroundEffectParams):
-        self._flat = flat
-        self._yaw = list(zip(flat.yaw.tolist(), flat.yaw_rate.tolist(), flat.yaw_accel.tolist()))
+        self._flat, self._yaw = flat, flat.yaw.tolist()
         self._faults = faults = _Faults(len(flat.p))
-        self._base = vehicle.inertia_op
+        self._base, m = vehicle.inertia_op, vehicle.m
         with np.errstate(all="ignore"):
-            h, d1, d2 = _altitude_drag(flat, vehicle, ge, faults)
-            thrust, self._attitude, iterations = _thrust_attitude(flat, h, d1, d2, vehicle, ge,
-                                                                  faults)
-            self._omega, self._omega_dot = _rates(flat, self._attitude, d1, d2, faults)
-            added = added_inertia(_lever(h, ge.g3, ge.g4, ge.g5) * thrust, vehicle.m)
+            h, dx, dy = _altitude_drag(flat, vehicle, ge, faults)
+            d1, d2, factor = dx / m, dy / m, _factor(h, ge.g1, ge.g2)
+            thrust, self._attitude, iterations = _thrust_attitude(flat, factor, d1, d2, m, faults)
+            R = np.stack([np.stack(r, axis=-1) for r in quat.rot_rows(self._attitude.T)], axis=1)
+            self._omega, self._omega_dot = _rates(flat, R, d1, d2, faults)
+            RD = 0.0 + R * np.stack([dx, dy, np.zeros_like(dx)], axis=-1)[:, None]   # R diag(d)
+            self._accel_drag = -_products(RD, _products(R.transpose(0, 2, 1), flat.v)) / m
+            self._accel_ground = (thrust / m * factor)[:, None] * R[:, :, 2]
+            added = added_inertia(_lever(h, ge.g3, ge.g4, ge.g5) * thrust, m)
             torque = _BlockInertia(self._base, added).torque(self._omega.T, self._omega_dot.T)
             self._torque = np.stack(torque, axis=-1)
             n_sq = _products(vehicle.mixing_inverse, np.stack([thrust] + torque, axis=-1))
@@ -395,22 +401,19 @@ class ReferenceBlock:
         self._thrust, self._iterations = thrust.tolist(), iterations.tolist()
         self._added = added.tolist()
 
-    def flat(self, k):
-        """Sample k's FlatOutput."""
-        f = self._flat
-        return FlatOutput(f.p[k], f.v[k], f.a[k], f.j[k], f.s[k], *self._yaw[k])
-
     def reference(self, k):
         """Sample k's FlatReference; raises the exception of a sample whose evaluation failed."""
         self._faults.check(k)
-        return FlatReference(self._thrust[k], self._attitude[k], self._omega[k],
-                             self._omega_dot[k], self._torque[k], self._rotor_speeds[k],
-                             self._feasible[k], self._iterations[k],
-                             self._base.plus_roll_pitch(self._added[k]))
+        f = self._flat
+        return FlatReference(f.p[k], f.v[k], f.a[k], self._yaw[k], self._thrust[k],
+                             self._attitude[k], self._omega[k], self._omega_dot[k],
+                             self._torque[k], self._rotor_speeds[k], self._feasible[k],
+                             self._iterations[k], self._base.plus_roll_pitch(self._added[k]),
+                             self._accel_drag[k], self._accel_ground[k])
 
 
 def flat_reference(flat: FlatOutput, vehicle: VehicleParams, ge: GroundEffectParams):
-    """Full reference tuple for one flat-output sample: the ReferenceBlock of one."""
+    """The FlatReference record of one flat-output sample: the ReferenceBlock of one."""
     one = FlatOutput(flat.p[None], flat.v[None], flat.a[None], flat.j[None], flat.s[None],
                      flat.yaw, flat.yaw_rate, flat.yaw_accel)
     return ReferenceBlock(one, vehicle, ge).reference(0)

@@ -65,9 +65,9 @@ class Scenario:
 
     def build(self):
         trajectory = make_trajectory(self.trajectory_kind, **self.trajectory_params)
-        if self.controller_kind == "feedforward":
-            return trajectory, FeedforwardController(trajectory, self.vehicle, self.ge)
         model = self.ge.scaled(self.mismatch)
+        if self.controller_kind == "feedforward":
+            return trajectory, FeedforwardController(trajectory, self.vehicle, model)
         return trajectory, CascadeController(trajectory, self.vehicle, model, self.gains)
 
     # -- config io ------------------------------------------------------------

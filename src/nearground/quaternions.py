@@ -1,7 +1,7 @@
 """Quaternion helpers (scalar-first Hamilton convention, world-from-body).
 
 A unit quaternion q = (w, x, y, z) here maps body-frame vectors into the
-world frame through rot_matrix(q).
+world frame through the rotation matrix whose rows rot_rows(q) gives.
 
 The per-step helpers (``normalize``, ``multiply``, ``cross``, ``rot_rows``)
 take and return sequences of Python floats; ``cross``, ``rot_rows`` and
@@ -55,13 +55,8 @@ def cross(a, b):
     return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
 
 
-def rot_matrix(q):
-    """3x3 rotation matrix; columns are the body axes in world coordinates."""
-    return np.array(rot_rows(_floats(q)))
-
-
 def rot_rows(q):
-    """rot_matrix of a sequence of four Python floats, as three row lists."""
+    """The rotation matrix of q as three row lists; its columns are the body axes in world axes."""
     w, x, y, z = q
     return [
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],

@@ -66,7 +66,7 @@ from .groundeffect import (
     torque_lever,
     world_drag,
 )
-from .vehicle import GRAVITY, VehicleParams, inertia_operator
+from .vehicle import GRAVITY, VehicleParams, inertia_operator, plus_gravity
 
 # state vector layout
 _P = slice(0, 3)
@@ -327,9 +327,7 @@ def imu_sample(x, xdot, R, cfg: SimConfig, rng):
     body z, and rotating it into the world frame makes the disturbance
     observer identity exact at zero noise.
     """
-    a0, a1, a2 = xdot[_V].tolist()
-    # a + g z_W; adding 0.0 = g * 0 turns a -0.0 into 0.0 as the vector sum does
-    f_body = R.T.dot(np.array([a0 + 0.0, a1 + 0.0, a2 + GRAVITY]))
+    f_body = R.T.dot(plus_gravity(xdot[_V]))
     gyro = x[_W].copy()
     if cfg.noise_accel > 0.0:
         f_body = f_body + cfg.noise_accel * rng.standard_normal(3)
@@ -441,11 +439,10 @@ def hover_initial_state(trajectory, vehicle: VehicleParams, ge: GroundEffectPara
     """Packed state matching the trajectory reference at t = 0; gravity must be GRAVITY."""
     if gravity != GRAVITY:
         raise InputError(f"gravity is fixed at {GRAVITY} m/s^2, got {gravity}")
-    flat = trajectory(0.0)
-    ref = flatness.flat_reference(flat, vehicle, ge)
+    ref = flatness.flat_reference(trajectory(0.0), vehicle, ge)
     x = np.empty(STATE_SIZE)
-    x[_P] = flat.p
-    x[_V] = flat.v
+    x[_P] = ref.p
+    x[_V] = ref.v
     x[_Q] = ref.attitude
     x[_W] = ref.omega
     x[_N] = ref.rotor_speeds
@@ -459,15 +456,18 @@ def run_closed_loop(controller, vehicle: VehicleParams, ge: GroundEffectParams,
     The controller provides ``trajectory`` (the flat output as a function of
     time, which sets the hover start), ``plan(times)``, called once before
     step 0 with every tick time k * dt the loop will compute, and
-    ``tick(t, Measurement)``, which returns a ControlCommand with its flat,
+    ``tick(t, Measurement)``, which returns a ControlCommand with its
     reference and attitude_target set and its wrench a WrenchEstimate or
     None; the log rows and the infeasible flag read that record. Step 0
-    ticks before it logs. Ground contact truncates the log and flags it.
+    ticks before it logs. Ground contact truncates the log and flags it. A
+    duration under half a step, which would fly no step, is an InputError.
     """
+    steps = int(round(duration / cfg.dt))
+    if steps < 1:
+        raise InputError(f"duration {duration!r} s is under half the step dt = {cfg.dt!r} s")
     rng = np.random.default_rng(seed)
     x = hover_initial_state(controller.trajectory, vehicle, ge)
     plant = _Plant(vehicle, ge, cfg)
-    steps = int(round(duration / cfg.dt))
     per_tick = round(1.0 / (cfg.attitude_rate * cfg.dt))
     decim = cfg.log_decimation
     rows = np.zeros((steps // decim + 1, len(LOG_COLUMNS)))
@@ -517,10 +517,10 @@ def _log_row(row, t, x, command, plant, frame):
     row[0] = t
     row[1:18] = x
     row[18] = x[2] + plant.offset
-    flat, ref = command.flat, command.reference
-    row[19:22] = flat.p
-    row[22:25] = flat.v
-    row[25:28] = flat.a
+    ref = command.reference
+    row[19:22] = ref.p
+    row[22:25] = ref.v
+    row[25:28] = ref.a
     row[28:32] = ref.attitude
     row[32:35] = ref.omega
     row[35] = ref.thrust

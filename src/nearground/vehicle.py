@@ -26,6 +26,12 @@ from .quaternions import cross
 
 GRAVITY = 9.81
 
+
+def plus_gravity(a):
+    """a + g z_W for a (3,) or (N, 3) array a; adding 0.0 = g * 0 turns a -0.0 into 0.0."""
+    return a + np.array([0.0, 0.0, GRAVITY])
+
+
 # Signs mapping squared rotor speeds to (thrust, roll, pitch, yaw) channels.
 SIGN_MATRIX = np.array(
     [

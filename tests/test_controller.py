@@ -26,6 +26,7 @@ from nearground.errors import ControllerFault, InputError, ParameterError, Refer
 from nearground.flatness import flat_reference, hover_point, make_trajectory
 from nearground.groundeffect import (
     GroundEffectParams,
+    drag_coefficients,
     equivalent_inertia,
     thrust_factor,
     torque_lever_peak,
@@ -49,23 +50,22 @@ def test_gain_validation():
 # -- acceleration command ------------------------------------------------------
 
 def _hover_ref(h):
-    flat = hover_point(0.0, [0.0, 0.0, h])
-    return flat, flat_reference(flat, VEH, GE)
+    return flat_reference(hover_point(0.0, [0.0, 0.0, h]), VEH, GE)
 
 
 def test_acceleration_command_zero_error_no_ge():
     gains = ControlGains(accel_comp="none")
-    flat, ref = _hover_ref(2.0)
-    a = acceleration_command(flat, ref, flat.p, flat.v, gains, VEH, GE, np.zeros(3))
-    assert np.allclose(a, flat.a)
+    ref = _hover_ref(2.0)
+    a = acceleration_command(ref, ref.p, ref.v, gains, np.zeros(3))
+    assert np.allclose(a, ref.a)
 
 
 def test_acceleration_command_hover_ground_term():
     # at the quarter-amplification altitude the ground term is g/1.25*0.25
     h = math.sqrt(GE.g2 / 0.25 - GE.g1)
     gains = ControlGains(accel_comp="model")
-    flat, ref = _hover_ref(h)
-    a = acceleration_command(flat, ref, flat.p, flat.v, gains, VEH, GE, np.zeros(3))
+    ref = _hover_ref(h)
+    a = acceleration_command(ref, ref.p, ref.v, gains, np.zeros(3))
     expected_mag = GRAVITY / 1.25 * 0.25
     assert np.isclose(np.linalg.norm(a), expected_mag, rtol=1e-9)
     assert a[2] < 0.0  # pushes down against the extra lift
@@ -73,21 +73,20 @@ def test_acceleration_command_hover_ground_term():
 
 def test_acceleration_command_affine_in_errors():
     gains = ControlGains(accel_comp="none")
-    flat, ref = _hover_ref(1.0)
+    ref = _hover_ref(1.0)
     e_p = np.array([0.04, -0.02, 0.01])
     e_v = np.array([-0.3, 0.1, 0.2])
-    a0 = acceleration_command(flat, ref, flat.p, flat.v, gains, VEH, GE, np.zeros(3))
-    a1 = acceleration_command(flat, ref, flat.p - e_p, flat.v - e_v, gains, VEH, GE,
-                              np.zeros(3))
+    a0 = acceleration_command(ref, ref.p, ref.v, gains, np.zeros(3))
+    a1 = acceleration_command(ref, ref.p - e_p, ref.v - e_v, gains, np.zeros(3))
     assert np.allclose(a1 - a0, gains.kp * e_p + gains.kv * e_v, atol=1e-12)
 
 
 def test_acceleration_command_indi_uses_observed():
     gains = ControlGains(accel_comp="indi")
-    flat, ref = _hover_ref(1.0)
+    ref = _hover_ref(1.0)
     a_ext = np.array([0.1, 0.0, 0.5])
-    a = acceleration_command(flat, ref, flat.p, flat.v, gains, VEH, GE, a_ext)
-    assert np.allclose(a, flat.a - a_ext)
+    a = acceleration_command(ref, ref.p, ref.v, gains, a_ext)
+    assert np.allclose(a, ref.a - a_ext)
 
 
 # -- attitude error --------------------------------------------------------------
@@ -111,7 +110,7 @@ def test_attitude_error_magnitude_matches_rotation_log(seed):
     qb = np.array(quat.normalize(rng.standard_normal(4).tolist()))
     e = attitude_error_vector(qa, qb)
     # oracle: rotation angle from the trace of the relative rotation matrix
-    R_rel = quat.rot_matrix(qa).T @ quat.rot_matrix(qb)
+    R_rel = np.array(quat.rot_rows(qa)).T @ np.array(quat.rot_rows(qb))
     angle = math.acos(min(1.0, max(-1.0, (np.trace(R_rel) - 1.0) / 2.0)))
     assert abs(np.linalg.norm(e) - angle) < 1e-9
 
@@ -168,7 +167,7 @@ def test_bodyrate_gain_scaling_and_composition():
 def test_thrust_command_cases():
     assert np.isclose(thrust_command(GRAVITY * Z, Z, VEH.m), VEH.m * GRAVITY)
     assert thrust_command(np.array([1.0, 0.0, 0.0]), Z, VEH.m) == 0.0
-    R = quat.rot_matrix(quat.from_axis_angle([0.0, 1.0, 0.0], math.radians(30.0)))
+    R = np.array(quat.rot_rows(quat.from_axis_angle([0.0, 1.0, 0.0], math.radians(30.0))))
     assert np.isclose(
         thrust_command(GRAVITY * Z, R[:, 2], VEH.m),
         VEH.m * GRAVITY * math.cos(math.radians(30.0)),
@@ -396,6 +395,18 @@ def test_controllers_keep_no_last_tick_attributes():
     assert names and not [name for name in names if name.startswith("last_")]
 
 
+def test_controllers_evaluate_no_ground_effect_model():
+    # the reference record carries the model feedforward; controller.py only names the model
+    path = os.path.join(os.path.dirname(__file__), "..", "src", "nearground", "controller.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = [(getattr(node, "module", None) or "") + "." + alias.name
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names]
+    assert [name for name in imported if "groundeffect" in name] == \
+        ["groundeffect.GroundEffectParams"]
+
+
 # -- the float tick against the array code it replaced ---------------------------------
 
 class _ArrayLowPass:
@@ -428,6 +439,7 @@ class _ArrayCascade:
     """CascadeController's tick in numpy arrays, every stage recomputed on every tick.
 
     A test-side reference: the gyro and observer filters, the observer, the
+    acceleration command with the model feedforward evaluated per tick, the
     attitude error, the body-rate loop and both torque laws as array
     expressions, every inertia product one ``.dot`` on the matrix.
     """
@@ -447,7 +459,7 @@ class _ArrayCascade:
         f_f = self.f_accel.update(meas.specific_force)
         T_f = float(self.f_thrust.update([thrust_hat])[0])
         w_f, wd_f = self.f_omega.update(meas.gyro)
-        R = quat.rot_matrix(meas.q)
+        R = np.array(quat.rot_rows(meas.q))
         J = veh.inertia
         return (R.dot(f_f) - R[:, 2] * (T_f / veh.m),
                 J.dot(wd_f) + np.cross(w_f, J.dot(w_f)) - tau_hat)
@@ -459,14 +471,23 @@ class _ArrayCascade:
         tau_hat = veh.mixing.dot(n * n)[1:4]
         self.wrench = self._observer(meas, veh.k_t * float(n.dot(n)), tau_hat)
         if self.count % c.ratio == 0:
-            self.flat = c.trajectory(t)
-            self.ref = flat_reference(self.flat, veh, c.ge)
-            a_des = acceleration_command(self.flat, self.ref, meas.p, meas.v, c.gains, veh,
-                                         c.ge, self.wrench[0])
+            self.flat = flat = c.trajectory(t)
+            self.ref = ref = flat_reference(flat, veh, c.ge)
+            g = c.gains
+            a_des = flat.a + g.kp * (flat.p - meas.p) + g.kv * (flat.v - meas.v)
+            if g.accel_comp == "model":
+                R = np.array(quat.rot_rows(ref.attitude))
+                h = flat.p[2] + veh.rotor_plane_offset
+                dx, dy = drag_coefficients(h, c.ge)
+                a_drag = -(R.dot(np.diag([dx, dy, 0.0])).dot(R.T.dot(flat.v))) / veh.m
+                a_ground = (ref.thrust / veh.m) * thrust_factor(h, c.ge) * R[:, 2]
+                a_des = a_des - a_drag - a_ground
+            elif g.accel_comp == "indi":
+                a_des = a_des - self.wrench[0]
             self.f_cmd = a_des + GRAVITY * Z
         self.count += 1
         flat, ref = self.flat, self.ref
-        R_hat = quat.rot_matrix(meas.q)
+        R_hat = np.array(quat.rot_rows(meas.q))
         thrust_des = thrust_command(self.f_cmd, R_hat[:, 2], veh.m)
         q_des = quat.from_z_axis_yaw(self.f_cmd, flat.yaw)
         hw, hx, hy, hz = meas.q

@@ -113,7 +113,7 @@ def test_observer_zero_at_exact_hover():
 
 def test_observer_pure_function_identity():
     q = quat.from_axis_angle([0.0, 1.0, 0.0], 0.2)
-    R = quat.rot_matrix(q)
+    R = np.array(quat.rot_rows(q))
     a_ext_true = np.array([0.3, -0.1, 1.2])
     a = a_ext_true - GRAVITY * np.array([0, 0, 1.0]) + R[:, 2] * 7.0 / VEH.m
     f_body = R.T @ (a + GRAVITY * np.array([0, 0, 1.0]))
@@ -427,8 +427,8 @@ def test_fit_drag_from_log_is_the_per_row_formula():
     q = log.cols(["qw", "qx", "qy", "qz"])
     v = log.cols(["vx", "vy", "vz"])
     a_ext = log.cols(["obs_aext_x", "obs_aext_y", "obs_aext_z"])
-    v_body = np.array([quat.rot_matrix(q[i]).T @ v[i] for i in range(len(log))])
-    a_body = np.array([quat.rot_matrix(q[i]).T @ a_ext[i] for i in range(len(log))])
+    v_body = np.array([np.array(quat.rot_rows(q[i])).T @ v[i] for i in range(len(log))])
+    a_body = np.array([np.array(quat.rot_rows(q[i])).T @ a_ext[i] for i in range(len(log))])
     want = fit_drag_coefficients(v_body[:, :2], a_body[:, :2], VEH.m)
     got = fit_drag_from_log(log, VEH)
     assert len(log) > 1000

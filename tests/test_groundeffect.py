@@ -114,7 +114,7 @@ def test_leveling_torque_zero_when_level():
 
 def test_leveling_torque_roll_tilt_direction_and_magnitude():
     delta = math.radians(5.0)
-    R = quat.rot_matrix(quat.from_axis_angle([1.0, 0.0, 0.0], delta))
+    R = np.array(quat.rot_rows(quat.from_axis_angle([1.0, 0.0, 0.0], delta)))
     T, h = 7.0, 0.2
     tau = torque_lever(h, P) * T * leveling_axis(R, P)
     assert np.isclose(np.linalg.norm(tau), torque_lever(h, P) * T * math.sin(delta), rtol=1e-12)
@@ -125,7 +125,7 @@ def test_leveling_torque_roll_tilt_direction_and_magnitude():
 
 def test_leveling_torque_matches_quadrature():
     delta = math.radians(5.0)
-    R = quat.rot_matrix(quat.from_axis_angle([0.0, 1.0, 0.0], delta))
+    R = np.array(quat.rot_rows(quat.from_axis_angle([0.0, 1.0, 0.0], delta)))
     T, h = 7.0, 0.2
     tau = np.linalg.norm(torque_lever(h, P) * T * leveling_axis(R, P))
     ref = leveling_torque_quadrature(h, delta, T, P)
@@ -134,8 +134,8 @@ def test_leveling_torque_matches_quadrature():
 
 def test_leveling_torque_saturates_past_plateau_tilt():
     h, T = 0.2, 7.0
-    R10 = quat.rot_matrix(quat.from_axis_angle([1.0, 0.0, 0.0], math.radians(10.0)))
-    R25 = quat.rot_matrix(quat.from_axis_angle([1.0, 0.0, 0.0], math.radians(25.0)))
+    R10 = np.array(quat.rot_rows(quat.from_axis_angle([1.0, 0.0, 0.0], math.radians(10.0))))
+    R25 = np.array(quat.rot_rows(quat.from_axis_angle([1.0, 0.0, 0.0], math.radians(25.0))))
     t10 = np.linalg.norm(torque_lever(h, P) * T * leveling_axis(R10, P))
     t25 = np.linalg.norm(torque_lever(h, P) * T * leveling_axis(R25, P))
     assert np.isclose(t25, t10, rtol=1e-9)
@@ -156,14 +156,14 @@ def test_leveling_torque_has_no_body_z_component(ax, ay, az, angle, h):
     axis = np.array([ax, ay, az])
     if np.linalg.norm(axis) < 1e-3:
         axis = np.array([1.0, 0.0, 0.0])
-    R = quat.rot_matrix(quat.from_axis_angle(axis, angle))
+    R = np.array(quat.rot_rows(quat.from_axis_angle(axis, angle)))
     tau = torque_lever(h, P) * 6.0 * leveling_axis(R, P)
     assert abs(tau[2]) < 1e-12
 
 
 def test_leveling_torque_linear_in_thrust():
     delta = math.radians(4.0)
-    R = quat.rot_matrix(quat.from_axis_angle([1.0, 1.0, 0.0], delta))
+    R = np.array(quat.rot_rows(quat.from_axis_angle([1.0, 1.0, 0.0], delta)))
     h = 0.25
     t1 = torque_lever(h, P) * 3.0 * leveling_axis(R, P)
     t2 = torque_lever(h, P) * 6.0 * leveling_axis(R, P)
@@ -221,8 +221,8 @@ def test_added_thrust_force_level_hover():
 def test_added_thrust_force_tilt_invariant_magnitude():
     # equal h and T under two different attitudes give equal magnitude
     T, h = 7.0, 0.15
-    Ra = quat.rot_matrix(quat.from_axis_angle([1.0, 0.0, 0.0], 0.1))
-    Rb = quat.rot_matrix(quat.from_axis_angle([0.3, 1.0, 0.2], 0.25))
+    Ra = np.array(quat.rot_rows(quat.from_axis_angle([1.0, 0.0, 0.0], 0.1)))
+    Rb = np.array(quat.rot_rows(quat.from_axis_angle([0.3, 1.0, 0.2], 0.25)))
     fa = _added_thrust_force(Ra, T, h)
     fb = _added_thrust_force(Rb, T, h)
     assert np.isclose(np.linalg.norm(fa), np.linalg.norm(fb), rtol=1e-12)
@@ -252,7 +252,7 @@ def test_drag_table_encodes_low_over_high_ratios():
 
 
 def test_drag_force_zero_velocity_and_body_z():
-    R = quat.rot_matrix(quat.from_axis_angle([0.0, 1.0, 0.0], 0.3))
+    R = np.array(quat.rot_rows(quat.from_axis_angle([0.0, 1.0, 0.0], 0.3)))
     assert np.allclose(world_drag(R, np.zeros(3), 0.4, P), 0.0)
     v = 1.7 * R[:, 2]  # motion straight along body z sees no rotor drag
     assert np.max(np.abs(world_drag(R, v, 0.4, P))) < 1e-12
@@ -265,7 +265,7 @@ def test_drag_force_level_forward_flight():
 
 
 def test_drag_force_perpendicular_to_body_z():
-    R = quat.rot_matrix(quat.from_axis_angle([1.0, 0.4, 0.0], 0.35))
+    R = np.array(quat.rot_rows(quat.from_axis_angle([1.0, 0.4, 0.0], 0.35)))
     f = world_drag(R, np.array([0.7, -0.4, 0.2]), 0.3, P)
     assert abs(f @ R[:, 2]) < 1e-12
 

@@ -31,7 +31,7 @@ from nearground.cli import (
     main,
 )
 from nearground.config import KeyValueConfig, key_table
-from nearground.controller import ControlGains
+from nearground.controller import _COMMAND_LEAD, ControlGains
 from nearground.errors import (
     ConfigError,
     ControllerFault,
@@ -42,7 +42,7 @@ from nearground.errors import (
     SimulationFault,
 )
 from nearground.estimation import fit_thrust_factor, fit_thrust_factor_from_log
-from nearground.flatness import make_trajectory
+from nearground.flatness import flat_reference, make_trajectory
 from nearground.groundeffect import GroundEffectParams, thrust_factor, torque_lever
 from nearground.harness import (
     MetricsReport,
@@ -386,6 +386,22 @@ def test_scenario_config_round_trip(tmp_path):
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "configs", "scenarios")
 
 
+def test_mismatch_scales_the_feedforward_controllers_model():
+    # the feedforward reference, like the cascade's model, comes from the scaled ground effect
+    path = os.path.join(SCENARIO_DIR, "lemniscate_feedforward.cfg")
+    logs = {}
+    for mismatch in ("1.0", "1.05"):
+        scenario = Scenario.from_file(path, overrides=KeyValueConfig(
+            [("duration", "0.5", 0), ("mismatch", mismatch, 0)], source="<test>"))
+        logs[mismatch] = run(scenario)[0]
+    assert logs["1.0"].data.tobytes() != logs["1.05"].data.tobytes()
+    # each logged row is a tick's: its reference thrust is the scaled model's
+    trajectory, model = scenario.build()[0], scenario.ge.scaled(1.05)
+    want = [flat_reference(trajectory(t + _COMMAND_LEAD), scenario.vehicle, model).thrust
+            for t in logs["1.05"].col("t").tolist()]
+    assert logs["1.05"].col("ref_T").tolist() == want
+
+
 @pytest.mark.parametrize("name", sorted(os.listdir(SCENARIO_DIR)) + ["override"])
 def test_resolved_text_is_a_fixed_point(tmp_path, name):
     if name == "override":
@@ -556,6 +572,18 @@ def test_cli_run_crash_exit_code(tmp_path, capsys):
     path = _write_scenario(tmp_path, extra="sim.ground_clearance = 0.6\n")
     code = main(["run", path])
     assert code == EXIT_CRASH
+
+
+def test_cli_run_shorter_than_half_a_step_is_a_config_error(tmp_path, capsys):
+    # round(duration / dt) = 0 steps would fly nothing and report zero errors
+    path = tmp_path / "short.cfg"
+    text = "seed = 1\ntrajectory = hover\ntraj.height = 0.3\nmetrics_warmup = 0.0\n"
+    path.write_text(text + "duration = 0.0001\n")
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "0.0001" in err and "0.0005" in err
+    path.write_text(text + "duration = 0.0003\n")   # one step, though not a multiple of dt
+    assert main(["run", str(path)]) == EXIT_OK
 
 
 def test_cli_run_config_error(tmp_path):

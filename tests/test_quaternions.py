@@ -79,7 +79,7 @@ def test_dot_bit_identical_to_matmul(R, S, a, b, p, r, i, j):
         (a, b), (p, r),                               # 3- and 4-vector dots
         (R[:, i], a), (a, R[:, i]), (R[:, i], R[:, j]),  # strided columns
         (R, a), (R.T, a), (-R, a),                    # matrix-vector, both layouts
-        (R, S), (R, np.diag(S.diagonal())),           # 3x3 products (model drag)
+        (R, S), (R, np.diag(S.diagonal())),           # 3x3 products, a diagonal one too
         (vehicle.mixing_inverse, p),                  # read-only 4x4, derived once
         (vehicle.mixing, p),
     ]

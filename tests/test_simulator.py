@@ -185,7 +185,7 @@ def test_imu_hover_convention_and_determinism():
     x = _hover_state(0.4)
     xdot = _derivative(x, cfg)
     clean = SimConfig()
-    R = quat.rot_matrix(x[6:10])
+    R = np.array(quat.rot_rows(x[6:10]))
     f, w = imu_sample(x, xdot, R, clean, np.random.default_rng(0))
     assert np.allclose(f, [0.0, 0.0, GRAVITY], atol=1e-10)
     assert np.allclose(w, 0.0)
@@ -243,7 +243,7 @@ def test_disturbance_forces_match_public_functions(tilt_deg, h, overrides):
     x[3:6] = [0.8, -0.5, 0.3]
     x[6:10] = q
     x[13:17] *= [1.0, 1.1, 0.9, 1.05]
-    R = quat.rot_matrix(q)
+    R = np.array(quat.rot_rows(q))
     T = VEH.k_t * float(x[13:17] @ x[13:17])
     plant = _Plant(VEH, GE, cfg)
     f_ge, f_drag, tau = disturbance_forces(plant, x, plant.frame(x, h))
